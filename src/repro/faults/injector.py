@@ -56,7 +56,7 @@ class FaultInjector:
         scheduled time, and silently applying it "now" would break the
         byte-reproducibility contract (the log would disagree with the
         schedule).  Mirrors the negative-delay guard in
-        :meth:`repro.sim.engine.Simulator._schedule`.
+        :meth:`repro.sim.engine.Simulator.schedule_entry`.
         """
         if self._process is None:
             events = self.schedule.events

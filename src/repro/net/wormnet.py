@@ -19,16 +19,30 @@ of the crossbar's round-robin service of blocked worms.  Per-byte slack
 buffer/STOP/GO behaviour is modelled exactly in :mod:`repro.net.flitlevel`;
 at the loads and worm sizes of the paper's experiments the worm-level
 abstraction preserves the contention behaviour that dominates latency.
+
+Each worm's trip is a small callback state machine, :class:`_WormRun`,
+that is its own event-queue entry (``Simulator.schedule_entry``): an
+urgent bootstrap at injection, then per hop *acquire* (granted on the
+spot, or queued on the :class:`Channel`, which enqueues the run when it
+hands the channel over) and *cross* (one self-enqueue ``switch_latency +
+prop_delay`` later), and finally one self-enqueue ``length`` later that
+delivers, drops or orphans the worm.  Every crossed channel gets a
+:class:`_TailRelease` entry that re-enqueues itself until the tail has
+passed.  This is the worm-level hot path: no generator, Process, Timeout
+or resource Request is allocated per worm or per hop, while every entry
+lands at the instant, offset and priority a generator process waiting on
+resource requests would use, so same-instant order and all results are
+those of a process-per-worm model.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import URGENT, Event
 from repro.sim.monitor import TallyStat
-from repro.sim.resources import Request, Resource
 from repro.net.topology import Link, Topology
 from repro.net.updown import UpDownRouting
 from repro.net.worm import Worm
@@ -37,7 +51,11 @@ ReceiverFn = Callable[[Worm, "Transfer"], None]
 
 
 class Channel:
-    """A directed channel over one physical link."""
+    """A directed channel over one physical link.
+
+    One worm holds it at a time; worms that find it busy queue in arrival
+    order and are handed the channel on release.
+    """
 
     __slots__ = (
         "sim",
@@ -45,7 +63,8 @@ class Channel:
         "src",
         "dst",
         "prop_delay",
-        "resource",
+        "holder",
+        "waiters",
         "busy_time",
         "acquisitions",
         "failed",
@@ -59,7 +78,10 @@ class Channel:
         self.src = src
         self.dst = dst
         self.prop_delay = link.prop_delay
-        self.resource = Resource(sim, capacity=1)
+        #: The worm run holding the channel (None while idle) and the runs
+        #: queued for it, first come first served.
+        self.holder: Optional[_WormRun] = None
+        self.waiters: Deque[_WormRun] = deque()
         self.busy_time = 0.0
         self.acquisitions = 0
         #: True while the underlying link (or an endpoint) is down; worms
@@ -70,19 +92,32 @@ class Channel:
 
     @property
     def busy(self) -> bool:
-        return self.resource.count > 0
+        return self.holder is not None
 
-    def acquire(self) -> Request:
-        return self.resource.request()
+    def acquire(self, run: "_WormRun") -> bool:
+        """Claim the channel for ``run``: True if granted on the spot,
+        False if ``run`` queued (it is enqueued when its turn comes)."""
+        if self.holder is None:
+            self.holder = run
+            return True
+        self.waiters.append(run)
+        return False
 
     def on_granted(self, now: float) -> None:
         """Bookkeeping hook: channel became busy at ``now``."""
         self.acquisitions += 1
         self._busy_since = now
 
-    def release(self, request: Request, now: float) -> None:
+    def release(self, now: float) -> None:
+        """The holder lets go; the longest waiter gets the channel and is
+        enqueued at this instant, behind the entries already due."""
         self.busy_time += now - self._busy_since
-        self.resource.release(request)
+        waiters = self.waiters
+        if waiters:
+            self.holder = nxt = waiters.popleft()
+            self.sim.schedule_entry(nxt)
+        else:
+            self.holder = None
 
     def utilization(self, now: float) -> float:
         """Fraction of time busy since the last stats reset."""
@@ -148,6 +183,227 @@ class Transfer:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Transfer {self.worm!r} done={self.finish_time is not None}>"
+
+
+#: Steps of a :class:`_WormRun`: what its next ``_process()`` does.
+_START, _GRANTED, _CROSSED, _DELIVERED, _DROPPED, _ORPHANED = range(6)
+
+
+class _WormRun:
+    """One worm's trip through the network, as a callback state machine.
+
+    The run is its own queue entry: each timed step re-enqueues it with
+    ``Simulator.schedule_entry`` and :meth:`_process` continues at
+    ``step``.  A hop whose channel is busy queues the run on the channel,
+    which enqueues it when it hands the channel over.  Every enqueue
+    happens at the instant, offset and priority a generator process
+    waiting on a resource request would use (bootstrap urgent at
+    injection, the grant at the release instant, one enqueue per hop
+    crossing and one for the tail), so same-instant order is unchanged.
+
+    ``channels`` is ``None`` when the worm has no route (a dead endpoint):
+    it orphans straight from the bootstrap.
+    """
+
+    __slots__ = (
+        "net", "sim", "transfer", "channels", "hop", "drop_after", "step",
+    )
+
+    def __init__(
+        self,
+        net: "WormholeNetwork",
+        transfer: Transfer,
+        channels: Optional[Tuple[Channel, ...]],
+        forced_drop: bool,
+    ) -> None:
+        self.net = net
+        self.sim = net.sim
+        self.transfer = transfer
+        self.channels = channels
+        self.hop = 0
+        #: Hop count after which the worm is flushed (None: never).
+        self.drop_after: Optional[int] = 1 if forced_drop else None
+        self.step = _START
+        self.sim.schedule_entry(self, 0.0, URGENT)
+
+    def _process(self) -> None:
+        step = self.step
+        if step == _CROSSED:
+            self._crossed()
+        elif step == _GRANTED:
+            # A channel this run queued for was handed over.
+            transfer = self.transfer
+            transfer.blocked_time += self.sim.now - transfer._blocked_since
+            transfer._blocked_since = None
+            self._granted()
+        elif step == _START:
+            self._start()
+        else:
+            self._finish(step)
+
+    # -- steps -----------------------------------------------------------------
+    def _start(self) -> None:
+        channels = self.channels
+        if channels is None:
+            self._orphan()
+            return
+        net = self.net
+        if self.drop_after is None and net.loss_rate:
+            stream = net._loss_stream
+            if stream.bernoulli(net.loss_rate):
+                self.drop_after = stream.randint(1, len(channels))
+        self._acquire()
+
+    def _acquire(self) -> None:
+        ch = self.channels[self.hop]
+        if ch.failed:
+            self._orphan()
+            return
+        if ch.acquire(self):
+            self._granted()
+            return
+        transfer = self.transfer
+        transfer.blocked_hops += 1
+        transfer._blocked_since = self.sim.now
+        self.step = _GRANTED
+
+    def _granted(self) -> None:
+        sim = self.sim
+        ch = self.channels[self.hop]
+        ch.on_granted(sim.now)
+        if ch.failed:
+            # The link died while we held or awaited it: the worm is cut.
+            ch.release(sim.now)
+            self._orphan()
+            return
+        self.step = _CROSSED
+        sim.schedule_entry(self, self.net.switch_latency + ch.prop_delay)
+
+    def _crossed(self) -> None:
+        sim = self.sim
+        transfer = self.transfer
+        # The tail passes this channel ``length`` byte-times after the head
+        # crossed it, plus any stream stall the head suffers while blocked
+        # downstream (tracked in transfer.blocked_time).
+        _TailRelease(sim, transfer, self.channels[self.hop], sim.now)
+        self.hop = hop = self.hop + 1
+        if hop == self.drop_after:
+            # The worm is flushed out of the network here: the sender still
+            # transmits its tail (it learns nothing), but no receiver ever
+            # sees the worm.
+            transfer.dropped = True
+            self.step = _DROPPED
+            sim.schedule_entry(self, transfer.worm.length)
+        elif hop < len(self.channels):
+            self._acquire()
+        else:
+            self._arrive()
+
+    def _arrive(self) -> None:
+        net = self.net
+        transfer = self.transfer
+        worm = transfer.worm
+        dest = worm.dest
+        pending = net._recv_faults.get(dest, 0)
+        if pending:
+            # Adapter-buffer fault: the worm drains but is discarded.
+            if pending == 1:
+                del net._recv_faults[dest]
+            else:
+                net._recv_faults[dest] = pending - 1
+            self._orphan()
+            return
+        if not net.topology.node_alive(dest):
+            # The destination host crashed: nobody is listening.
+            self._orphan()
+            return
+        now = self.sim.now
+        transfer.head_time = now
+        if net.obs is not None:
+            net.obs.worm_head(now, worm.wid, dest)
+        watcher = net._head_watchers.get(dest)
+        transfer.head_arrived.succeed(transfer)
+        if watcher is not None:
+            watcher(worm, transfer)
+        self.step = _DELIVERED
+        self.sim.schedule_entry(self, worm.length)
+
+    def _orphan(self) -> None:
+        """Flush a worm that hit a failed component: the sender still
+        transmits the tail (it learns nothing at the network level), but no
+        receiver ever sees the worm."""
+        self.transfer.dropped = True
+        self.step = _ORPHANED
+        self.sim.schedule_entry(self, self.transfer.worm.length)
+
+    def _finish(self, step: int) -> None:
+        """The tail has drained: deliver, or account the lost worm."""
+        net = self.net
+        now = self.sim.now
+        transfer = self.transfer
+        worm = transfer.worm
+        transfer.finish_time = now
+        obs = net.obs
+        if step == _DELIVERED:
+            net.delivered_worms += 1
+            net.delivered_bytes += worm.length
+            net.hop_latency.add(transfer.latency)
+            net.block_time.add(transfer.blocked_time)
+            if obs is not None:
+                obs.worm_delivered(
+                    now, worm.wid, transfer.latency,
+                    transfer.blocked_time, worm.length,
+                )
+            transfer.completed.succeed(transfer)
+            receiver = net._receivers.get(worm.dest)
+            if receiver is not None:
+                receiver(worm, transfer)
+            return
+        if step == _DROPPED:
+            net.dropped_worms += 1
+            reason = "dropped"
+        else:
+            net.orphaned_worms += 1
+            reason = "orphaned"
+        if obs is not None:
+            obs.worm_dropped(now, worm.wid, reason)
+        transfer.completed.succeed(transfer)
+
+
+class _TailRelease:
+    """Releases a channel once the worm's tail has passed it.
+
+    Base deadline is ``cross + length`` (continuous streaming); every
+    byte-time the head later spends blocked stalls the stream, so on each
+    firing the deadline is re-evaluated against the transfer's accumulated
+    block time, and the entry re-enqueues itself until it is stable.
+    """
+
+    __slots__ = ("sim", "transfer", "channel", "cross", "stall")
+
+    def __init__(
+        self, sim: Simulator, transfer: Transfer, channel: Channel, cross: float
+    ) -> None:
+        self.sim = sim
+        self.transfer = transfer
+        self.channel = channel
+        self.cross = cross
+        #: Block time already accrued when the head crossed the channel.
+        self.stall = transfer.blocked_time
+        sim.schedule_entry(self, transfer.worm.length)
+
+    def _process(self) -> None:
+        sim = self.sim
+        now = sim.now
+        transfer = self.transfer
+        stall = transfer.blocked_time
+        if transfer._blocked_since is not None:
+            stall += now - transfer._blocked_since
+        target = self.cross + transfer.worm.length + (stall - self.stall)
+        if now >= target - 1e-9:
+            self.channel.release(now)
+        else:
+            sim.schedule_entry(self, target - now)
 
 
 class WormholeNetwork:
@@ -354,146 +610,11 @@ class WormholeNetwork:
             live = self.topology.live_hosts()
             if worm.source in live and worm.dest in live:
                 raise
-            self.sim.process(
-                self._orphan(transfer), name=f"xfer-w{worm.wid}"
-            )
+            _WormRun(self, transfer, None, False)
             return transfer
         forced_drop = self.drop_filter is not None and self.drop_filter(worm)
-        self.sim.process(
-            self._run(transfer, channels, forced_drop), name=f"xfer-w{worm.wid}"
-        )
+        _WormRun(self, transfer, channels, forced_drop)
         return transfer
-
-    def _orphan(self, transfer: Transfer):
-        """Flush a worm that hit a failed component: the sender still
-        transmits the tail (it learns nothing at the network level), but no
-        receiver ever sees the worm."""
-        sim = self.sim
-        transfer.dropped = True
-        yield sim.timeout(transfer.worm.length)
-        transfer.finish_time = sim.now
-        self.orphaned_worms += 1
-        if self.obs is not None:
-            self.obs.worm_dropped(sim.now, transfer.worm.wid, "orphaned")
-        transfer.completed.succeed(transfer)
-
-    def _run(
-        self,
-        transfer: Transfer,
-        channels: Tuple[Channel, ...],
-        forced_drop: bool = False,
-    ):
-        sim = self.sim
-        worm = transfer.worm
-        drop_after = None
-        if forced_drop:
-            drop_after = 1
-        elif self.loss_rate and self._loss_stream.bernoulli(self.loss_rate):
-            drop_after = self._loss_stream.randint(1, len(channels))
-        hops_done = 0
-        for ch in channels:
-            if ch.failed:
-                yield from self._orphan(transfer)
-                return
-            request = ch.acquire()
-            if not request.triggered:
-                transfer.blocked_hops += 1
-                wait_start = sim.now
-                transfer._blocked_since = wait_start
-                yield request
-                transfer._blocked_since = None
-                transfer.blocked_time += sim.now - wait_start
-            else:
-                yield request
-            ch.on_granted(sim.now)
-            if ch.failed:
-                # The link died while we held or awaited it: the worm is cut.
-                ch.release(request, sim.now)
-                yield from self._orphan(transfer)
-                return
-            yield sim.timeout(self.switch_latency + ch.prop_delay)
-            # The tail passes this channel ``length`` byte-times after the
-            # head crossed it, plus any stream stall the head suffers while
-            # blocked downstream (tracked in transfer.blocked_time).
-            self._release_when_tail_passes(transfer, ch, request, sim.now)
-            hops_done += 1
-            if drop_after is not None and hops_done == drop_after:
-                # The worm is flushed out of the network here: the sender
-                # still transmits its tail (it learns nothing), but no
-                # receiver ever sees the worm.
-                transfer.dropped = True
-                yield sim.timeout(worm.length)
-                transfer.finish_time = sim.now
-                self.dropped_worms += 1
-                if self.obs is not None:
-                    self.obs.worm_dropped(sim.now, worm.wid, "dropped")
-                transfer.completed.succeed(transfer)
-                return
-
-        pending = self._recv_faults.get(worm.dest, 0)
-        if pending:
-            # Adapter-buffer fault: the worm drains but is discarded.
-            if pending == 1:
-                del self._recv_faults[worm.dest]
-            else:
-                self._recv_faults[worm.dest] = pending - 1
-            yield from self._orphan(transfer)
-            return
-        if not self.topology.node_alive(worm.dest):
-            # The destination host crashed: nobody is listening.
-            yield from self._orphan(transfer)
-            return
-
-        transfer.head_time = sim.now
-        if self.obs is not None:
-            self.obs.worm_head(sim.now, worm.wid, worm.dest)
-
-        watcher = self._head_watchers.get(worm.dest)
-        transfer.head_arrived.succeed(transfer)
-        if watcher is not None:
-            watcher(worm, transfer)
-
-        yield sim.timeout(worm.length)
-        transfer.finish_time = sim.now
-        self.delivered_worms += 1
-        self.delivered_bytes += worm.length
-        self.hop_latency.add(transfer.latency)
-        self.block_time.add(transfer.blocked_time)
-        if self.obs is not None:
-            self.obs.worm_delivered(
-                sim.now, worm.wid, transfer.latency,
-                transfer.blocked_time, worm.length,
-            )
-        transfer.completed.succeed(transfer)
-        receiver = self._receivers.get(worm.dest)
-        if receiver is not None:
-            receiver(worm, transfer)
-
-    def _release_when_tail_passes(
-        self, transfer: Transfer, channel: Channel, request: Request, cross: float
-    ) -> None:
-        """Schedule the channel's release for when the worm's tail passes it.
-
-        Base time is ``cross + length`` (continuous streaming); every
-        byte-time the head later spends blocked stalls the stream, so the
-        deadline is re-evaluated against the transfer's accumulated block
-        time until it is stable.
-        """
-        sim = self.sim
-        length = transfer.worm.length
-        stall_at_schedule = transfer.blocked_time
-
-        def fire() -> None:
-            stall = transfer.blocked_time
-            if transfer._blocked_since is not None:
-                stall += sim.now - transfer._blocked_since
-            target = cross + length + (stall - stall_at_schedule)
-            if sim.now >= target - 1e-9:
-                channel.release(request, sim.now)
-            else:
-                sim.schedule_call(target - sim.now, fire)
-
-        sim.schedule_call(length, fire)
 
     # -- statistics ------------------------------------------------------------
     def reset_stats(self) -> None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import signal
 from pathlib import Path
 from typing import List, Optional
 
@@ -115,6 +116,14 @@ async def _serve(args: argparse.Namespace) -> int:
     scheduler = Scheduler(config_from_args(args), cache=cache)
     server = ServeServer(scheduler, host=args.host, port=args.port)
     host, port = await server.start()
+    # SIGTERM (a fleet supervisor stopping its shard) and SIGINT take the
+    # normal shutdown path, which closes the worker pool.
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signum, server.request_stop)
+        except NotImplementedError:  # pragma: no cover - non-unix
+            pass
     if args.ready_file is not None:
         args.ready_file.parent.mkdir(parents=True, exist_ok=True)
         ready = {"host": host, "port": port, "pid": os.getpid()}

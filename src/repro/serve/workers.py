@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
+import stat
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
@@ -40,13 +42,48 @@ class JobTimeout(RuntimeError):
     """The dispatch exceeded its deadline; the worker was terminated."""
 
 
+def _release_inherited_sockets(keep: int) -> None:  # pragma: no cover - child
+    """Point every socket a forked worker inherited, except ``keep``, at
+    ``/dev/null``.
+
+    A fork copies the server's descriptors: its listening socket (and
+    those of every other server in the process, as with in-process
+    fleets) and the parent ends of worker pipes.  A worker holding them
+    keeps a stopped server's port accepting connections nobody answers,
+    and keeps its own pipe from reading EOF when the server dies.
+    ``dup2`` rather than ``close`` keeps the descriptor numbers taken, so a
+    stale socket object finalised later in the child closes ``/dev/null``
+    instead of a reused descriptor.
+    """
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    try:
+        fds = [int(name) for name in os.listdir(fd_dir)]
+    except OSError:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            if fd <= 2 or fd in (keep, null):
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
+            except OSError:  # the listing's own descriptor, already gone
+                pass
+    finally:
+        os.close(null)
+
+
 def _worker_main(conn) -> None:  # pragma: no cover - runs in child process
     """Child loop: receive a batch, execute each point, send replies back.
 
     Executor exceptions are caught *per point* and shipped back as error
     replies — a deterministic executor failure must fail its job, not the
     worker.  Only real process death (or a hang) is a pool-level event.
+    Once the inherited sockets are released, the pipe reads EOF when the
+    parent dies, however it died, and the worker exits.
     """
+    _release_inherited_sockets(keep=conn.fileno())
     from repro.sweep.points import execute_point
 
     while True:

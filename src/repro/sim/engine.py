@@ -5,7 +5,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.trace import SimTrace
 
@@ -27,8 +27,7 @@ class _DeferredCall:
     """A bare scheduled callback: cheaper than a Timeout + callback pair.
 
     Queue entries only need a ``_process()`` method; this skips the Event
-    machinery (state, value, callback list) for fire-and-forget actions such
-    as channel releases on the worm hot path.
+    machinery (state, value, callback list) for fire-and-forget actions.
     """
 
     __slots__ = ("fn",)
@@ -58,15 +57,18 @@ class Simulator:
         Optional :class:`~repro.obs.Observability` bundle; when given (and
         ``trace`` is not), its kernel :class:`SimTrace` is attached so
         kernel event counts land in the bundle's snapshots.
-
-    Example
-    -------
     engine:
         ``"heap"`` (default) for this single-heap engine, or ``"packed"``
         to construct a :class:`~repro.sim.packed.PackedSimulator` — a
         byte-compatible core with a timestamp-bucket queue and an inlined
         dispatch loop that is several times faster on cascade-heavy
         workloads (see ``benchmarks/bench_kernel_events.py``).
+
+    Attributes
+    ----------
+    now:
+        The current simulation time.  A plain attribute, read on every
+        step of every component; only the event loop writes it.
 
     Example
     -------
@@ -106,18 +108,13 @@ class Simulator:
     ) -> None:
         if trace is None and obs is not None:
             trace = obs.kernel
-        self._now = float(start_time)
+        self.now = float(start_time)
         self._queue: List[Tuple[float, int, Any]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
         self._trace = trace
 
-    # -- clock -------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """The current simulation time."""
-        return self._now
-
+    # -- introspection -------------------------------------------------------
     @property
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
@@ -160,7 +157,19 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, delay: float, priority: int) -> None:
+    def schedule_entry(
+        self, entry: Any, delay: float = 0.0, priority: int = NORMAL
+    ) -> None:
+        """Enqueue a pre-built queue entry at ``now + delay``.
+
+        ``entry`` is anything with a ``_process()`` method the loop calls
+        when it comes due: a triggered event, or a component's own state
+        object that re-enqueues itself step by step (the worm runs of
+        :mod:`repro.net.wormnet`), which spares an Event, a callback and a
+        generator resume per step.  With ``priority=URGENT`` the entry runs
+        before every normal entry of its instant, where a process bootstrap
+        lands.
+        """
         if delay < 0:
             # Timeout and schedule_call validate their own delays, but a
             # buggy internal caller could otherwise schedule into the past
@@ -169,7 +178,7 @@ class Simulator:
         self._eid += 1
         heappush(
             self._queue,
-            (self._now + delay, self._eid if priority else self._eid - _URGENT_KEY, event),
+            (self.now + delay, self._eid if priority else self._eid - _URGENT_KEY, entry),
         )
 
     def _post(self, event: Any) -> None:
@@ -180,7 +189,7 @@ class Simulator:
         :meth:`~repro.sim.events.Event.succeed` would be redundant.
         """
         self._eid += 1
-        heappush(self._queue, (self._now, self._eid, event))
+        heappush(self._queue, (self.now, self._eid, event))
 
     def schedule_many(
         self,
@@ -197,7 +206,7 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        when = self._now + delay
+        when = self.now + delay
         queue = self._queue
         for ev in events:
             if ev._state:  # not PENDING
@@ -222,7 +231,7 @@ class Simulator:
         if not queue:
             return []
         when = queue[0][0]
-        self._now = when
+        self.now = when
         ready: List[Any] = []
         while queue and queue[0][0] == when:
             ready.append(heappop(queue)[2])
@@ -239,7 +248,7 @@ class Simulator:
         self._eid += 1
         heappush(
             self._queue,
-            (self._now + delay, self._eid, _DeferredCall(fn)),
+            (self.now + delay, self._eid, _DeferredCall(fn)),
         )
 
     def peek(self) -> float:
@@ -252,7 +261,7 @@ class Simulator:
             when, _, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
-        self._now = when
+        self.now = when
         trace = self._trace
         if trace is not None:
             trace._record(event)
@@ -270,31 +279,31 @@ class Simulator:
             if trace is None:
                 while queue:
                     when, _, event = heappop(queue)
-                    self._now = when
+                    self.now = when
                     event._process()
             else:
                 while queue:
                     when, _, event = heappop(queue)
-                    self._now = when
+                    self.now = when
                     trace._record(event)
                     event._process()
             return
         until = float(until)
-        if until < self._now:
-            raise ValueError(f"until ({until}) is in the past (now={self._now})")
+        if until < self.now:
+            raise ValueError(f"until ({until}) is in the past (now={self.now})")
         if trace is None:
             while queue and queue[0][0] <= until:
                 when, _, event = heappop(queue)
-                self._now = when
+                self.now = when
                 event._process()
         else:
             while queue and queue[0][0] <= until:
                 when, _, event = heappop(queue)
-                self._now = when
+                self.now = when
                 trace._record(event)
                 event._process()
         if until is not Infinity:
-            self._now = until
+            self.now = until
 
     def run_window(self, until: float) -> int:
         """Window-bounded run for barrier-synchronized parallel drivers
@@ -304,19 +313,19 @@ class Simulator:
         whether the window did any work, which a conservative coordinator
         needs to reconstruct global quiescence across shards."""
         until = float(until)
-        if until < self._now:
-            raise ValueError(f"until ({until}) is in the past (now={self._now})")
+        if until < self.now:
+            raise ValueError(f"until ({until}) is in the past (now={self.now})")
         queue = self._queue
         trace = self._trace
         processed = 0
         while queue and queue[0][0] <= until:
             when, _, event = heappop(queue)
-            self._now = when
+            self.now = when
             if trace is not None:
                 trace._record(event)
             event._process()
             processed += 1
-        self._now = until
+        self.now = until
         return processed
 
     def run_process(self, generator: Generator[Event, Any, Any]) -> Any:

@@ -71,7 +71,7 @@ class Event:
         self._ok = True
         self._value = value
         self._state = TRIGGERED
-        self.sim._schedule(self, 0.0, priority)
+        self.sim.schedule_entry(self, 0.0, priority)
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -83,7 +83,7 @@ class Event:
         self._ok = False
         self._value = exception
         self._state = TRIGGERED
-        self.sim._schedule(self, 0.0, priority)
+        self.sim.schedule_entry(self, 0.0, priority)
         return self
 
     def _succeed_immediately(self, value: Any = None) -> "Event":
@@ -150,7 +150,7 @@ class Timeout(Event):
         self._state = TRIGGERED
         self._defused = False
         self.delay = delay
-        sim._schedule(self, delay, NORMAL)
+        sim.schedule_entry(self, delay, NORMAL)
 
 
 class Initialize(Event):
@@ -163,7 +163,7 @@ class Initialize(Event):
         self.callbacks.append(process._resume)
         self._ok = True
         self._state = TRIGGERED
-        sim._schedule(self, 0.0, URGENT)
+        sim.schedule_entry(self, 0.0, URGENT)
 
 
 class Interrupt(Exception):
@@ -189,7 +189,7 @@ class Interruption(Event):
         self._defused = True
         self._state = TRIGGERED
         self.callbacks.append(process._resume_interrupt)
-        self.sim._schedule(self, 0.0, URGENT)
+        self.sim.schedule_entry(self, 0.0, URGENT)
 
 
 class Condition(Event):

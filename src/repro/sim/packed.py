@@ -16,7 +16,9 @@ On top of the queue, :meth:`PackedSimulator.run` dispatches each bucket
 in a tight inlined loop: the event-processing state machine and the
 generator-resume step of :class:`PackedProcess` are unrolled into the
 loop body, eliminating the callback-closure and bound-method allocations
-that dominate the stock engine's profile.  Buckets are drained by
+that dominate the stock engine's profile.  Entries that are not events
+(``schedule_call`` callbacks, the self-scheduling state objects given to
+``schedule_entry``) run their own ``_process()``.  Buckets are drained by
 popping from a reversed list, so an exception mid-dispatch leaves the
 queue exactly as the heap engine would (processed entries gone, the rest
 intact) without per-event cursor bookkeeping.  The semantics are
@@ -205,7 +207,7 @@ class PackedSimulator(Simulator):
     # -- event factories -----------------------------------------------------
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         # Flattened Timeout construction: skip the type-call and
-        # ``_schedule`` dispatch on the hottest factory.
+        # ``schedule_entry`` dispatch on the hottest factory.
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         ev = Timeout.__new__(Timeout)
@@ -216,7 +218,7 @@ class PackedSimulator(Simulator):
         ev._state = TRIGGERED
         ev._defused = False
         ev.delay = delay
-        t = self._now + delay
+        t = self.now + delay
         if t == self._lt:
             self._lb.append(ev)
         elif t == self._cur_t:
@@ -245,21 +247,23 @@ class PackedSimulator(Simulator):
         self._lb = b
         b.append(event)
 
-    def _schedule(self, event: Event, delay: float, priority: int) -> None:
+    def schedule_entry(
+        self, entry: Any, delay: float = 0.0, priority: int = NORMAL
+    ) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        t = self._now + delay
+        t = self.now + delay
         if priority:  # NORMAL
             if t == self._lt:
-                self._lb.append(event)
+                self._lb.append(entry)
             elif t == self._cur_t:
-                self._inbox.append(event)
+                self._inbox.append(entry)
             else:
-                self._enqueue_normal(event, t)
+                self._enqueue_normal(entry, t)
             return
         # URGENT: preempts normals at the same instant, even mid-drain.
         if t == self._cur_t:
-            self._cur_u.append(event)
+            self._cur_u.append(entry)
             return
         ub = self._ubuckets
         b = ub.get(t)
@@ -269,19 +273,19 @@ class PackedSimulator(Simulator):
             ub[t] = b
             if t not in self._buckets:
                 heappush(self._theap, t)
-        b.append(event)
+        b.append(entry)
 
     def _post(self, event: Any) -> None:
         # Already-triggered event due now (the resource grant cascade).
-        if self._now == self._cur_t:
+        if self.now == self._cur_t:
             self._inbox.append(event)
         else:
-            self._enqueue_normal(event, self._now)
+            self._enqueue_normal(event, self.now)
 
     def schedule_call(self, delay: float, fn: Callable[[], None]) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        self._schedule(_DeferredCall(fn), delay, NORMAL)
+        self.schedule_entry(_DeferredCall(fn), delay)
 
     # -- batched API ---------------------------------------------------------
     def schedule_many(
@@ -298,11 +302,11 @@ class PackedSimulator(Simulator):
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        t = self._now + delay
+        t = self.now + delay
         if t == self._cur_t:
             bucket = self._inbox if priority else self._cur_u
         else:
-            self._schedule(_BATCH_PROBE, delay, priority)
+            self.schedule_entry(_BATCH_PROBE, delay, priority)
             bucket = self._lb if priority else self._ubuckets[t]
             bucket.pop()
         append = bucket.append
@@ -337,7 +341,7 @@ class PackedSimulator(Simulator):
         t = heappop(self._theap)
         if t == self._lt:
             self._lt = None
-        self._now = t
+        self.now = t
         ready = list(self._ubuckets.pop(t, ()))
         ready.extend(self._buckets.pop(t, ()))
         return ready
@@ -371,13 +375,13 @@ class PackedSimulator(Simulator):
         self._cur_u = uq
         self._cui = 0
         self._cur_t = t
-        self._now = t
+        self.now = t
 
     def peek(self) -> float:
         if self._cur_t is not None and (
             self._drain or self._inbox or self._cui < len(self._cur_u)
         ):
-            return self._now
+            return self.now
         return self._theap[0] if self._theap else Infinity
 
     def _take_next(self) -> Any:
@@ -412,7 +416,7 @@ class PackedSimulator(Simulator):
                     del self._buckets[t]
                     if t == self._lt:
                         self._lt = None
-                    self._now = t
+                    self.now = t
                     ev = nq.pop()
                     self._free.append(nq)
                     return ev
@@ -431,8 +435,8 @@ class PackedSimulator(Simulator):
         through :meth:`peek`/:meth:`step`, which understand open drain
         state."""
         until = float(until)
-        if until < self._now:
-            raise ValueError(f"until ({until}) is in the past (now={self._now})")
+        if until < self.now:
+            raise ValueError(f"until ({until}) is in the past (now={self.now})")
         processed = 0
         while True:
             nxt = self.peek()
@@ -440,21 +444,21 @@ class PackedSimulator(Simulator):
                 break
             self.step()
             processed += 1
-        self._now = until
+        self.now = until
         return processed
 
     def run(self, until: Optional[float] = None) -> None:
         if until is not None:
             until = float(until)
-            if until < self._now:
-                raise ValueError(f"until ({until}) is in the past (now={self._now})")
+            if until < self.now:
+                raise ValueError(f"until ({until}) is in the past (now={self.now})")
             while True:
                 nxt = self.peek()
                 if nxt > until or nxt == Infinity:
                     break
                 self.step()
             if until is not Infinity:
-                self._now = until
+                self.now = until
             return
         if self._trace is not None:
             # Traced runs are profiling runs; correctness over speed.
@@ -490,7 +494,7 @@ class PackedSimulator(Simulator):
                 ub = self._ubuckets
                 uq = ub.pop(t, None) if ub else None
                 nq = buckets.pop(t, None)
-                self._now = t
+                self.now = t
                 if uq is None:
                     if nq is not None and len(nq) == 1:
                         fast = True
@@ -520,8 +524,7 @@ class PackedSimulator(Simulator):
                     ui = self._cui
                     if ui < len(uq):
                         self._cui = ui + 1
-                        ev = uq[ui]
-                        self._dispatch(ev)
+                        uq[ui]._process()
                         continue
                 if drain:
                     ev = drain.pop()
@@ -535,8 +538,10 @@ class PackedSimulator(Simulator):
                     continue
                 else:
                     break
-                if type(ev) is _DeferredCall:
-                    ev.fn()
+                if not isinstance(ev, Event):
+                    # A plain entry (schedule_call, schedule_entry) runs
+                    # itself: no state, no callback list.
+                    ev._process()
                     continue
                 # -- inlined Event._process --
                 ev._state = 2
@@ -596,10 +601,3 @@ class PackedSimulator(Simulator):
             del uq[:]
             self._drain = self._inbox = self._cur_u = self._cur_t = None
             self._cui = 0
-
-    def _dispatch(self, ev: Any) -> None:
-        """Generic single-entry dispatch (urgent/slow path)."""
-        if type(ev) is _DeferredCall:
-            ev.fn()
-        else:
-            ev._process()

@@ -18,6 +18,8 @@ figures:
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
 import math
 from typing import Any, Callable, Dict
 
@@ -73,6 +75,26 @@ def point_kind(name: str) -> Callable[[PointFn], PointFn]:
     return register
 
 
+def _collect_after(fn: PointFn) -> PointFn:
+    """Free a worm-level point's simulation as soon as the point returns.
+
+    A finished simulation is one large reference cycle (kernel, network,
+    adapters, worms in flight), so only the cyclic collector frees it.
+    The worm-level hot path allocates few container objects, so that
+    collector runs rarely, and without this a sweep process would hold a
+    dozen dead simulations at once (the small Fig-11 points pile up).
+    """
+
+    @functools.wraps(fn)
+    def run(params: Dict[str, Any]) -> Dict[str, Any]:
+        try:
+            return fn(params)
+        finally:
+            gc.collect()
+
+    return run
+
+
 def execute_point(kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """Run one point; the module-level entry used by pool workers."""
     try:
@@ -108,6 +130,7 @@ def _nap(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 @point_kind("load_point")
+@_collect_after
 def _load_point(params: Dict[str, Any]) -> Dict[str, Any]:
     """One steady-state (scheme, load) measurement.
 
@@ -151,6 +174,7 @@ def _load_point(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 @point_kind("fault_campaign")
+@_collect_after
 def _fault_campaign(params: Dict[str, Any]) -> Dict[str, Any]:
     """One availability-under-faults measurement (multicast workload on a
     torus with injected link failures and Autonet-style recovery).
@@ -183,6 +207,7 @@ def _fault_campaign(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 @point_kind("repair_campaign")
+@_collect_after
 def _repair_campaign(params: Dict[str, Any]) -> Dict[str, Any]:
     """One transport-repair recovery measurement (repair chain under
     injected worm drops and adapter-buffer faults).

@@ -373,12 +373,12 @@ def test_all_of_empty_is_immediate():
 
 
 def test_internal_schedule_rejects_negative_delay():
-    # Timeout and schedule_call validate their own delays; the internal
-    # _schedule must also refuse, so no code path can move an event into
-    # the past and break clock monotonicity.
+    # Timeout and schedule_call validate their own delays; schedule_entry
+    # must also refuse, so no code path can move an event into the past
+    # and break clock monotonicity.
     sim = Simulator()
     with pytest.raises(ValueError, match="negative delay"):
-        sim._schedule(sim.event(), -0.5, 1)
+        sim.schedule_entry(sim.event(), -0.5, 1)
     with pytest.raises(ValueError, match="negative delay"):
         sim.timeout(-1)
     with pytest.raises(ValueError, match="negative delay"):
