@@ -161,10 +161,8 @@ def run_fault_campaign(
     )
     deadlock_free = None
     if check_deadlocks:
-        live = topology.live_hosts()
-        pairs = [(a, b) for a in live for b in live if a != b]
         try:
-            deadlock_free = check_deadlock_free(routing, pairs)
+            deadlock_free = check_deadlock_free(routing)
         except ValueError:
             deadlock_free = False  # some live pair is unroutable (partition)
     obs_snapshot = None

@@ -9,7 +9,14 @@ dependency graph acyclic and hence the routing deadlock-free [SBB+91, DS87].
 
 Routes are computed as shortest legal paths with a deterministic tie-break,
 matching the paper's "fixed choice of one path per source-destination pair
-among all possible equal length paths" (Section 7.1).
+among all possible equal length paths" (Section 7.1).  The rule: a route is
+the first-discovered state of one BFS per source over (node, phase) states,
+each node's neighbors expanded in id order.  The BFS stops once every
+requested node is discovered, which cuts it short but never reorders it, so
+a route is the same whatever order routes are requested in, and whether
+they come one pair at a time (:meth:`UpDownRouting.route_shared`), all at
+once (:meth:`UpDownRouting.routes_from`) or as a multicast tree
+(:meth:`UpDownRouting.multi_route`).
 """
 
 from __future__ import annotations
@@ -182,24 +189,58 @@ class UpDownRouting:
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
-        hops = self._search(src, dst, restrict_to_tree)
+        hops = self._bfs(src, {dst}, restrict_to_tree).get(dst)
         if hops is None:
             raise ValueError(f"no legal up/down route from {src} to {dst}")
         result = tuple(hops)
         self._route_cache[key] = result
         return result
 
-    def _search(
-        self, src: int, dst: int, restrict_to_tree: bool
-    ) -> Optional[List[Hop]]:
-        """BFS over (node, phase) states; phase flips irreversibly to DOWN."""
+    def routes_from(
+        self, src: int, dsts: Sequence[int], restrict_to_tree: bool = False
+    ) -> Dict[int, Tuple[Hop, ...]]:
+        """Memoized routes from ``src`` to each of ``dsts``, keyed in
+        request order: the same tuples :meth:`route_shared` returns, but
+        every cache miss is answered by one BFS from ``src`` instead of one
+        BFS per pair.  Destinations without a legal route are left out
+        (:meth:`route_shared` raises for them).
+        """
+        self._refresh_if_stale()
+        cache = self._route_cache
+        misses = {
+            dst
+            for dst in dsts
+            if dst != src and (src, dst, restrict_to_tree) not in cache
+        }
+        if misses:
+            for dst, hops in self._bfs(src, misses, restrict_to_tree).items():
+                cache[(src, dst, restrict_to_tree)] = tuple(hops)
+        routes: Dict[int, Tuple[Hop, ...]] = {}
+        for dst in dsts:
+            hops = () if dst == src else cache.get((src, dst, restrict_to_tree))
+            if hops is not None:
+                routes[dst] = hops
+        return routes
+
+    def _bfs(
+        self, src: int, targets: Set[int], restrict_to_tree: bool
+    ) -> Dict[int, List[Hop]]:
+        """The route search: BFS over (node, phase) states from ``src``;
+        phase flips irreversibly to DOWN.
+
+        Stops once every node of ``targets`` (which must not contain
+        ``src``) is discovered.  Returns each reachable target's route to
+        its first-discovered state, keyed in discovery order.  No search
+        state outlives the call.
+        """
         start = (src, _UP)
         prev: Dict[Tuple[int, int], Tuple[Tuple[int, int], Hop]] = {}
         seen = {start}
         frontier = deque([start])
-        goal: Optional[Tuple[int, int]] = None
+        remaining = set(targets)
+        found: Dict[int, Tuple[int, int]] = {}
         search_adj = self._search_adj
-        while frontier and goal is None:
+        while frontier and remaining:
             node, phase = frontier.popleft()
             for peer, link, up_hop, crosslink in search_adj.get(node, ()):
                 if restrict_to_tree and crosslink:
@@ -211,69 +252,37 @@ class UpDownRouting:
                     continue
                 seen.add(state)
                 prev[state] = ((node, phase), (node, peer, link))
-                if peer == dst:
-                    goal = state
-                    break
+                if peer in remaining:
+                    remaining.discard(peer)
+                    found[peer] = state
+                    if not remaining:
+                        break
                 frontier.append(state)
-        if goal is None:
-            # dst may have been reached in the other phase already.
-            for phase in (_UP, _DOWN):
-                if (dst, phase) in prev or (dst, phase) == start:
-                    goal = (dst, phase)
-                    break
-        if goal is None:
-            return None
-        hops: List[Hop] = []
-        state = goal
-        while state != start:
-            state, hop = prev[state]
-            hops.append(hop)
-        hops.reverse()
-        return hops
+        routes: Dict[int, List[Hop]] = {}
+        for dst, state in found.items():
+            hops: List[Hop] = []
+            while state != start:
+                state, hop = prev[state]
+                hops.append(hop)
+            hops.reverse()
+            routes[dst] = hops
+        return routes
 
     def multi_route(
         self, src: int, dsts: Sequence[int], restrict_to_tree: bool = False
     ) -> Dict[int, List[Hop]]:
         """Routes from ``src`` to several destinations out of a *single*
         layered BFS, so the paths are prefix-consistent and their union
-        forms a tree (the switch-level multicast route of Section 3)."""
+        forms a tree (the switch-level multicast route of Section 3).
+        Keys are in discovery order."""
         targets = set(dsts)
         if src in targets:
             raise ValueError("source cannot be a multicast destination")
         self._refresh_if_stale()
-        start = (src, _UP)
-        prev: Dict[Tuple[int, int], Tuple[Tuple[int, int], Hop]] = {}
-        seen = {start}
-        frontier = deque([start])
-        found: Dict[int, Tuple[int, int]] = {}
-        search_adj = self._search_adj
-        while frontier and len(found) < len(targets):
-            node, phase = frontier.popleft()
-            for peer, link, up_hop, crosslink in search_adj.get(node, ()):
-                if restrict_to_tree and crosslink:
-                    continue
-                if phase == _DOWN and up_hop:
-                    continue
-                state = (peer, _UP if up_hop else _DOWN)
-                if state in seen:
-                    continue
-                seen.add(state)
-                prev[state] = ((node, phase), (node, peer, link))
-                if peer in targets and peer not in found:
-                    found[peer] = state
-                frontier.append(state)
-        missing = targets - set(found)
+        routes = self._bfs(src, targets, restrict_to_tree)
+        missing = targets - set(routes)
         if missing:
             raise ValueError(f"no legal route from {src} to {sorted(missing)}")
-        routes: Dict[int, List[Hop]] = {}
-        for dst, goal in found.items():
-            hops: List[Hop] = []
-            state = goal
-            while state != start:
-                state, hop = prev[state]
-                hops.append(hop)
-            hops.reverse()
-            routes[dst] = hops
         return routes
 
     def multi_route_path(
@@ -375,20 +384,28 @@ def check_deadlock_free(
 
     For every route, each consecutive pair of directed channels adds a
     dependency edge; the routing is deadlock-free iff the graph is acyclic
-    [DS87].  ``pairs`` defaults to all ordered host pairs.
+    [DS87].  ``pairs`` defaults to all ordered pairs of live hosts.  Pairs
+    are grouped by source, so each source costs one route BFS.  Raises
+    ``ValueError`` if some pair has no legal route (a partition).
     """
-    topo = routing.topology
     if pairs is None:
-        hosts = topo.hosts
+        hosts = routing.topology.live_hosts()
         pairs = [(a, b) for a in hosts for b in hosts if a != b]
-    edges: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}
+    dsts_by_src: Dict[int, List[int]] = {}
     for src, dst in pairs:
-        hops = routing.route(src, dst)
-        channels = [(a, b) for a, b, _ in hops]
-        for first, second in zip(channels, channels[1:]):
-            edges.setdefault(first, set()).add(second)
-        for channel in channels:
-            edges.setdefault(channel, set())
+        dsts_by_src.setdefault(src, []).append(dst)
+    edges: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}
+    for src, dsts in dsts_by_src.items():
+        routes = routing.routes_from(src, dsts)
+        for dst in dsts:
+            hops = routes.get(dst)
+            if hops is None:
+                raise ValueError(f"no legal up/down route from {src} to {dst}")
+            channels = [(a, b) for a, b, _ in hops]
+            for first, second in zip(channels, channels[1:]):
+                edges.setdefault(first, set()).add(second)
+            for channel in channels:
+                edges.setdefault(channel, set())
     # Kahn's algorithm.
     indegree = {node: 0 for node in edges}
     for deps in edges.values():

@@ -38,7 +38,7 @@ those of a process-per-worm model.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.events import URGENT, Event
@@ -477,6 +477,9 @@ class WormholeNetwork:
         #: worms between the same host pair re-use it without re-walking the
         #: routing tables (restrict_to_tree is fixed per network).
         self._route_channel_cache: Dict[Tuple[int, int], Tuple[Channel, ...]] = {}
+        #: Hosts whose routes to every live host the routing has computed
+        #: (one BFS each) since the last refresh.
+        self._warmed_sources: Set[int] = set()
         self._receivers: Dict[int, ReceiverFn] = {}
         self._head_watchers: Dict[int, ReceiverFn] = {}
         #: Topology version the channel tables were built against; a
@@ -530,6 +533,7 @@ class WormholeNetwork:
             if topology.node(ch.src).is_switch and topology.node(ch.dst).is_switch
         ]
         self._route_channel_cache.clear()
+        self._warmed_sources.clear()
         self._topo_version = topology.version
 
     def _refresh_if_stale(self) -> None:
@@ -559,12 +563,20 @@ class WormholeNetwork:
         """The directed channels of the legal route between two hosts.
 
         Memoized per (src, dst): the returned tuple is shared across calls.
+        A host's first miss since the last refresh has the routing compute
+        its routes to every live host out of one BFS; the channel tuples
+        are still built per pair, on demand.
         """
         self._refresh_if_stale()
         key = (src_host, dst_host)
         cached = self._route_channel_cache.get(key)
         if cached is not None:
             return cached
+        if src_host not in self._warmed_sources:
+            self._warmed_sources.add(src_host)
+            self.routing.routes_from(
+                src_host, self.topology.live_hosts(), self.restrict_to_tree
+            )
         hops = self.routing.route_shared(src_host, dst_host, self.restrict_to_tree)
         channels = tuple(self.channel(a, b) for a, b, _ in hops)
         self._route_channel_cache[key] = channels

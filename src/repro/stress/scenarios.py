@@ -771,16 +771,14 @@ class WormRecoveryScenario(StressScenario):
                         f"{rt:.1f} > bound {bound:.1f}",
                     )
                 )
-        violations.extend(self._routing_safety(net, topology))
+        violations.extend(self._routing_safety(net))
         return violations
 
-    def _routing_safety(self, net, topology) -> List[Violation]:
+    def _routing_safety(self, net) -> List[Violation]:
         from repro.net.updown import check_deadlock_free
 
-        live = sorted(topology.live_hosts())
-        pairs = [(a, b) for a in live for b in live if a != b]
         try:
-            acyclic = check_deadlock_free(net.routing, pairs)
+            acyclic = check_deadlock_free(net.routing)
         except ValueError:
             return [
                 Violation(

@@ -21,14 +21,14 @@ def test_multi_route_reaches_each_destination():
 
 
 def test_multi_route_matches_single_route_lengths():
-    """multi_route paths are shortest legal paths, like route()."""
+    """multi_route paths are the per-pair routes, hop for hop."""
     topo = torus(4, 4)
     routing = UpDownRouting(topo)
     hosts = topo.hosts
     dests = hosts[1:8]
     routes = routing.multi_route(hosts[0], dests)
     for dst in dests:
-        assert len(routes[dst]) == routing.hop_count(hosts[0], dst)
+        assert routes[dst] == routing.route(hosts[0], dst)
 
 
 def test_multi_route_rejects_source_in_destinations():

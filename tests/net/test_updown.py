@@ -1,13 +1,23 @@
-"""Tests for up/down routing: legality, determinism, deadlock freedom."""
+"""Tests for up/down routing: legality, determinism, deadlock freedom,
+route identity across the ways routes are requested, and search cost."""
+
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import RecoveryManager
 from repro.net import (
     UpDownRouting,
+    Worm,
+    WormholeNetwork,
+    benes,
     bidirectional_shufflenet,
+    butterfly,
     check_deadlock_free,
+    clos,
     line,
     mesh,
     random_irregular,
@@ -15,6 +25,7 @@ from repro.net import (
     torus,
 )
 from repro.net.topology import Topology, fig3_topology
+from repro.sim import Simulator
 
 
 def _routing(topo, root=None):
@@ -241,3 +252,279 @@ def test_up_down_longer_than_shortest_possible():
             if src == dst:
                 continue
             assert routing.hop_count(src, dst) >= lengths[dst]
+
+
+def _access_link(topo, host):
+    return topo.adjacent(host)[0]
+
+
+def test_deadlock_free_default_skips_unreachable_host():
+    """The default pairs are the live hosts': a dead host link leaves the
+    live routing deadlock-free instead of raising "no legal route"."""
+    topo = torus(4, 4)
+    routing = _routing(topo)
+    topo.fail_link(_access_link(topo, topo.hosts[3]).id)
+    assert check_deadlock_free(routing)
+
+
+def test_deadlock_free_explicit_unroutable_pair_raises():
+    topo = torus(3, 3)
+    routing = _routing(topo)
+    dead = topo.hosts[4]
+    topo.fail_link(_access_link(topo, dead).id)
+    with pytest.raises(ValueError, match="no legal up/down route"):
+        check_deadlock_free(routing, [(topo.hosts[0], dead)])
+
+
+# -- route identity -----------------------------------------------------------
+
+_UP, _DOWN = 0, 1
+
+
+def _reference_route(routing, src, dst, restrict_to_tree):
+    """The per-pair search, kept as the reference: BFS over (node, phase)
+    states from ``src``, neighbors in id order, stopping at the first state
+    that reaches ``dst``.
+
+    Returns ``(hops, rank)`` -- ``rank`` counts the states discovered up to
+    ``dst``'s, the order a multi-destination BFS finds its targets in -- or
+    None when no legal route exists.
+    """
+    topo = routing.topology
+    start = (src, _UP)
+    prev = {}
+    seen = {start}
+    frontier = deque([start])
+    while frontier:
+        node, phase = frontier.popleft()
+        if node not in routing.level:
+            continue  # severed from the root's component
+        for peer, link in sorted(topo.live_neighbors(node), key=lambda p: p[0]):
+            up_hop = routing.is_up(node, peer)
+            if restrict_to_tree and routing.is_crosslink(link):
+                continue
+            if phase == _DOWN and up_hop:
+                continue
+            state = (peer, _UP if up_hop else _DOWN)
+            if state in seen:
+                continue
+            seen.add(state)
+            prev[state] = ((node, phase), (node, peer, link))
+            if peer == dst:
+                hops = []
+                while state != start:
+                    state, hop = prev[state]
+                    hops.append(hop)
+                return tuple(reversed(hops)), len(seen)
+            frontier.append(state)
+    return None
+
+
+def _assert_routes_match_reference(topo, restrict_to_tree, seed, warm=None):
+    """``route_shared``, ``routes_from`` and ``multi_route`` agree with the
+    reference on every ordered node pair; so does ``warm``, a routing whose
+    caches were filled before the topology last changed."""
+    nodes = [n.id for n in topo.nodes]
+    ref_routing = UpDownRouting(topo)
+    reference = {
+        (src, dst): _reference_route(ref_routing, src, dst, restrict_to_tree)
+        for src in nodes
+        for dst in nodes
+        if src != dst
+    }
+    rng = random.Random(seed)
+
+    routing = UpDownRouting(topo)
+    for (src, dst), expected in reference.items():
+        if expected is None:
+            with pytest.raises(ValueError):
+                routing.route_shared(src, dst, restrict_to_tree)
+        else:
+            assert routing.route_shared(src, dst, restrict_to_tree) == expected[0]
+
+    for routing in [UpDownRouting(topo)] + ([warm] if warm is not None else []):
+        sources = list(nodes)
+        rng.shuffle(sources)
+        for src in sources:
+            dsts = [d for d in nodes if d != src]
+            rng.shuffle(dsts)
+            # Part of the source's routes are cached before the rest miss.
+            routing.routes_from(src, dsts[: len(dsts) // 3], restrict_to_tree)
+            got = routing.routes_from(src, dsts, restrict_to_tree)
+            expected = {
+                d: reference[(src, d)][0]
+                for d in dsts
+                if reference[(src, d)] is not None
+            }
+            assert got == expected
+            assert list(got) == [d for d in dsts if d in expected]
+
+    routing = UpDownRouting(topo)
+    for src in nodes:
+        reachable = [d for d in nodes if d != src and reference[(src, d)]]
+        unreachable = [d for d in nodes if d != src and not reference[(src, d)]]
+        rng.shuffle(reachable)
+        routes = routing.multi_route(src, reachable, restrict_to_tree)
+        assert {d: tuple(hops) for d, hops in routes.items()} == {
+            d: reference[(src, d)][0] for d in reachable
+        }
+        assert list(routes) == sorted(
+            reachable, key=lambda d: reference[(src, d)][1]
+        )
+        if unreachable:
+            with pytest.raises(ValueError):
+                routing.multi_route(src, reachable + unreachable[:1], restrict_to_tree)
+
+
+def _fail_tree_link_and_host_link(topo):
+    """Fail a switch-to-switch link of the up/down tree and the last host's
+    access link (so some routes change and some pairs have none)."""
+    tree = UpDownRouting(topo).tree_links
+    fabric = next(
+        l
+        for l in topo.links
+        if l.id in tree and topo.node(l.a).is_switch and topo.node(l.b).is_switch
+    )
+    topo.fail_link(fabric.id)
+    topo.fail_link(_access_link(topo, topo.hosts[-1]).id)
+
+
+_TOPOLOGIES = {
+    "torus": lambda: torus(3, 3),
+    "bidirectional_shufflenet": lambda: bidirectional_shufflenet(2, 2),
+    "clos": lambda: clos(2, 3, 2),
+    "benes": lambda: benes(4),
+    "butterfly": lambda: butterfly(2, 3),
+}
+
+
+@pytest.mark.parametrize("restrict_to_tree", [False, True])
+@pytest.mark.parametrize("name", sorted(_TOPOLOGIES))
+def test_routes_match_per_pair_reference(name, restrict_to_tree):
+    topo = _TOPOLOGIES[name]()
+    _assert_routes_match_reference(topo, restrict_to_tree, seed=1)
+    warm = UpDownRouting(topo)
+    nodes = [n.id for n in topo.nodes]
+    for src in nodes:
+        warm.routes_from(src, nodes, restrict_to_tree)
+    _fail_tree_link_and_host_link(topo)
+    _assert_routes_match_reference(topo, restrict_to_tree, seed=2, warm=warm)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=10),
+    extra=st.integers(min_value=0, max_value=6),
+    seed=st.integers(min_value=0, max_value=1000),
+    victim=st.integers(min_value=0, max_value=10_000),
+)
+def test_property_routes_match_per_pair_reference(n, extra, seed, victim):
+    for restrict_to_tree in (False, True):
+        topo = random_irregular(n, extra_links=extra, seed=seed)
+        _assert_routes_match_reference(topo, restrict_to_tree, seed)
+        links = topo.links
+        topo.fail_link(links[victim % len(links)].id)
+        _assert_routes_match_reference(topo, restrict_to_tree, seed + 1)
+
+
+def test_routes_from_includes_source_as_empty_route():
+    topo = torus(3, 3)
+    routing = _routing(topo)
+    src, dst = topo.hosts[0], topo.hosts[1]
+    assert routing.routes_from(src, [src, dst]) == {
+        src: (),
+        dst: routing.route_shared(src, dst),
+    }
+
+
+# -- search cost --------------------------------------------------------------
+
+
+@pytest.fixture
+def bfs_sources(monkeypatch):
+    """Source of every route BFS the routing runs, in call order."""
+    sources = []
+    search = UpDownRouting._bfs
+
+    def counted(self, src, targets, restrict_to_tree):
+        sources.append(src)
+        return search(self, src, targets, restrict_to_tree)
+
+    monkeypatch.setattr(UpDownRouting, "_bfs", counted)
+    return sources
+
+
+def test_deadlock_check_runs_one_bfs_per_source(bfs_sources):
+    """8x8 torus: 64 searches, not one per ordered host pair (4,032)."""
+    topo = torus(8, 8)
+    routing = _routing(topo)
+    assert check_deadlock_free(routing)
+    assert sorted(bfs_sources) == topo.hosts
+
+
+def test_traffic_after_recovery_runs_one_bfs_per_sending_host(bfs_sources):
+    sim = Simulator()
+    topo = torus(4, 4)
+    net = WormholeNetwork(sim, topo)
+    recovery = RecoveryManager(sim, net)
+    hosts = topo.hosts
+    senders = hosts[:6]
+
+    def traffic():
+        transfers = [
+            net.send(Worm(source=src, dest=dst, length=60))
+            for _ in range(2)
+            for src in senders
+            for dst in hosts[4:12]
+            if dst != src
+        ]
+        sim.run()
+        assert not any(t.dropped for t in transfers)
+
+    traffic()
+    victim = next(
+        l for l in topo.links if topo.node(l.a).is_switch and topo.node(l.b).is_switch
+    )
+    topo.fail_link(victim.id)
+    sim.run()
+    assert recovery.reconfigurations == 1
+    bfs_sources.clear()
+    traffic()
+    assert sorted(bfs_sources) == senders
+
+
+def test_unreachable_host_leaves_sends_to_live_hosts_intact():
+    """A source's first miss is to a dead endpoint: that worm orphans, and
+    the source's sends to every live host still deliver."""
+    sim = Simulator()
+    topo = torus(3, 3)
+    net = WormholeNetwork(sim, topo)
+    src, dead = topo.hosts[0], topo.hosts[4]
+    topo.fail_link(_access_link(topo, dead).id)
+    orphan = net.send(Worm(source=src, dest=dead, length=60))
+    live = [
+        net.send(Worm(source=src, dest=dst, length=60))
+        for dst in topo.live_hosts()
+        if dst != src
+    ]
+    sim.run()
+    assert orphan.dropped and net.orphaned_worms == 1
+    assert len(live) == 7 and not any(t.dropped for t in live)
+
+
+def test_partitioned_live_pair_still_raises():
+    sim = Simulator()
+    topo = Topology()
+    s0, s1 = topo.add_switch(), topo.add_switch()
+    bridge = topo.add_link(s0, s1)
+    near, other = topo.add_host(s0), topo.add_host(s0)
+    far = topo.add_host(s1)
+    net = WormholeNetwork(sim, topo)
+    topo.fail_link(bridge.id)
+    with pytest.raises(ValueError):
+        net.send(Worm(source=near, dest=far, length=60))
+    with pytest.raises(ValueError):
+        net.send(Worm(source=far, dest=near, length=60))
+    transfer = net.send(Worm(source=near, dest=other, length=60))
+    sim.run()
+    assert not transfer.dropped
