@@ -19,9 +19,9 @@ from conftest import scaled
 from repro.sim import Resource, Simulator
 
 
-def _timeout_churn(n_procs: int, steps: int, engine: str = "heap") -> int:
+def _timeout_churn(n_procs: int, steps: int) -> int:
     """Every event is a Timeout; returns the number of events processed."""
-    sim = Simulator(engine=engine)
+    sim = Simulator()
 
     def ticker(i):
         delay = 1.0 + i * 0.01
@@ -34,9 +34,9 @@ def _timeout_churn(n_procs: int, steps: int, engine: str = "heap") -> int:
     return n_procs * steps
 
 
-def _uncontended_grants(n_resources: int, cycles: int, engine: str = "heap") -> int:
+def _uncontended_grants(n_resources: int, cycles: int) -> int:
     """Request/release with no waiters: the immediate-grant fast path."""
-    sim = Simulator(engine=engine)
+    sim = Simulator()
     resources = [Resource(sim) for _ in range(n_resources)]
 
     def worker():
@@ -51,11 +51,9 @@ def _uncontended_grants(n_resources: int, cycles: int, engine: str = "heap") -> 
     return cycles * (n_resources + 1)
 
 
-def _contended_grants(
-    n_procs: int, n_resources: int, cycles: int, engine: str = "heap"
-) -> int:
+def _contended_grants(n_procs: int, n_resources: int, cycles: int) -> int:
     """Many processes rotating over few resources: queued grants dominate."""
-    sim = Simulator(engine=engine)
+    sim = Simulator()
     resources = [Resource(sim) for _ in range(n_resources)]
 
     def worker(start):

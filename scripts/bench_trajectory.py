@@ -1,18 +1,23 @@
 #!/usr/bin/env python
 """Record a perf-trajectory snapshot in ``BENCH_sweep.json``.
 
-Runs the kernel events/sec microbenchmarks (heap and packed simulator
-cores), the flit-engine comparison (dense / active / array), and a
-reduced Figure 10 sweep, appending one machine-readable entry per
-workload so the repo carries its own performance history from commit to
-commit::
+Runs the kernel events/sec microbenchmarks, the flit-engine comparison
+(dense / active / array), the virtual-channel lane ladder, the
+partitioned-runner scaling run and two reduced sweeps, appending one
+machine-readable entry per workload so the repo carries its own
+performance history from commit to commit::
 
     PYTHONPATH=src python scripts/bench_trajectory.py [--scale 0.5] [--label msg]
+    PYTHONPATH=src python scripts/bench_trajectory.py --only 'kernel_*' --only 'flit_*'
+
+``--only GLOB`` (repeatable) keeps the workloads whose entry label matches
+any of the globs; a section none of whose labels match is not run at all.
 
 Entries land in ``{"entries": [...]}`` (see
 :func:`repro.sweep.runner.append_trajectory`); each has a timestamp, the
-workload label, the interpreter/numpy versions, the engine it measured,
-and either ``events_per_second`` (kernel) or the wall-time footprint.
+workload label, the interpreter/numpy versions, the flit engine it
+measured (flit and par entries), and either ``events_per_second`` or the
+wall-time footprint.
 Re-running at the same code fingerprint with the same label *replaces*
 the matching entries instead of duplicating them.
 """
@@ -45,22 +50,11 @@ from repro.sweep import append_trajectory, run_sweep  # noqa: E402
 from repro.sweep.cache import code_fingerprint  # noqa: E402
 from repro.sweep.figures import fig10_spec, vc_lanes_spec  # noqa: E402
 
-#: (label, simulator engine, workload thunk).  The packed variants measure
-#: the array-backed event core against the binary-heap baseline on the
-#: identical workload.
+#: (label, workload thunk).
 KERNEL_WORKLOADS = [
-    ("kernel_timeout_churn", "heap",
-     lambda: _timeout_churn(20, 2000, engine="heap")),
-    ("kernel_uncontended_grants", "heap",
-     lambda: _uncontended_grants(8, 5000, engine="heap")),
-    ("kernel_contended_grants", "heap",
-     lambda: _contended_grants(50, 10, 400, engine="heap")),
-    ("kernel_timeout_churn_packed", "packed",
-     lambda: _timeout_churn(20, 2000, engine="packed")),
-    ("kernel_uncontended_grants_packed", "packed",
-     lambda: _uncontended_grants(8, 5000, engine="packed")),
-    ("kernel_contended_grants_packed", "packed",
-     lambda: _contended_grants(50, 10, 400, engine="packed")),
+    ("kernel_timeout_churn", lambda: _timeout_churn(20, 2000)),
+    ("kernel_uncontended_grants", lambda: _uncontended_grants(8, 5000)),
+    ("kernel_contended_grants", lambda: _contended_grants(50, 10, 400)),
 ]
 
 _DEDUP = ("code", "label", "note")
@@ -100,25 +94,9 @@ def main(argv=None) -> int:
         help="optional note stored with every entry (e.g. a commit subject)",
     )
     parser.add_argument(
-        "--skip-sweep", action="store_true",
-        help="record only the kernel microbenchmarks",
-    )
-    parser.add_argument(
-        "--skip-flit", action="store_true",
-        help="skip the dense/active/array flit engine comparison",
-    )
-    parser.add_argument(
-        "--skip-par", action="store_true",
-        help="skip the partitioned-runner scaling comparison",
-    )
-    parser.add_argument(
-        "--skip-vc", action="store_true",
-        help="skip the virtual-channel lane ladder and butterfly run",
-    )
-    parser.add_argument(
-        "--only", default=None, metavar="GLOB",
+        "--only", action="append", metavar="GLOB",
         help="run only workloads whose entry label matches this glob "
-             "(e.g. 'par_*' or 'kernel_*_packed'); sections with no "
+             "(repeatable, e.g. 'kernel_*' or 'par_*'); sections with no "
              "matching label are skipped entirely",
     )
     parser.add_argument(
@@ -138,7 +116,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     def wanted(label: str) -> bool:
-        return args.only is None or fnmatch.fnmatch(label, args.only)
+        return not args.only or any(
+            fnmatch.fnmatch(label, glob) for glob in args.only
+        )
 
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     code = code_fingerprint()[:12]
@@ -147,8 +127,7 @@ def main(argv=None) -> int:
         "numpy_version": _numpy_version(),
     }
 
-    heap_best = {}
-    for name, engine, fn in KERNEL_WORKLOADS:
+    for name, fn in KERNEL_WORKLOADS:
         if not wanted(name):
             continue
         events, best, median = _events_per_second(fn)
@@ -156,32 +135,19 @@ def main(argv=None) -> int:
             "timestamp": stamp,
             "label": name,
             "kind": "kernel_microbench",
-            "engine": engine,
             "events": events,
             "events_per_second": round(best),
             "events_per_second_median": round(median),
             "code": code,
             **env,
         }
-        if engine == "heap":
-            heap_best[name] = best
-        else:
-            baseline = heap_best.get(name.removesuffix("_packed"))
-            if baseline:
-                entry["speedup_vs_heap"] = round(best / baseline, 3)
         if args.label:
             entry["note"] = args.label
         append_trajectory(args.out, entry, dedup_on=_DEDUP)
-        extra = (
-            f" ({entry['speedup_vs_heap']:.2f}x vs heap)"
-            if "speedup_vs_heap" in entry
-            else ""
-        )
-        print(f"{name}: {round(best):,} events/s "
-              f"(median {round(median):,}){extra}")
+        print(f"{name}: {round(best):,} events/s (median {round(median):,})")
 
     flit_names = ("sparse_fig3", "saturated_shufflenet", "saturated_torus")
-    if not args.skip_flit and any(wanted(f"flit_{n}") for n in flit_names):
+    if any(wanted(f"flit_{n}") for n in flit_names):
         for name, rec in _flit_suite(scale=args.scale, repeats=3).items():
             if not wanted(f"flit_{name}"):
                 continue
@@ -211,7 +177,7 @@ def main(argv=None) -> int:
     vc_names = tuple(f"flit_vc_lanes{n}" for n in LANE_COUNTS) + (
         "flit_vc_butterfly1k",
     )
-    if not args.skip_vc and any(wanted(n) for n in vc_names):
+    if any(wanted(n) for n in vc_names):
         # best-of-5: the vc timed regions are short (~0.1-0.3 s), so extra
         # repeats keep the regression gate's minimum out of scheduler noise
         for name, rec in run_vc_suite(scale=args.scale, repeats=5).items():
@@ -233,7 +199,7 @@ def main(argv=None) -> int:
                 f"(final tick {rec['final_tick']})"
             )
 
-    if not args.skip_par and HAVE_NUMPY:
+    if HAVE_NUMPY:
         scenario = args.par_scenario
         seq_labels = {
             engine: f"par_{scenario}_seq_{engine}"
@@ -293,7 +259,7 @@ def main(argv=None) -> int:
                       f"({rec['speedup_vs_best_sequential']:.2f}x vs best "
                       f"sequential, critical path)")
 
-    if not args.skip_sweep and wanted("vc_lanes_sweep"):
+    if wanted("vc_lanes_sweep"):
         spec = vc_lanes_spec(scale=args.scale)
         # Grow the butterfly axis to a 2304-switch 2-ary 9-fly so the
         # lanes-vs-scheme grid includes a 1000+-switch multistage run
@@ -324,7 +290,7 @@ def main(argv=None) -> int:
             f"delivered in {outcome.wall_time:.2f}s"
         )
 
-    if not args.skip_sweep and wanted("fig10_sweep"):
+    if wanted("fig10_sweep"):
         spec = fig10_spec(loads=[0.04, 0.06, 0.08], scale=args.scale)
         outcome = run_sweep(spec)
         entry = outcome.bench_entry(

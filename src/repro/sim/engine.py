@@ -57,12 +57,6 @@ class Simulator:
         Optional :class:`~repro.obs.Observability` bundle; when given (and
         ``trace`` is not), its kernel :class:`SimTrace` is attached so
         kernel event counts land in the bundle's snapshots.
-    engine:
-        ``"heap"`` (default) for this single-heap engine, or ``"packed"``
-        to construct a :class:`~repro.sim.packed.PackedSimulator` — a
-        byte-compatible core with a timestamp-bucket queue and an inlined
-        dispatch loop that is several times faster on cascade-heavy
-        workloads (see ``benchmarks/bench_kernel_events.py``).
 
     Attributes
     ----------
@@ -82,29 +76,11 @@ class Simulator:
     (5.0, 'done')
     """
 
-    def __new__(
-        cls,
-        start_time: float = 0.0,
-        trace: Optional[SimTrace] = None,
-        obs: Optional[Any] = None,
-        engine: str = "heap",
-    ) -> "Simulator":
-        if engine not in ("heap", "packed"):
-            raise ValueError(
-                f"unknown simulator engine {engine!r}; choose 'heap' or 'packed'"
-            )
-        if engine == "packed" and cls is Simulator:
-            from repro.sim.packed import PackedSimulator
-
-            cls = PackedSimulator
-        return object.__new__(cls)
-
     def __init__(
         self,
         start_time: float = 0.0,
         trace: Optional[SimTrace] = None,
         obs: Optional[Any] = None,
-        engine: str = "heap",
     ) -> None:
         if trace is None and obs is not None:
             trace = obs.kernel
@@ -124,16 +100,6 @@ class Simulator:
     def trace(self) -> Optional[SimTrace]:
         """The attached profiling trace, if any."""
         return self._trace
-
-    @property
-    def engine(self) -> str:
-        """The active event-core implementation (``"heap"`` or ``"packed"``)."""
-        return "heap"
-
-    @property
-    def pending_count(self) -> int:
-        """Number of queued-but-unprocessed entries."""
-        return len(self._queue)
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -191,52 +157,6 @@ class Simulator:
         self._eid += 1
         heappush(self._queue, (self.now, self._eid, event))
 
-    def schedule_many(
-        self,
-        events: Any,
-        delay: float = 0.0,
-        value: Any = None,
-        priority: int = 1,
-    ) -> None:
-        """Trigger and enqueue a batch of pending events at ``now + delay``.
-
-        Semantically ``ev.succeed(value, priority)`` per event at the given
-        offset; the packed engine overrides this to resolve the target
-        bucket once for the whole batch.
-        """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        when = self.now + delay
-        queue = self._queue
-        for ev in events:
-            if ev._state:  # not PENDING
-                raise RuntimeError(f"{ev!r} has already been triggered")
-            ev._ok = True
-            ev._value = value
-            ev._state = 1  # TRIGGERED
-            self._eid += 1
-            heappush(
-                queue,
-                (when, self._eid if priority else self._eid - _URGENT_KEY, ev),
-            )
-
-    def pop_ready(self) -> List[Any]:
-        """Advance the clock to the next scheduled instant and return every
-        entry due there (in dispatch order), removing them from the queue.
-
-        The caller takes over dispatch (``entry._process()``).  Returns an
-        empty list when nothing is scheduled.
-        """
-        queue = self._queue
-        if not queue:
-            return []
-        when = queue[0][0]
-        self.now = when
-        ready: List[Any] = []
-        while queue and queue[0][0] == when:
-            ready.append(heappop(queue)[2])
-        return ready
-
     def schedule_call(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at ``now + delay`` without allocating an Event.
 
@@ -271,7 +191,8 @@ class Simulator:
         """Run until the queue drains, or until time ``until`` is reached.
 
         When ``until`` is given the clock is advanced exactly to ``until``
-        even if no event is scheduled there.
+        even if no event is scheduled there; an infinite ``until`` leaves
+        the clock at the last event processed.
         """
         queue = self._queue
         trace = self._trace
@@ -302,31 +223,8 @@ class Simulator:
                 self.now = when
                 trace._record(event)
                 event._process()
-        if until is not Infinity:
+        if until != Infinity:
             self.now = until
-
-    def run_window(self, until: float) -> int:
-        """Window-bounded run for barrier-synchronized parallel drivers
-        (:mod:`repro.par`): process every event with timestamp ``<=
-        until``, land the clock exactly on ``until``, and return the
-        number of events processed.  Unlike :meth:`run` the caller learns
-        whether the window did any work, which a conservative coordinator
-        needs to reconstruct global quiescence across shards."""
-        until = float(until)
-        if until < self.now:
-            raise ValueError(f"until ({until}) is in the past (now={self.now})")
-        queue = self._queue
-        trace = self._trace
-        processed = 0
-        while queue and queue[0][0] <= until:
-            when, _, event = heappop(queue)
-            self.now = when
-            if trace is not None:
-                trace._record(event)
-            event._process()
-            processed += 1
-        self.now = until
-        return processed
 
     def run_process(self, generator: Generator[Event, Any, Any]) -> Any:
         """Convenience: run ``generator`` as a process to completion.

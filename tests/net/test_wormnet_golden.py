@@ -30,8 +30,6 @@ import pytest
 from repro.net import Topology, Worm, WormholeNetwork, torus
 from repro.sim import Simulator
 
-ENGINES = ("heap", "packed")
-
 
 def _digest(obj) -> str:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -132,10 +130,10 @@ class _Harness:
 
 # -- scenarios ------------------------------------------------------------------
 
-def _torus_traffic(engine, loss_rate=0.0, drop_filter=False):
+def _torus_traffic(loss_rate=0.0, drop_filter=False):
     """120 worms between random host pairs of a 4x4 torus, injected on a
     coarse time grid so many land on the same instant and contend."""
-    sim = Simulator(engine=engine)
+    sim = Simulator()
     h = _Harness(sim, torus(4, 4), loss_rate=loss_rate, loss_seed=7)
     if drop_filter:
         h.net.drop_filter = lambda worm: worm.payload % 7 == 3
@@ -148,8 +146,8 @@ def _torus_traffic(engine, loss_rate=0.0, drop_filter=False):
     return h.result()
 
 
-def _line(engine, n=3, prop_delay=0.0):
-    sim = Simulator(engine=engine)
+def _line(n=3, prop_delay=0.0):
+    sim = Simulator()
     topo = Topology()
     switches = [topo.add_switch() for _ in range(n)]
     for a, b in zip(switches, switches[1:]):
@@ -158,9 +156,9 @@ def _line(engine, n=3, prop_delay=0.0):
     return _Harness(sim, topo), switches, hosts
 
 
-def _faults(engine):
+def _faults():
     """Hand-timed fault branches on a three-switch line (hosts h0..h2)."""
-    h, switches, hosts = _line(engine)
+    h, switches, hosts = _line()
     topo, net = h.topo, h.net
     h0, h1, h2 = hosts
     s0, s1, s2 = switches
@@ -186,11 +184,11 @@ def _faults(engine):
     return h
 
 
-def _dead_destination(engine):
+def _dead_destination():
     """h2 dies (unnoticed by the channel tables) while a worm queues for its
     last hop; that worm reaches a dead host.  Then a worm is sent to the
     dead host: no route, so it orphans at the source."""
-    h, switches, hosts = _line(engine)
+    h, switches, hosts = _line()
     h0, h1, h2 = hosts
     h.send(h0, h2, 100)
     h.send(h1, h2, 20)  # queues behind the first on s2->h2
@@ -201,16 +199,16 @@ def _dead_destination(engine):
     return h.result()
 
 
-def _fault_run(engine):
-    h = _faults(engine)
+def _fault_run():
+    h = _faults()
     h.sim.run()
     return h.result()
 
 
 SCENARIOS = {
-    "contended": lambda engine: _torus_traffic(engine),
-    "loss": lambda engine: _torus_traffic(engine, loss_rate=0.2),
-    "drop_filter": lambda engine: _torus_traffic(engine, drop_filter=True),
+    "contended": _torus_traffic,
+    "loss": lambda: _torus_traffic(loss_rate=0.2),
+    "drop_filter": lambda: _torus_traffic(drop_filter=True),
     "faults": _fault_run,
     "dead_destination": _dead_destination,
 }
@@ -278,34 +276,33 @@ GOLDEN_TIMELINES = {
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_counters(name):
-    assert SCENARIOS[name]("heap")["counters"] == GOLDEN_COUNTERS[name]
+    assert SCENARIOS[name]()["counters"] == GOLDEN_COUNTERS[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TIMELINES))
 def test_scenario_timeline(name):
-    assert SCENARIOS[name]("heap")["timeline"] == GOLDEN_TIMELINES[name]
+    assert SCENARIOS[name]()["timeline"] == GOLDEN_TIMELINES[name]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_digest(name, engine):
-    assert _digest(SCENARIOS[name](engine)) == GOLDEN_DIGESTS[name]
+def test_scenario_digest(name):
+    assert _digest(SCENARIOS[name]()) == GOLDEN_DIGESTS[name]
 
 
 def test_scenarios_cover_every_branch():
     """Each branch of a worm's trip is taken somewhere above."""
-    contended = SCENARIOS["contended"]("heap")
+    contended = SCENARIOS["contended"]()
     assert any(row[4] > 0 for row in contended["timeline"])  # queued grants
     assert any(row[4] == 0 for row in contended["timeline"])  # uncontended
-    assert SCENARIOS["loss"]("heap")["counters"]["dropped"] > 0
-    assert SCENARIOS["drop_filter"]("heap")["counters"]["dropped"] > 0
-    faults = SCENARIOS["faults"]("heap")
+    assert SCENARIOS["loss"]()["counters"]["dropped"] > 0
+    assert SCENARIOS["drop_filter"]()["counters"]["dropped"] > 0
+    faults = SCENARIOS["faults"]()
     kinds = {entry[1] for entry in faults["log"]}
     assert "obs.orphaned" in kinds and "obs.delivered" in kinds
     # receive fault, cut-on-grant, dead channel on the way: three orphans.
     assert faults["counters"]["orphaned"] == 3
     # arrival at the dead host, and a send with no route to it.
-    dead = SCENARIOS["dead_destination"]("heap")
+    dead = SCENARIOS["dead_destination"]()
     assert dead["counters"]["orphaned"] == 2
 
 
@@ -367,9 +364,9 @@ def test_roadmap_reference_point():
 
 
 if __name__ == "__main__":
-    print("GOLDEN_DIGESTS =", {n: _digest(f("heap")) for n, f in SCENARIOS.items()})
-    print("GOLDEN_COUNTERS =", {n: f("heap")["counters"] for n, f in SCENARIOS.items()})
+    print("GOLDEN_DIGESTS =", {n: _digest(f()) for n, f in SCENARIOS.items()})
+    print("GOLDEN_COUNTERS =", {n: f()["counters"] for n, f in SCENARIOS.items()})
     print("GOLDEN_TIMELINES =", {
-        n: SCENARIOS[n]("heap")["timeline"] for n in ("faults", "dead_destination")
+        n: SCENARIOS[n]()["timeline"] for n in ("faults", "dead_destination")
     })
     print("GOLDEN_RECORDS =", {n: _record_digest(p) for n, p in _sweep_points().items()})

@@ -1,8 +1,12 @@
 """Tests for the DES engine and process model."""
 
+import math
+
 import pytest
 
 from repro.sim import Interrupt, Simulator
+from repro.sim.engine import EmptySchedule, Infinity
+from repro.sim.events import URGENT
 
 
 def test_clock_starts_at_zero():
@@ -383,3 +387,141 @@ def test_internal_schedule_rejects_negative_delay():
         sim.timeout(-1)
     with pytest.raises(ValueError, match="negative delay"):
         sim.schedule_call(-2.0, lambda: None)
+
+
+@pytest.mark.parametrize(
+    "until", [Infinity, math.inf, float("inf")],
+    ids=["Infinity", "math.inf", "float-inf"],
+)
+def test_run_until_any_infinity_stops_at_last_event(until):
+    # An infinite horizon means "drain the queue", whichever float object
+    # spells it: the clock stays on the last event instead of jumping to inf.
+    sim = Simulator()
+    sim.schedule_call(3, lambda: None)
+    sim.run(until=until)
+    assert sim.now == 3.0
+
+
+def test_now_is_a_plain_attribute():
+    sim = Simulator(start_time=2.5)
+    assert "now" in vars(sim)
+    assert sim.now == 2.5
+    sim.schedule_call(1.5, lambda: None)
+    sim.run()
+    assert sim.now == 4.0
+
+
+def test_urgent_preempts_mid_drain():
+    # Four normal entries wait at t=1.  The first triggers an URGENT event
+    # at the same instant while t=1 is being drained; the urgent waiter
+    # must run before the remaining normals.
+    sim = Simulator()
+    order = []
+    ev = sim.event()
+
+    def head():
+        yield sim.timeout(1)
+        order.append("head")
+        ev.succeed(priority=URGENT)
+
+    def tail(i):
+        yield sim.timeout(1)
+        order.append(f"tail{i}")
+
+    def waiter():
+        yield ev
+        order.append("urgent")
+
+    sim.process(waiter(), name="w")
+    sim.process(head(), name="h")
+    for i in range(3):
+        sim.process(tail(i), name=f"t{i}")
+    sim.run()
+    assert order == ["head", "urgent", "tail0", "tail1", "tail2"]
+
+
+def test_unhandled_failure_raises_and_queue_resumes():
+    sim = Simulator()
+    seen = []
+
+    def boomer():
+        yield sim.timeout(1)
+        raise RuntimeError("boom")
+
+    def survivor():
+        for _ in range(3):
+            yield sim.timeout(1)
+            seen.append(sim.now)
+
+    sim.process(survivor(), name="ok")
+    sim.process(boomer(), name="boom")
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    # The failure propagated mid-drain; the rest of the queue is intact
+    # and a second run finishes the survivor.
+    sim.run()
+    assert seen == [1.0, 2.0, 3.0]
+
+
+def test_step_and_peek_walk_the_queue():
+    sim = Simulator()
+    fired = []
+    sim.schedule_call(1.0, lambda: fired.append(1))
+    sim.schedule_call(1.0, lambda: fired.append(2))
+    sim.schedule_call(3.0, lambda: fired.append(3))
+    assert sim.peek() == 1.0
+    sim.step()
+    assert (sim.now, fired) == (1.0, [1])
+    assert sim.peek() == 1.0
+    sim.step()
+    assert fired == [1, 2]
+    assert sim.peek() == 3.0
+    sim.step()
+    assert fired == [1, 2, 3]
+    assert sim.peek() == math.inf
+    with pytest.raises(EmptySchedule):
+        sim.step()
+
+
+class _Entry:
+    """A self-rescheduling queue entry, like the worm runs of wormnet."""
+
+    __slots__ = ("sim", "log", "name", "left", "delay")
+
+    def __init__(self, sim, log, name, left, delay):
+        self.sim, self.log, self.name = sim, log, name
+        self.left, self.delay = left, delay
+
+    def _process(self):
+        self.log.append((self.name, self.sim.now))
+        if self.left:
+            self.left -= 1
+            self.sim.schedule_entry(self, self.delay)
+
+
+def test_schedule_entry_order():
+    sim = Simulator()
+    log = []
+
+    def proc():
+        yield sim.timeout(1)
+        log.append(("proc", sim.now))
+        yield sim.timeout(0.5)
+        log.append(("proc", sim.now))
+
+    def push_urgent():
+        # Enqueued mid-drain of t=1: runs before the normals still
+        # waiting at t=1.
+        sim.schedule_entry(_Entry(sim, log, "urgent", 0, 0.0), 0.0, URGENT)
+
+    sim.process(proc(), name="p")
+    sim.schedule_call(1.0, push_urgent)
+    sim.schedule_entry(_Entry(sim, log, "a", 3, 0.5), 1.0)
+    sim.schedule_entry(_Entry(sim, log, "b", 2, 0.25), 1.0)
+    sim.run()
+    assert log == [
+        ("urgent", 1.0), ("a", 1.0), ("b", 1.0), ("proc", 1.0),
+        ("b", 1.25), ("a", 1.5), ("proc", 1.5), ("b", 1.5),
+        ("a", 2.0), ("a", 2.5),
+    ]
+    assert sim.now == 2.5
