@@ -21,7 +21,6 @@ and the deadlock demonstrations; the large latency sweeps (Figures 10/11)
 use the faster worm-level model in :mod:`repro.net.wormnet`.
 """
 
-from repro.net.flitlevel.crosscheck import CrosscheckReport, crosscheck, worm_timeline
 from repro.net.flitlevel.flits import Flit, FlitKind
 from repro.net.flitlevel.slack import SlackBuffer
 from repro.net.flitlevel.wire import Wire
@@ -32,7 +31,6 @@ from repro.net.flitlevel.network import (
 )
 
 __all__ = [
-    "CrosscheckReport",
     "DeadlockDetected",
     "Flit",
     "FlitKind",
@@ -40,6 +38,4 @@ __all__ = [
     "MulticastMode",
     "SlackBuffer",
     "Wire",
-    "crosscheck",
-    "worm_timeline",
 ]

@@ -152,8 +152,8 @@ class ArrayWire(Wire):
     ring is wider than the delay.
     """
 
-    # Adopted instances keep their __dict__ (delay, notify, track); the
-    # hot state is served by these properties instead.
+    # Adopted instances keep their __dict__ (delay, notify, receiver,
+    # track); the hot state is served by these properties instead.
 
     def fail(self) -> set:
         lane, row = self._lane, self._row
@@ -241,7 +241,7 @@ class ArrayWire(Wire):
             if self.track is not None and wid is not None:
                 self.track(wid, self)
         if self.notify is not None and not np.any(lane.w_buf[row]):
-            self.notify()
+            self.notify(self.receiver)
         lane.w_buf[row, (now + self.delay) & lane.dmask] = encode_flit(flit)
         lane.w_carried[row] += 1
         if flit.kind is FlitKind.IDLE:

@@ -6,7 +6,6 @@ import heapq
 import itertools
 import operator
 from enum import Enum
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.route_encoding import encode_multicast_route, route_tree_from_paths
@@ -18,6 +17,7 @@ from repro.net.flitlevel.switch import (
     IDLE_FLUSH,
     INTERRUPT,
     CrossbarSwitch,
+    InputPort,
 )
 from repro.net.flitlevel.wire import Wire
 from repro.net.topology import Topology
@@ -110,13 +110,14 @@ class FlitNetwork:
     flush_backoff:
         (lo, hi) uniform random retransmission delay after a flush, ticks.
     engine:
-        ``"active"`` (default) ticks only components registered in the
-        network's active set and fast-forwards the clock across quiescent
-        spans; ``"dense"`` is the reference loop that polls every switch
-        and adapter each byte-time; ``"array"`` packs wire/slack/port
-        state into numpy arrays and advances all unblocked flits with
-        batched array operations (fastest under saturation; requires
-        numpy; see :mod:`repro.net.flitlevel.array_lane`).  All engines
+        ``"active"`` (default) ticks only the switch input ports and host
+        adapters registered in the network's active set and fast-forwards
+        the clock across quiescent spans; ``"dense"`` is the reference
+        loop that polls every switch port and adapter each byte-time;
+        ``"array"`` packs wire/slack/port state into numpy arrays and
+        advances all unblocked flits with batched array operations
+        (fastest under saturation; requires numpy; see
+        :mod:`repro.net.flitlevel.array_lane`).  All engines
         produce byte-identical worm timelines (see
         :mod:`repro.net.flitlevel.crosscheck`).
     obs:
@@ -155,6 +156,11 @@ class FlitNetwork:
             raise ValueError(f"lanes must be a positive int, got {lanes!r}")
         if vc_policy not in ("first_free", "round_robin"):
             raise ValueError(f"unknown vc_policy {vc_policy!r}")
+        try:
+            mode = MulticastMode(mode)
+        except ValueError:
+            known = ", ".join(m.value for m in MulticastMode)
+            raise ValueError(f"unknown mode {mode!r}; known: {known}") from None
         self.lanes = lanes
         self.vc_policy = vc_policy
         self.engine = engine
@@ -162,7 +168,7 @@ class FlitNetwork:
         self.obs = obs
         self.topology = topology
         self.routing = routing or UpDownRouting(topology)
-        self.mode = mode.value if isinstance(mode, MulticastMode) else mode
+        self.mode = mode.value
         self.restrict_to_tree = restrict_to_tree
         self.mc_idle_threshold = mc_idle_threshold
         self.flush_backoff = flush_backoff
@@ -287,22 +293,16 @@ class FlitNetwork:
                 for hid, a in self.adapters.items()
                 if topology.host_switch(hid) in self.shard
             ]
-            # Non-local components must never enter the active set; marking
-            # them permanently "active" makes every wake hook a no-op for
-            # them (they are not in _switch_list, so they are never ticked
-            # and never settle back out).
-            local_switches = set(self._switch_list)
+            # Non-local components must never enter the active set.  Only
+            # local ports get wire wake hooks (below), but any adapter can
+            # be handed a worm (enqueue wakes it): marking non-local
+            # adapters permanently "active" makes that wake a no-op (they
+            # are not in _adapter_list, so they are never ticked and never
+            # settle back out).
             local_adapters = set(self._adapter_list)
-            for s in self.switches.values():
-                if s not in local_switches:
-                    s._active = True
             for a in self.adapters.values():
                 if a not in local_adapters:
                     a._active = True
-        for seq, switch in enumerate(self._switch_list):
-            switch._net_seq = seq
-        for seq, adapter in enumerate(self._adapter_list):
-            adapter._net_seq = seq
         #: Monotonic count of observable progress events (payload flits
         #: delivered, worms injected, deliveries recorded, records churned).
         #: Replaces the per-tick _progress_signature tuple: O(1) per event.
@@ -326,26 +326,36 @@ class FlitNetwork:
         #: Inner dicts are insertion-ordered sets: expunge order stays
         #: deterministic run to run (byte reproducibility).
         self._worm_sites: Dict[int, Dict[object, bool]] = {}
+        #: Active set: input ports and adapters, each list in dense
+        #: iteration order (ports by switch creation order, then port
+        #: index).  A fresh network has nothing in flight, so nothing is
+        #: active until a worm is enqueued.
         self._n_active = 0
-        self._active_switches: List[CrossbarSwitch] = []
+        self._active_ports: List[InputPort] = []
         self._active_adapters: List[FlitAdapter] = []
         self._woken: List[object] = []
         # Every wire registers in the worm-site index; only the active
-        # engine needs receiver wake-ups on the empty->non-empty edge.
+        # engine needs receiver wake-ups on the empty->non-empty edge.  One
+        # bound method serves every wire (no per-port closure: the large
+        # multistage builds have tens of thousands of ports).
         track = self._register_site
+        wake = self._wake_component if self._engine_active else None
+        seq = 0
         for switch in self._switch_list:
-            wake = partial(self._wake_component, switch)
             for port in switch.inputs:
-                if self._engine_active:
-                    port.wire.notify = wake
+                port._net_seq = seq
+                seq += 1
+                port.wire.receiver = port
+                port.wire.notify = wake
             for output in switch.outputs:
                 output.wire.track = track
-        for adapter in self._adapter_list:
+        for seq, adapter in enumerate(self._adapter_list):
+            adapter._net_seq = seq
             if adapter.wire_out is not None:
                 adapter.wire_out.track = track
-            if adapter.wire_in is not None and self._engine_active:
-                adapter.wire_in.notify = partial(self._wake_component, adapter)
-        self._wake_all()
+            if adapter.wire_in is not None:
+                adapter.wire_in.receiver = adapter
+                adapter.wire_in.notify = wake
         #: Structure-of-arrays fast lane (engine="array" only): adopts the
         #: object graph just built, so it must be constructed last.
         self._lane = None
@@ -356,8 +366,8 @@ class FlitNetwork:
 
     # -- active-set engine internals ------------------------------------------
     def _wake_component(self, comp) -> None:
-        """Register a switch/adapter for ticking.  No-op in the dense
-        engine (which polls everything anyway) and for already-active
+        """Register an input port or adapter for ticking.  No-op in the
+        dense engine (which polls everything anyway) and for already-active
         components, so hooks can fire it unconditionally."""
         if self._engine_active and not comp._active:
             comp._active = True
@@ -365,26 +375,30 @@ class FlitNetwork:
             self._woken.append(comp)
 
     def _wake_all(self) -> None:
-        """Activate every component: used at construction and after
-        external mutations (fault injection, reconfiguration) whose state
-        edges are not covered by the per-wire wake hooks.  Spuriously
-        woken components settle back out after one no-op tick."""
+        """Activate every input port and adapter: used after external
+        mutations (fault injection, reconfiguration) whose state edges are
+        not covered by the per-wire wake hooks.  Spuriously woken
+        components settle back out after one no-op tick."""
+        wake = self._wake_component
         for switch in self._switch_list:
-            self._wake_component(switch)
+            for port in switch.inputs:
+                wake(port)
         for adapter in self._adapter_list:
-            self._wake_component(adapter)
+            wake(adapter)
 
     def _merge_woken(self) -> None:
         """Fold newly-woken components into the active lists, restoring
         dense iteration order so arbitration stays byte-identical."""
+        ports = self._active_ports
+        adapters = self._active_adapters
         for comp in self._woken:
             if comp._is_adapter:
-                self._active_adapters.append(comp)
+                adapters.append(comp)
             else:
-                self._active_switches.append(comp)
+                ports.append(comp)
         self._woken.clear()
-        self._active_switches.sort(key=_net_seq_key)
-        self._active_adapters.sort(key=_net_seq_key)
+        ports.sort(key=_net_seq_key)
+        adapters.sort(key=_net_seq_key)
 
     # -- progress counters ------------------------------------------------------
     def _note_progress(self) -> None:
@@ -765,16 +779,20 @@ class FlitNetwork:
         return moved
 
     def _tick_active(self) -> bool:
-        """Active-set engine: tick only components registered as holding
-        flits or pending port work, in dense iteration order.
+        """Active-set engine: tick only the input ports and adapters
+        registered as holding flits or pending work, in dense iteration
+        order (the phases of :meth:`_tick_dense`; ports by switch creation
+        order, then port index).
 
         A component missing from the active set satisfies ``quiescent()``,
-        and a quiescent component's dense tick is provably a no-op (its
-        input wires are empty, its slack is empty, no STOP is latched, no
-        output is held), so skipping it cannot change the byte timeline.
-        Wire pushes cannot deliver in the tick they are sent (delay >= 1),
-        so components woken mid-tick would also have no-oped this tick and
-        only join the iteration from the next tick on.
+        and a quiescent component's dense tick is provably a no-op: an
+        idle input port with an empty wire and slack and no STOP latched
+        absorbs nothing, cannot flip its STOP/GO hysteresis and has no worm
+        to advance (output ports are passive: a held output is driven by
+        the input holding it), so skipping it cannot change the byte
+        timeline.  Wire pushes cannot deliver in the tick they are sent
+        (delay >= 1), so components woken mid-tick would also have no-oped
+        this tick and only join the iteration from the next tick on.
         """
         self.ticks_executed += 1
         self.now = now = self.now + 1
@@ -783,15 +801,15 @@ class FlitNetwork:
             heapq.heappop(actions)[2]()
         if self._woken:
             self._merge_woken()
-        switches = self._active_switches
+        ports = self._active_ports
         adapters = self._active_adapters
-        for switch in switches:
-            switch._moved = switch.tick_input(now)
+        for port in ports:
+            port._moved = port.absorb(now)
         for adapter in adapters:
             adapter._moved = adapter.tick_input(now)
-        for switch in switches:
-            if switch.tick_output(now):
-                switch._moved = True
+        for port in ports:
+            if port.switch._advance(port, now):
+                port._moved = True
         for adapter in adapters:
             if adapter.tick_output(now):
                 adapter._moved = True
@@ -799,14 +817,14 @@ class FlitNetwork:
         # nothing until a wake hook fires for them again.
         moved = False
         off = 0
-        for switch in switches:
-            if switch._moved:
+        for port in ports:
+            if port._moved:
                 moved = True
-            elif switch.quiescent():
-                switch._active = False
+            elif port.quiescent():
+                port._active = False
                 off += 1
         if off:
-            self._active_switches = [s for s in switches if s._active]
+            self._active_ports = [p for p in ports if p._active]
         drained = off
         off = 0
         for adapter in adapters:
@@ -923,8 +941,8 @@ class FlitNetwork:
 
         The active-set engine's quiescence fast-forward is preserved but
         bounded by the window edge; externally injected cut flits keep
-        their receiving components active (``quiescent()`` inspects the
-        input wires), so the jump never skips cross-shard traffic.
+        their receiving input ports active (``quiescent()`` inspects the
+        input wire), so the jump never skips cross-shard traffic.
 
         Returns the number of progress events observed inside the window.
         """

@@ -54,7 +54,14 @@ class _Branch:
 
 
 class InputPort:
-    """Input side: slack buffer + streaming connection state machine."""
+    """Input side: slack buffer + streaming connection state machine.
+
+    The input port is the active-set engine's unit of scheduling (see
+    FlitNetwork._tick_active): its output ports are passive, so a port
+    that is idle, empty and not signalling STOP has nothing to tick.
+    """
+
+    _is_adapter = False
 
     IDLE = "idle"
     # Multicast header sub-phases.
@@ -86,10 +93,31 @@ class InputPort:
         #: Last worm id registered in the network's per-worm site index;
         #: worms stream contiguously, so one comparison per flit suffices.
         self._site_wid: Optional[int] = None
+        #: Active-set engine bookkeeping (see FlitNetwork._tick_active):
+        #: ``_active`` registers the port for ticking, ``_moved`` records
+        #: per-tick activity, ``_net_seq`` restores dense iteration order.
+        self._active = False
+        self._moved = False
+        self._net_seq = 0
 
     @property
     def current_branch(self) -> _Branch:
         return self.branches[-1]
+
+    def quiescent(self) -> bool:
+        """True when ticking this port is provably a no-op: it is
+        disconnected, its slack and input wire are empty, and no STOP is
+        latched (so the STOP/GO hysteresis cannot flip).  Anything that can
+        change this (a wire push, a fault) re-activates the port through
+        the network's wake hooks."""
+        slack = self.slack
+        return (
+            self.state == self.IDLE
+            and not self._last_stop
+            and not slack._flits
+            and not slack.stopping
+            and not self.wire._forward
+        )
 
     # -- input phase ------------------------------------------------------------
     def absorb(self, now: int) -> bool:
@@ -197,7 +225,7 @@ class OutputPort:
     def emit(self, flit: Flit, now: int) -> None:
         self.wire.push(flit, now)
         self.sent_flits += 1
-        if flit.kind == FlitKind.IDLE:
+        if flit.kind is FlitKind.IDLE:
             self.idle_run += 1
         else:
             self.idle_run = 0
@@ -228,12 +256,6 @@ class CrossbarSwitch:
         self.lane_groups: Dict[int, List[int]] = {}
         self._lane_rr: Dict[int, int] = {}
         self.forwarded_worms = 0
-        #: Active-set engine bookkeeping (see FlitNetwork._tick_active):
-        #: ``_active`` registers the switch for ticking, ``_moved`` records
-        #: per-tick activity, ``_net_seq`` restores dense iteration order.
-        self._active = False
-        self._moved = False
-        self._net_seq = 0
 
     def add_port(self, wire_in: Wire, wire_out: Wire) -> int:
         index = len(self.inputs)
@@ -297,26 +319,6 @@ class CrossbarSwitch:
             if best_load is None or load < best_load:
                 best, best_load = cand, load
         return best
-
-    def quiescent(self) -> bool:
-        """True when ticking this switch is provably a no-op: every input
-        is disconnected with empty slack and an empty input wire, no STOP
-        is outstanding, and no output is held or requested.  Anything that
-        can change this state (a wire push, an enqueue, a fault) re-activates
-        the switch through the network's wake hooks."""
-        for port in self.inputs:
-            if (
-                port.state != InputPort.IDLE
-                or port._last_stop
-                or port.slack._flits
-                or port.slack.stopping
-                or port.wire._forward
-            ):
-                return False
-        for output in self.outputs:
-            if output.holder is not None or output.waiting:
-                return False
-        return True
 
     # -- tick -------------------------------------------------------------------
     def tick_input(self, now: int) -> bool:
@@ -510,6 +512,7 @@ class CrossbarSwitch:
     def _stream(self, port: InputPort, now: int) -> bool:
         mode = self.network.mode
         branches = port.branches
+        outputs = self.outputs
 
         if not branches:
             # A multicast header with zero branches cannot occur (encoders
@@ -519,10 +522,13 @@ class CrossbarSwitch:
 
         # Scheme 2 resume: once the branches that caused the interrupt can
         # move again, re-acquire the interrupted ports and replay headers.
-        interrupted = [b for b in branches if b.interrupted]
+        # Only scheme 2 ever interrupts a branch.
+        interrupted = (
+            [b for b in branches if b.interrupted] if mode == INTERRUPT else None
+        )
         if interrupted:
             blocked_ready = all(
-                self.outputs[b.port].ready(now)
+                outputs[b.port].ready(now)
                 for b in branches
                 if not b.interrupted
             )
@@ -530,7 +536,7 @@ class CrossbarSwitch:
                 return False
             for branch in interrupted:
                 if not branch.granted:
-                    self.outputs[branch.port].request(port.index)
+                    outputs[branch.port].request(port.index)
             if any(not b.granted for b in branches):
                 return False
             moved = False
@@ -538,7 +544,7 @@ class CrossbarSwitch:
             for branch in interrupted:
                 if branch.replay_pos < len(branch.header):
                     replaying = True
-                    output = self.outputs[branch.port]
+                    output = outputs[branch.port]
                     if output.ready(now):
                         value = branch.header[branch.replay_pos]
                         branch.replay_pos += 1
@@ -556,60 +562,63 @@ class CrossbarSwitch:
             for branch in interrupted:
                 branch.interrupted = False
 
-        front = port.slack.front()
-        ready = [self.outputs[b.port].ready(now) for b in branches]
-        all_ready = all(ready)
+        slack = port.slack
+        if slack.front() is None:
+            # Hole in the stream: upstream is slower.  The outputs need not
+            # be asked yet: STOP/GO symbols apply lazily on the next read.
+            return False
 
-        if front is None:
-            return False  # hole in the stream: upstream is slower
-
-        if all_ready:
-            flit = port.slack.pop()
-            for branch in branches:
-                self.outputs[branch.port].emit(
-                    Flit(flit.kind, flit.wid, flit.value, flit.multicast, flit.broadcast),
-                    now,
-                )
-            if flit.kind == FlitKind.TAIL:
-                self.forwarded_worms += 1
-                port.disconnect()
-            elif flit.kind == FlitKind.FRAG_TAIL:
-                # A fragment boundary from an upstream interrupt: the path
-                # tears down here too; the resume header re-establishes it.
-                port.disconnect()
-            return True
-
-        # Some branch is blocked.
         if len(branches) == 1:
-            return False  # unicast: wait; backpressure does the rest
-
-        if mode == INTERRUPT:
-            # Non-blocked branches interrupt altogether: stamp a fragment
-            # tail (tearing down the downstream path), release the port,
-            # and remember the header for the resume replay.
-            moved = False
-            for branch, is_ready in zip(branches, ready):
-                if is_ready and branch.granted and not branch.interrupted:
-                    output = self.outputs[branch.port]
-                    output.emit(Flit(FlitKind.FRAG_TAIL, port.wid, multicast=True), now)
-                    output.release(port.index)
-                    branch.granted = False
-                    branch.interrupted = True
-                    branch.replay_pos = 0
-                    moved = True
-            return moved
-
-        # Base scheme (and scheme 3): fill the non-blocked branches with
-        # IDLE characters -- the bandwidth waste (and deadlock fuel) of
-        # Figure 3.
-        moved = False
-        for branch, is_ready in zip(branches, ready):
-            if is_ready:
-                self.outputs[branch.port].emit(
-                    Flit(FlitKind.IDLE, port.wid, multicast=True), now
-                )
-                moved = True
-        return moved
+            output = outputs[branches[0].port]
+            if not output.ready(now):
+                return False  # unicast: wait; backpressure does the rest
+            flit = slack.pop()
+            output.emit(flit, now)
+        else:
+            ready = [outputs[b.port].ready(now) for b in branches]
+            if all(ready):
+                # Flits are immutable: every branch carries the same object.
+                flit = slack.pop()
+                for branch in branches:
+                    outputs[branch.port].emit(flit, now)
+            elif mode == INTERRUPT:
+                # Non-blocked branches interrupt altogether: stamp a
+                # fragment tail (tearing down the downstream path), release
+                # the port, and remember the header for the resume replay.
+                moved = False
+                for branch, is_ready in zip(branches, ready):
+                    if is_ready and branch.granted and not branch.interrupted:
+                        output = outputs[branch.port]
+                        output.emit(
+                            Flit(FlitKind.FRAG_TAIL, port.wid, multicast=True), now
+                        )
+                        output.release(port.index)
+                        branch.granted = False
+                        branch.interrupted = True
+                        branch.replay_pos = 0
+                        moved = True
+                return moved
+            else:
+                # Base scheme (and scheme 3): fill the non-blocked branches
+                # with IDLE characters -- the bandwidth waste (and deadlock
+                # fuel) of Figure 3.
+                moved = False
+                for branch, is_ready in zip(branches, ready):
+                    if is_ready:
+                        outputs[branch.port].emit(
+                            Flit(FlitKind.IDLE, port.wid, multicast=True), now
+                        )
+                        moved = True
+                return moved
+        kind = flit.kind
+        if kind is FlitKind.TAIL:
+            self.forwarded_worms += 1
+            port.disconnect()
+        elif kind is FlitKind.FRAG_TAIL:
+            # A fragment boundary from an upstream interrupt: the path
+            # tears down here too; the resume header re-establishes it.
+            port.disconnect()
+        return True
 
     # -- flush support ------------------------------------------------------------
     def drop_worm(self, wid: int) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Optional, Tuple
 
-from repro.net.flitlevel.flits import Flit
+from repro.net.flitlevel.flits import Flit, FlitKind
 
 
 class Wire:
@@ -27,9 +27,12 @@ class Wire:
         #: False while the physical link is down (fault injection): pushed
         #: flits are swallowed and nothing is delivered.
         self.alive = True
-        #: Active-set hook: called when a flit lands on a previously empty
-        #: wire, so the receiving component re-registers for ticking.
-        self.notify: Optional[Callable[[], None]] = None
+        #: Active-set hook: ``notify(receiver)`` is called when a flit
+        #: lands on a previously empty wire, so the receiving input port or
+        #: host adapter re-registers for ticking.  One callable serves
+        #: every wire of a network; ``receiver`` names this wire's end.
+        self.notify: Optional[Callable[[object], None]] = None
+        self.receiver: Optional[object] = None
         #: Worm-location hook: ``track(wid, wire)`` is called the first time
         #: a worm's flits enter this wire (per-worm site index for O(extent)
         #: flush/loss instead of a full network scan).
@@ -67,10 +70,10 @@ class Wire:
             # The receiver may have deregistered while this wire was empty;
             # it stays registered as long as flits are in flight, so only
             # the empty->non-empty edge needs a wake-up.
-            self.notify()
+            self.notify(self.receiver)
         self._forward.append((now + self.delay, flit))
         self.carried += 1
-        if flit.kind.value == "idle":
+        if flit.kind is FlitKind.IDLE:
             self.idles += 1
 
     def can_push(self, now: int) -> bool:

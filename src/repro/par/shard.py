@@ -280,7 +280,7 @@ class ShardHarness:
                 if not wire.alive:
                     continue  # a dead wire swallows flits, as push does
                 if not wire._forward and wire.notify is not None:
-                    wire.notify()
+                    wire.notify(wire.receiver)
                 append = wire._forward.append
                 for due, code in forward[key]:
                     flit = decode_flit(code)

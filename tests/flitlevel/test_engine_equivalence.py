@@ -13,7 +13,8 @@ import pytest
 
 from repro.core.switch_mcast import SwitchScheme, run_fig3_scenario
 from repro.net import bidirectional_shufflenet, line, ring, torus
-from repro.net.flitlevel import FlitNetwork, MulticastMode, crosscheck
+from repro.net.flitlevel import FlitNetwork, MulticastMode
+from repro.net.flitlevel.crosscheck import crosscheck
 from repro.sweep.points import execute_point
 
 try:
@@ -222,6 +223,74 @@ def test_active_engine_fast_forwards_sparse_traffic():
     assert dense_ticks == results["dense"][1]  # dense ticks every tick
     # The ~30k-tick idle gap must be skipped, not executed.
     assert active_ticks < dense_ticks // 10
+
+
+def test_fresh_network_has_nothing_active():
+    # Nothing is in flight before the first enqueue, so construction wakes
+    # nothing (and forces no no-op tick).
+    net = FlitNetwork(torus(4, 4), lanes=4)
+    assert net._n_active == 0
+    assert not net._woken
+    net.send_unicast(net.topology.hosts[0], net.topology.hosts[5])
+    assert net._n_active == 1  # just the source adapter
+
+
+#: InputPort.absorb calls for one 64-byte unicast across a 4-lane 4x4
+#: torus on the active engine: only ports holding or receiving flits.
+ONE_UNICAST_PORT_STEPS = 345
+
+
+def test_active_engine_steps_only_live_ports(monkeypatch):
+    """The active engine ticks an input port only while it is live: it
+    moved in the previous tick, or it holds flits, a connection or a STOP
+    latch, or a flit is on its wire.  Counted independently on the dense
+    engine, which ticks every port every tick."""
+    from repro.net.flitlevel.switch import CrossbarSwitch, InputPort
+
+    def one_unicast(engine):
+        topo = torus(4, 4)
+        net = FlitNetwork(topo, lanes=4, engine=engine, seed=1)
+        net.send_unicast(topo.hosts[0], topo.hosts[10], payload_bytes=64)
+        return net
+
+    moved = set()
+    absorb, advance = InputPort.absorb, CrossbarSwitch._advance
+
+    def counting_absorb(port, now):
+        steps.append(port)
+        if absorb(port, now):
+            moved.add(port)
+            return True
+        return False
+
+    def recording_advance(switch, port, now):
+        if advance(switch, port, now):
+            moved.add(port)
+            return True
+        return False
+
+    monkeypatch.setattr(InputPort, "absorb", counting_absorb)
+    monkeypatch.setattr(CrossbarSwitch, "_advance", recording_advance)
+
+    steps = []
+    net = one_unicast("active")
+    assert net.run() == "delivered"
+    active_steps, active_now = len(steps), net.now
+
+    net = one_unicast("dense")
+    ports = [p for s in net.switches.values() for p in s.inputs]
+    live_sum = 0
+    moved_before = set()
+    while net._undelivered or net._actions:
+        live = {p for p in ports if not p.quiescent()}
+        live_sum += len(live | moved_before)
+        moved.clear()
+        net.tick()
+        moved_before = set(moved)
+    assert net.now == active_now
+    assert active_steps == live_sum == ONE_UNICAST_PORT_STEPS
+    # The dense engine polls all 17 ports of all 16 switches every tick.
+    assert len(ports) == 16 * 17
 
 
 @pytest.mark.parametrize("candidate", CANDIDATES)

@@ -129,6 +129,13 @@ def test_backpressure_no_slack_overflow():
             assert port.slack.overflows == 0
 
 
+@pytest.mark.parametrize("mode", ["interupt", "base"])
+def test_unknown_mode_rejected(mode):
+    # "base" names a SwitchScheme, not a switch-level MulticastMode.
+    with pytest.raises(ValueError, match="idle_fill, interrupt, idle_flush"):
+        FlitNetwork(torus(2, 2), mode=mode)
+
+
 def test_progress_signature_detects_quiescence():
     topo = line(2)
     net = FlitNetwork(topo)

@@ -13,8 +13,12 @@ import pytest
 
 from repro.core.switch_mcast import SwitchScheme, run_fig3_scenario
 from repro.net import bidirectional_shufflenet, butterfly, clos, torus
-from repro.net.flitlevel import FlitNetwork, crosscheck
-from repro.net.flitlevel.crosscheck import timeline_digest, worm_timeline
+from repro.net.flitlevel import FlitNetwork
+from repro.net.flitlevel.crosscheck import (
+    crosscheck,
+    timeline_digest,
+    worm_timeline,
+)
 
 try:
     import numpy  # noqa: F401
@@ -261,3 +265,16 @@ def test_vc_lanes_point_kind_engine_agreement():
     assert rec["status"] == "delivered"
     assert len(rec["lane_flits"]) == 2
     assert sum(rec["lane_flits"]) > 0
+
+
+def test_vc_lanes_point_rejects_unknown_mode():
+    # A misspelt scheme must not fall back to the base IDLE-fill scheme
+    # under its own label: points arrive from outside through the serve
+    # gateway.
+    from repro.sweep.points import execute_point
+
+    with pytest.raises(ValueError, match="unknown mode 'interupt'"):
+        execute_point("vc_lanes", {
+            "topology": "torus", "rows": 2, "cols": 2, "lanes": 1,
+            "mode": "interupt",
+        })
