@@ -1,23 +1,20 @@
-"""Dense vs active vs array flit-engine benchmarks.
+"""Dense vs active flit-engine benchmarks.
 
-Three scenarios bracket the optimized engines' envelope:
+Three scenarios bracket the active engine's envelope:
 
 * ``sparse_fig3`` -- the Figure 3 deadlock topology under S3 (idle-flush)
   with injection rounds spaced thousands of ticks apart.  The dense
   engine grinds through every idle tick; the active engine deregisters
   quiescent input ports and fast-forwards the gaps, so it should win big
-  (the acceptance bar is >= 3x).  The array engine has no fast-forward
-  and is expected to roughly track dense here.
+  (the acceptance bar is >= 3x).
 * ``saturated_shufflenet`` -- all 24 hosts of a (2,3) bidirectional
   shufflenet injecting back-to-back worms.  Every switch is busy, but
   most of its input ports are not: the active engine steps only the live
   ones, so it still beats dense (bar: >= 0.85x).  In one run at
-  ``--scale 0.3`` on a 2-vCPU VM it read 1.43x over dense, 0.078 s
-  against the array engine's 0.076 s.
+  ``--scale 0.3`` on a 2-vCPU VM it read 1.43x over dense.
 * ``saturated_torus`` -- a 16x16 torus with every one of the 256 hosts
   injecting at once.  The per-tick component count is ~10x the
-  shufflenet's, which is where the array engine's batched tick pulls
-  furthest ahead (~5x over dense, ~2x over active).
+  shufflenet's.
 
 All scenarios assert that the engines return the same status and final
 clock -- a benchmark that drifted semantically would be measuring two
@@ -55,13 +52,6 @@ from repro.core.switch_mcast import (  # noqa: E402
 from repro.net import bidirectional_shufflenet, torus  # noqa: E402
 from repro.net.flitlevel import FlitNetwork  # noqa: E402
 from repro.net.topology import fig3_topology  # noqa: E402
-
-try:  # the array engine needs numpy; the others do not
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    HAVE_NUMPY = False
 
 #: Idle gap between injection rounds in the sparse scenario.  One fig3
 #: round resolves in under ~1500 ticks, so most of each gap is quiescent.
@@ -138,29 +128,22 @@ def _best_of(fn, args, repeats):
 
 
 def run_suite(scale: float = 1.0, repeats: int = 3):
-    """Time every engine on every scenario; returns a JSON-ready dict.
-
-    The array engine is included only when numpy is importable; the
-    result dict then carries ``array_seconds``/``speedup_array`` columns
-    next to the historical dense/active ones.
-    """
-    engines = ["dense", "active"] + (["array"] if HAVE_NUMPY else [])
+    """Time both engines on every scenario; returns a JSON-ready dict."""
     results = {}
     for name, (fn, base_rounds, min_rounds) in _SCENARIOS.items():
         rounds = max(min_rounds, int(base_rounds * scale))
         timings = {}
         outcomes = {}
-        for engine in engines:
+        for engine in ("dense", "active"):
             timings[engine], outcomes[engine] = _best_of(
                 fn, (engine, rounds), repeats
             )
-        for engine in engines[1:]:
-            if outcomes[engine][:2] != outcomes["dense"][:2]:
-                raise AssertionError(
-                    f"{name}: engines diverged -- dense="
-                    f"{outcomes['dense'][:2]} {engine}={outcomes[engine][:2]}"
-                )
-        rec = {
+        if outcomes["active"][:2] != outcomes["dense"][:2]:
+            raise AssertionError(
+                f"{name}: engines diverged -- dense="
+                f"{outcomes['dense'][:2]} active={outcomes['active'][:2]}"
+            )
+        results[name] = {
             "rounds": rounds,
             "status": outcomes["dense"][0],
             "final_tick": outcomes["dense"][1],
@@ -170,13 +153,6 @@ def run_suite(scale: float = 1.0, repeats: int = 3):
             "active_ticks_executed": outcomes["active"][2],
             "speedup": round(timings["dense"] / timings["active"], 3),
         }
-        if "array" in engines:
-            rec["array_seconds"] = round(timings["array"], 4)
-            rec["array_ticks_executed"] = outcomes["array"][2]
-            rec["speedup_array"] = round(
-                timings["dense"] / timings["array"], 3
-            )
-        results[name] = rec
     return results
 
 
@@ -218,27 +194,6 @@ def test_flit_saturated_active(benchmark):
     _report(benchmark, ticks)
 
 
-def test_flit_saturated_array(benchmark):
-    if not HAVE_NUMPY:
-        import pytest
-
-        pytest.skip("array engine needs numpy")
-    rounds = scaled(4, minimum=1)
-    status, _, ticks = benchmark(_saturated_shufflenet, "array", rounds)
-    assert status == "delivered"
-    _report(benchmark, ticks)
-
-
-def test_flit_torus_array(benchmark):
-    if not HAVE_NUMPY:
-        import pytest
-
-        pytest.skip("array engine needs numpy")
-    status, _, ticks = benchmark(_saturated_torus, "array", 1)
-    assert status == "delivered"
-    _report(benchmark, ticks)
-
-
 def test_sparse_speedup_meets_bar():
     # The acceptance bar is 3x; the measured margin is much larger, so a
     # noisy CI box should still clear it comfortably.
@@ -258,17 +213,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     results = run_suite(scale=args.scale, repeats=args.repeats)
     for name, rec in results.items():
-        line = (
+        print(
             f"{name:>22}: dense {rec['dense_seconds']:.3f}s "
             f"({rec['dense_ticks_executed']} ticks) | active "
             f"{rec['active_seconds']:.3f}s ({rec['speedup']:.2f}x)"
         )
-        if "array_seconds" in rec:
-            line += (
-                f" | array {rec['array_seconds']:.3f}s "
-                f"({rec['speedup_array']:.2f}x)"
-            )
-        print(line)
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(results, indent=2) + "\n")

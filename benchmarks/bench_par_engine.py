@@ -129,7 +129,7 @@ def _partitioned_point(name: str, k: int, engine: str, backend: str,
 def run_par_suite(
     scenario: str = "saturated_torus_32",
     shards=(2, 4, 8),
-    engines=("dense", "active", "array"),
+    engines=("dense", "active"),
     par_engine: str = "active",
     backend: str = "inline",
     repeats: int = 2,
@@ -177,11 +177,11 @@ def run_par_suite(
 
 def test_par_torus8_identity():
     suite = run_par_suite(
-        "saturated_torus_8", shards=(2, 4), engines=("array",),
-        par_engine="array", repeats=1,
+        "saturated_torus_8", shards=(2, 4), engines=("active",),
+        par_engine="active", repeats=1,
     )
     for rec in suite["partitioned"].values():
-        assert rec["digest"] == suite["sequential"]["array"]["digest"]
+        assert rec["digest"] == suite["sequential"]["active"]["digest"]
 
 
 def test_par_k4_speedup_meets_bar():
@@ -204,13 +204,13 @@ def main(argv=None) -> int:
         default=[2, 4, 8], metavar="N,M,...",
     )
     parser.add_argument(
-        "--engines", nargs="+", default=["dense", "active", "array"],
+        "--engines", nargs="+", default=["dense", "active"],
         help="sequential baselines to time (best one sets the speedup "
              "denominator)",
     )
     parser.add_argument(
         "--par-engine", default="active",
-        choices=("dense", "active", "array"),
+        choices=("dense", "active"),
         help="engine each shard runs (active shards near-linearly on the "
              "broadcast workload)",
     )

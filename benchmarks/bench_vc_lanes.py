@@ -13,8 +13,7 @@ Two workloads bracket what the lanes buy and what they cost:
   1000+-switch multistage scenario from the VC experiments.
 
 Every workload asserts delivery and records engine ticks per wall second
-as ``events_per_second`` so ``scripts/check_perf_regression.py`` gates
-the ``flit_vc_*`` labels exactly like the kernel microbenchmarks.
+as ``events_per_second``, the trajectory's rate field.
 
 Run standalone to emit JSON::
 
@@ -42,15 +41,8 @@ from conftest import scaled  # noqa: E402
 from repro.net import bidirectional_shufflenet, butterfly  # noqa: E402
 from repro.net.flitlevel import FlitNetwork  # noqa: E402
 
-try:  # the array engine needs numpy; the others do not
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    HAVE_NUMPY = False
-
-#: Engine the suite times by default: the fastest one available.
-DEFAULT_ENGINE = "array" if HAVE_NUMPY else "active"
+#: Engine the suite times by default.
+DEFAULT_ENGINE = "active"
 
 LANE_COUNTS = (1, 2, 4)
 
@@ -201,7 +193,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3,
                         help="best-of-N timing repeats")
     parser.add_argument("--engine", default=DEFAULT_ENGINE,
-                        choices=("dense", "active", "array"))
+                        choices=("dense", "active"))
     parser.add_argument("--out", type=Path, default=None,
                         help="write the result dict to this JSON file")
     args = parser.parse_args(argv)

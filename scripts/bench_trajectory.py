@@ -2,7 +2,7 @@
 """Record a perf-trajectory snapshot in ``BENCH_sweep.json``.
 
 Runs the kernel events/sec microbenchmarks, the flit-engine comparison
-(dense / active / array), the virtual-channel lane ladder, the
+(dense / active), the virtual-channel lane ladder, the
 partitioned-runner scaling run and two reduced sweeps, appending one
 machine-readable entry per workload so the repo carries its own
 performance history from commit to commit::
@@ -15,7 +15,7 @@ any of the globs; a section none of whose labels match is not run at all.
 
 Entries land in ``{"entries": [...]}`` (see
 :func:`repro.sweep.runner.append_trajectory`); each has a timestamp, the
-workload label, the interpreter/numpy versions, the flit engine it
+workload label, the interpreter version, the flit engine it
 measured (flit and par entries), and either ``events_per_second`` or the
 wall-time footprint.
 Re-running at the same code fingerprint with the same label *replaces*
@@ -42,7 +42,7 @@ from bench_kernel_events import (  # noqa: E402
     _timeout_churn,
     _uncontended_grants,
 )
-from bench_flit_engine import HAVE_NUMPY, run_suite as _flit_suite  # noqa: E402
+from bench_flit_engine import run_suite as _flit_suite  # noqa: E402
 from bench_par_engine import run_par_suite  # noqa: E402
 from bench_vc_lanes import LANE_COUNTS, run_vc_suite  # noqa: E402
 
@@ -69,14 +69,6 @@ def _events_per_second(fn, repeats: int = 5) -> tuple:
         events = fn()
         times.append(time.perf_counter() - start)
     return events, events / min(times), events / statistics.median(times)
-
-
-def _numpy_version():
-    if not HAVE_NUMPY:
-        return None
-    import numpy
-
-    return numpy.__version__
 
 
 def main(argv=None) -> int:
@@ -110,7 +102,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--par-engine", default="active",
-        choices=("dense", "active", "array"),
+        choices=("dense", "active"),
         help="engine each shard runs in the par section",
     )
     args = parser.parse_args(argv)
@@ -122,10 +114,7 @@ def main(argv=None) -> int:
 
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     code = code_fingerprint()[:12]
-    env = {
-        "python_version": platform.python_version(),
-        "numpy_version": _numpy_version(),
-    }
+    env = {"python_version": platform.python_version()}
 
     for name, fn in KERNEL_WORKLOADS:
         if not wanted(name):
@@ -155,7 +144,7 @@ def main(argv=None) -> int:
                 "timestamp": stamp,
                 "label": f"flit_{name}",
                 "kind": "flit_microbench",
-                "engine": "dense+active" + ("+array" if HAVE_NUMPY else ""),
+                "engine": "dense+active",
                 "code": code,
                 **env,
                 **rec,
@@ -163,16 +152,10 @@ def main(argv=None) -> int:
             if args.label:
                 entry["note"] = args.label
             append_trajectory(args.out, entry, dedup_on=_DEDUP)
-            line = (
+            print(
                 f"flit_{name}: dense {rec['dense_seconds']:.3f}s | active "
                 f"{rec['active_seconds']:.3f}s ({rec['speedup']:.2f}x)"
             )
-            if "array_seconds" in rec:
-                line += (
-                    f" | array {rec['array_seconds']:.3f}s "
-                    f"({rec['speedup_array']:.2f}x)"
-                )
-            print(line)
 
     vc_names = tuple(f"flit_vc_lanes{n}" for n in LANE_COUNTS) + (
         "flit_vc_butterfly1k",
@@ -199,65 +182,64 @@ def main(argv=None) -> int:
                 f"(final tick {rec['final_tick']})"
             )
 
-    if HAVE_NUMPY:
-        scenario = args.par_scenario
-        seq_labels = {
-            engine: f"par_{scenario}_seq_{engine}"
-            for engine in ("dense", "active", "array")
+    scenario = args.par_scenario
+    seq_labels = {
+        engine: f"par_{scenario}_seq_{engine}"
+        for engine in ("dense", "active")
+    }
+    shard_labels = {k: f"par_{scenario}_k{k}" for k in args.shards}
+    shards = [k for k, lab in shard_labels.items() if wanted(lab)]
+    engines = tuple(e for e, lab in seq_labels.items() if wanted(lab))
+    if shards and args.par_engine not in engines:
+        # The suite needs the shard engine's sequential digest as the
+        # identity baseline.
+        engines += (args.par_engine,)
+    if shards:
+        suite = run_par_suite(
+            scenario, shards=shards, engines=engines,
+            par_engine=args.par_engine, repeats=2,
+        )
+        common = {
+            "timestamp": stamp,
+            "kind": "par_microbench",
+            "scenario": scenario,
+            "host_cores": os.cpu_count(),
+            "code": code,
+            **env,
         }
-        shard_labels = {k: f"par_{scenario}_k{k}" for k in args.shards}
-        shards = [k for k, lab in shard_labels.items() if wanted(lab)]
-        engines = tuple(e for e, lab in seq_labels.items() if wanted(lab))
-        if shards and args.par_engine not in engines:
-            # The suite needs the shard engine's sequential digest as the
-            # identity baseline.
-            engines += (args.par_engine,)
-        if shards:
-            suite = run_par_suite(
-                scenario, shards=shards, engines=engines,
-                par_engine=args.par_engine, repeats=2,
-            )
-            common = {
-                "timestamp": stamp,
-                "kind": "par_microbench",
-                "scenario": scenario,
-                "host_cores": os.cpu_count(),
-                "code": code,
-                **env,
-            }
-            if args.label:
-                common["note"] = args.label
-            for engine, rec in suite["sequential"].items():
-                if not wanted(seq_labels[engine]):
-                    continue
-                append_trajectory(args.out, {
-                    **common,
-                    "label": seq_labels[engine],
-                    "engine": engine,
-                    "timing": "wall",
-                    **{key: rec[key] for key in
-                       ("status", "now", "events", "run_seconds",
-                        "events_per_second", "digest")},
-                }, dedup_on=_DEDUP)
-                print(f"{seq_labels[engine]}: "
-                      f"{rec['events_per_second']:,.0f} events/s")
-            for k, rec in suite["partitioned"].items():
-                append_trajectory(args.out, {
-                    **common,
-                    "label": shard_labels[int(k)],
-                    "engine": rec["engine"],
-                    "timing": "critical_path",
-                    **{key: rec[key] for key in
-                       ("backend", "scheme", "cut_links", "window",
-                        "windows_run", "status", "now", "events",
-                        "flits_exchanged", "wall_seconds",
-                        "critical_path_seconds", "events_per_second",
-                        "speedup_vs_best_sequential", "digest")},
-                }, dedup_on=_DEDUP)
-                print(f"{shard_labels[int(k)]}: "
-                      f"{rec['events_per_second']:,.0f} events/s "
-                      f"({rec['speedup_vs_best_sequential']:.2f}x vs best "
-                      f"sequential, critical path)")
+        if args.label:
+            common["note"] = args.label
+        for engine, rec in suite["sequential"].items():
+            if not wanted(seq_labels[engine]):
+                continue
+            append_trajectory(args.out, {
+                **common,
+                "label": seq_labels[engine],
+                "engine": engine,
+                "timing": "wall",
+                **{key: rec[key] for key in
+                   ("status", "now", "events", "run_seconds",
+                    "events_per_second", "digest")},
+            }, dedup_on=_DEDUP)
+            print(f"{seq_labels[engine]}: "
+                  f"{rec['events_per_second']:,.0f} events/s")
+        for k, rec in suite["partitioned"].items():
+            append_trajectory(args.out, {
+                **common,
+                "label": shard_labels[int(k)],
+                "engine": rec["engine"],
+                "timing": "critical_path",
+                **{key: rec[key] for key in
+                   ("backend", "scheme", "cut_links", "window",
+                    "windows_run", "status", "now", "events",
+                    "flits_exchanged", "wall_seconds",
+                    "critical_path_seconds", "events_per_second",
+                    "speedup_vs_best_sequential", "digest")},
+            }, dedup_on=_DEDUP)
+            print(f"{shard_labels[int(k)]}: "
+                  f"{rec['events_per_second']:,.0f} events/s "
+                  f"({rec['speedup_vs_best_sequential']:.2f}x vs best "
+                  f"sequential, critical path)")
 
     if wanted("vc_lanes_sweep"):
         spec = vc_lanes_spec(scale=args.scale)

@@ -1,9 +1,9 @@
 """Cross-engine crosscheck harness.
 
-The active-set and array engines
-(:class:`~repro.net.flitlevel.network.FlitNetwork` with ``engine="active"``
-/ ``engine="array"``) promise *byte-identical semantics* to the dense
-polling loop: the same per-worm delivery ticks, the same retransmission
+The active-set engine
+(:class:`~repro.net.flitlevel.network.FlitNetwork` with ``engine="active"``)
+promises *byte-identical semantics* to the dense polling loop, its
+oracle: the same per-worm delivery ticks, the same retransmission
 counts, the same final run status, across all multicast modes and under
 fault injection.  This module turns that promise into something checkable.
 
@@ -18,7 +18,6 @@ Usage::
         return net, status
 
     report = crosscheck(scenario)                          # dense vs active
-    report = crosscheck(scenario, engines=("dense", "array"))
     assert report.ok, report.describe()
 
 Worm ids come from a process-global counter, so the dense and active runs
@@ -210,7 +209,7 @@ def crosscheck(
 def crosscheck_partitioned(
     scenario_name: str,
     partitions: int,
-    engine: str = "array",
+    engine: str = "active",
     backend: str = "inline",
 ) -> CrosscheckReport:
     """Sequential vs K-way-partitioned run of one registered
@@ -242,7 +241,7 @@ def crosscheck_partitioned(
 def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
     """Two quick scenarios covering both hot paths: a mixed-traffic torus
     (headers, grants, multicast replication) and a saturated shufflenet
-    (the bulk-streaming fast lane).  ``lanes``/``vc_policy`` thread the
+    (every port streaming at once).  ``lanes``/``vc_policy`` thread the
     virtual-channel configuration through both networks, so the same
     scenarios prove multi-lane runs byte-identical across engines."""
     from repro.net.flitlevel.network import FlitNetwork
@@ -280,7 +279,7 @@ def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
 
 
 def main(argv=None) -> int:
-    """``python -m repro.net.flitlevel.crosscheck --engines dense array``
+    """``python -m repro.net.flitlevel.crosscheck --engines dense active``
 
     Runs the smoke scenarios under the given engine pair and exits
     non-zero on any timeline mismatch -- the assertion the CI perf-smoke
@@ -292,9 +291,9 @@ def main(argv=None) -> int:
         description="byte-identical crosscheck between two flit engines"
     )
     parser.add_argument(
-        "--engines", nargs=2, default=("dense", "array"),
+        "--engines", nargs=2, default=("dense", "active"),
         metavar=("BASELINE", "CANDIDATE"),
-        help="engine pair to compare (default: dense array)",
+        help="engine pair to compare (default: dense active)",
     )
     parser.add_argument(
         "--lanes", type=int, nargs="+", default=[1], metavar="L",

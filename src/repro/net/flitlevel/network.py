@@ -30,6 +30,9 @@ _flit_message_ids = itertools.count(1)
 #: Sort key restoring dense (creation) iteration order after wake merges.
 _net_seq_key = operator.attrgetter("_net_seq")
 
+#: The flit engines: ``"active"`` and its reference oracle ``"dense"``.
+ENGINES = ("active", "dense")
+
 
 class HostMulticastMessage:
     """A host-adapter multicast (Hamiltonian circuit, Section 5) tracked at
@@ -113,12 +116,8 @@ class FlitNetwork:
         ``"active"`` (default) ticks only the switch input ports and host
         adapters registered in the network's active set and fast-forwards
         the clock across quiescent spans; ``"dense"`` is the reference
-        loop that polls every switch port and adapter each byte-time;
-        ``"array"`` packs wire/slack/port state into numpy arrays and
-        advances all unblocked flits with batched array operations
-        (fastest under saturation; requires numpy; see
-        :mod:`repro.net.flitlevel.array_lane`).  All engines
-        produce byte-identical worm timelines (see
+        loop that polls every switch port and adapter each byte-time.
+        Both produce byte-identical worm timelines (see
         :mod:`repro.net.flitlevel.crosscheck`).
     obs:
         Optional :class:`~repro.obs.Observability` bundle; worm-lifecycle
@@ -150,8 +149,9 @@ class FlitNetwork:
         obs=None,
         shard=None,
     ) -> None:
-        if engine not in ("active", "dense", "array"):
-            raise ValueError(f"unknown engine {engine!r}")
+        if engine not in ENGINES:
+            known = ", ".join(ENGINES)
+            raise ValueError(f"unknown engine {engine!r}; known: {known}")
         if not isinstance(lanes, int) or lanes < 1:
             raise ValueError(f"lanes must be a positive int, got {lanes!r}")
         if vc_policy not in ("first_free", "round_robin"):
@@ -275,8 +275,8 @@ class FlitNetwork:
         # Component lists in dense iteration order (dict insertion order),
         # so the active-set engine arbitrates identically to the dense loop.
         # A shard keeps only its local components in these lists: everything
-        # downstream (hook installation, _wake_all, dense iteration, the
-        # array lane) restricts automatically.
+        # downstream (hook installation, _wake_all, dense iteration)
+        # restricts automatically.
         self.shard = frozenset(shard) if shard is not None else None
         if self.shard is None:
             self._switch_list = list(self.switches.values())
@@ -356,13 +356,6 @@ class FlitNetwork:
             if adapter.wire_in is not None:
                 adapter.wire_in.receiver = adapter
                 adapter.wire_in.notify = wake
-        #: Structure-of-arrays fast lane (engine="array" only): adopts the
-        #: object graph just built, so it must be constructed last.
-        self._lane = None
-        if engine == "array":
-            from repro.net.flitlevel.array_lane import ArrayLane
-
-            self._lane = ArrayLane(self)
 
     # -- active-set engine internals ------------------------------------------
     def _wake_component(self, comp) -> None:
@@ -741,20 +734,7 @@ class FlitNetwork:
         """Advance one byte-time; returns True if any flit moved."""
         if self._engine_active:
             return self._tick_active()
-        if self._lane is not None:
-            return self._tick_array()
         return self._tick_dense()
-
-    def _tick_array(self) -> bool:
-        """Array engine: scheduled actions on the object path, then the
-        lane's vectorized phases (see :mod:`repro.net.flitlevel.array_lane`
-        for the phase ordering and its equivalence argument)."""
-        self.ticks_executed += 1
-        self.now = now = self.now + 1
-        actions = self._actions
-        while actions and actions[0][0] <= now:
-            heapq.heappop(actions)[2]()
-        return self._lane.tick(now)
 
     def _tick_dense(self) -> bool:
         """Reference engine: poll every switch and adapter each tick."""

@@ -290,9 +290,9 @@ class CrossbarSwitch:
             A per-link pointer rotates one lane per allocation; the scan
             for an idle lane starts at the pointer.
 
-        Both read only output holder/waiting state, which every engine
-        mutates exclusively on the scalar object path in dense port order,
-        so allocation is byte-identical across dense/active/array.
+        Both read only output holder/waiting state, which both engines
+        mutate in dense port order, so allocation is byte-identical across
+        dense and active.
         """
         group = self.lane_groups.get(base)
         if group is None:

@@ -51,7 +51,6 @@ __all__ = [
     "Gauge",
     "MetricsRegistry",
     "Observability",
-    "PhaseTimer",
     "SNAPSHOT_VERSION",
     "TraceEvent",
     "merge_snapshots",
@@ -59,42 +58,6 @@ __all__ = [
     "summarize_entry",
 ]
 
-
-class PhaseTimer:
-    """Wall-time tally per engine phase (deliver/advance/contend/inject).
-
-    The array flit lane calls :meth:`add` once per phase per tick when an
-    observability bundle is attached; with ``obs=None`` the lane holds a
-    ``None`` timer and pays exactly one pointer test per phase (the same
-    contract as every other hook site).  The tally answers "where does a
-    saturated tick's time go" without a profiler in the loop.
-    """
-
-    __slots__ = ("seconds", "ticks")
-
-    def __init__(self) -> None:
-        self.seconds: Dict[str, float] = {}
-        self.ticks: Dict[str, int] = {}
-
-    def add(self, phase: str, elapsed: float) -> None:
-        self.seconds[phase] = self.seconds.get(phase, 0.0) + elapsed
-        self.ticks[phase] = self.ticks.get(phase, 0) + 1
-
-    def reset(self) -> None:
-        self.seconds.clear()
-        self.ticks.clear()
-
-    def summary(self) -> Optional[Dict[str, Dict[str, float]]]:
-        """Per-phase totals (strict JSON), or ``None`` when nothing ran."""
-        if not self.seconds:
-            return None
-        return {
-            phase: {
-                "seconds": self.seconds[phase],
-                "ticks": self.ticks[phase],
-            }
-            for phase in sorted(self.seconds)
-        }
 
 #: Default histogram bounds per latency family (unit noted per family).
 _WORM_LATENCY_BOUNDS = (0.0, 50_000.0, 50)      # byte-times
@@ -119,7 +82,7 @@ class Observability:
         Ring-buffer slots for the default tracer.
     """
 
-    __slots__ = ("metrics", "tracer", "kernel", "phases")
+    __slots__ = ("metrics", "tracer", "kernel")
 
     def __init__(
         self,
@@ -135,7 +98,6 @@ class Observability:
         else:
             self.tracer = None
         self.kernel: Optional[SimTrace] = SimTrace() if kernel else None
-        self.phases = PhaseTimer()
 
     # -- life cycle ----------------------------------------------------------
     def reset(self, now: float = 0.0) -> None:
@@ -147,7 +109,6 @@ class Observability:
         self.metrics.reset(now)
         if self.kernel is not None:
             self.kernel.reset()
-        self.phases.reset()
 
     def snapshot(self, now: Optional[float] = None) -> Dict[str, Any]:
         """Strict-JSON state of the bundle (see :func:`merge_snapshots`)."""
@@ -160,7 +121,6 @@ class Observability:
             if self.tracer is not None
             else None
         )
-        snap["phases"] = self.phases.summary()
         return snap
 
     # ======================================================================
@@ -399,13 +359,4 @@ def merge_snapshots(snapshots) -> Dict[str, Any]:
             "recorded": sum(t.get("recorded", 0) for t in traces),
             "dropped": sum(t.get("dropped", 0) for t in traces),
         }
-    phase_snaps = [s["phases"] for s in snaps if s.get("phases")]
-    if phase_snaps:
-        phases: Dict[str, Dict[str, float]] = {}
-        for snap in phase_snaps:
-            for name, entry in snap.items():
-                into = phases.setdefault(name, {"seconds": 0.0, "ticks": 0})
-                into["seconds"] += entry.get("seconds", 0.0)
-                into["ticks"] += entry.get("ticks", 0)
-        merged["phases"] = dict(sorted(phases.items()))
     return merged

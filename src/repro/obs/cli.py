@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["base", "s1_tree_restricted", "s2_interrupt", "s3_idle_flush"],
     )
     fig3.add_argument(
-        "--engine", default="active", choices=["active", "dense", "array"]
+        "--engine", default="active", choices=["active", "dense"]
     )
     fig3.add_argument("--worm-bytes", type=int, default=400)
     fig3.add_argument("--max-ticks", type=int, default=100_000)

@@ -348,17 +348,4 @@ def format_metrics_summary(snapshot: Dict[str, Any], top: int = 20) -> str:
             f"trace:  {trace.get('recorded', 0)} recorded, "
             f"{trace.get('dropped', 0)} dropped"
         )
-    phases = snapshot.get("phases")
-    if phases:
-        total = sum(e.get("seconds", 0.0) for e in phases.values()) or 1.0
-        lines.append("phases (engine wall time):")
-        for name, entry in sorted(
-            phases.items(), key=lambda kv: -kv[1].get("seconds", 0.0)
-        ):
-            seconds = entry.get("seconds", 0.0)
-            lines.append(
-                f"  {name.ljust(8)} {seconds:8.4f}s"
-                f"  {100.0 * seconds / total:5.1f}%"
-                f"  ({entry.get('ticks', 0)} ticks)"
-            )
     return "\n".join(lines)

@@ -106,7 +106,7 @@ def main(argv=None) -> int:
     cc.add_argument("--partitions", type=int, nargs="+", default=[2],
                     metavar="K")
     cc.add_argument("--scenario", action="append", default=None)
-    cc.add_argument("--engine", default="array")
+    cc.add_argument("--engine", default="active")
     cc.add_argument("--backend", default="inline",
                     choices=("inline", "process"))
     cc.add_argument("--digests", action="store_true",

@@ -73,11 +73,13 @@ class _ProbeInfo:
     rev_dest: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
 
-def _probe(scenario: ParScenario, k: int) -> _ProbeInfo:
+def _probe(scenario: ParScenario, k: int, engine: str) -> _ProbeInfo:
     base = next(_netmod._flit_worm_ids)
     wid_start = base + 1
     rebind_worm_ids(wid_start)
-    probe = scenario.build_net("dense")
+    # Built on the run's engine, so an unknown engine fails here, before
+    # any shard or worker process starts.
+    probe = scenario.build_net(engine)
     if probe.mode == IDLE_FLUSH:
         raise ValueError(
             "scheme 3 (idle_flush) cannot run under repro.par: a flush "
@@ -149,7 +151,7 @@ class _InlineBackend:
         for harness in self.shards:
             t0 = perf_counter()
             events, lp = harness.run_window(until)
-            fwd, rev, inj, dlv = harness.capture_edge(until)
+            fwd, rev, inj, dlv = harness.capture_edge()
             out.append((events, lp, fwd, rev, inj, dlv, perf_counter() - t0))
         return out
 
@@ -201,7 +203,7 @@ def _worker_main(conn, scenario_name, k, index, engine, wid_start, obs):
         if op == "window":
             t0 = perf_counter()
             events, lp = harness.run_window(msg[1])
-            fwd, rev, inj, dlv = harness.capture_edge(msg[1])
+            fwd, rev, inj, dlv = harness.capture_edge()
             conn.send((events, lp, fwd, rev, inj, dlv, perf_counter() - t0))
         elif op == "inject":
             t0 = perf_counter()
@@ -411,10 +413,8 @@ def _merge_obs(
         gauge("link.idles", link=lid, a=a, b=b).set(idles)
     gauge("flit.now").set(now)
     merged = merge_snapshots([merged, registry.snapshot()])
-    # Wall-clock phase timers and kernel/trace counts are not meaningful
-    # across shards; ticks_executed is deliberately omitted (shards tick
-    # their windows independently).
-    merged["phases"] = None
+    # Kernel/trace counts are not meaningful across shards; ticks_executed
+    # is deliberately omitted (shards tick their windows independently).
     merged["kernel"] = None
     merged["trace"] = None
     return merged
@@ -426,7 +426,7 @@ def _merge_obs(
 def run_partitioned(
     scenario,
     partitions: int,
-    engine: str = "array",
+    engine: str = "active",
     backend: str = "inline",
     obs: bool = False,
 ) -> ParResult:
@@ -435,7 +435,7 @@ def run_partitioned(
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     k = int(partitions)
-    info = _probe(scenario, k)
+    info = _probe(scenario, k, engine)
     try:
         build_t0 = perf_counter()
         if backend == "inline":

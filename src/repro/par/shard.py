@@ -10,7 +10,7 @@ barrier windows; at each window edge the harness
   the previous edge, clearing the wires so nothing ships twice, and
 * **injects** the batches addressed to it into its replica wires with the
   exact bookkeeping a local ``Wire.push`` / ``signal_stop`` would have
-  done (site tracking, empty->non-empty wake, ring-slot writes).
+  done (site tracking, empty->non-empty wake).
 
 Why this is exact: with window width ``W = min(cut wire delay)``, a flit
 pushed at tick ``t`` in window ``(t0, t1]`` has due tick ``t + delay >=
@@ -35,7 +35,7 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 import repro.net.flitlevel.network as _netmod
-from repro.net.flitlevel.array_lane import _WID_SHIFT, decode_flit, encode_flit
+from repro.net.flitlevel.flits import Flit, FlitKind
 from repro.net.topology import TopologyPartition, partition_topology
 
 __all__ = ["ShardHarness", "fail_node_flit", "rebind_worm_ids"]
@@ -49,6 +49,45 @@ __all__ = ["ShardHarness", "fail_node_flit", "rebind_worm_ids"]
 #: A given wire is *outbound* for the shard owning the sending endpoint
 #: and *inbound* for the other.
 CutKey = Tuple[int, int]
+
+# -- cut-wire flit codec ---------------------------------------------------------
+# Forward batches carry each flit as one int, so a batch pickles compactly
+# between processes.  Layout:
+# wid << 13 | kind << 10 | broadcast << 9 | multicast << 8 | value.
+_WID_SHIFT = 13
+_KIND_CODE = {
+    FlitKind.IDLE: 1,
+    FlitKind.ROUTE: 2,
+    FlitKind.DATA: 3,
+    FlitKind.FRAG_TAIL: 4,
+    FlitKind.TAIL: 5,
+}
+_KIND_OBJ = [
+    None, FlitKind.IDLE, FlitKind.ROUTE, FlitKind.DATA,
+    FlitKind.FRAG_TAIL, FlitKind.TAIL,
+]
+
+
+def encode_flit(flit: Flit) -> int:
+    """Pack a :class:`Flit` into its cut-wire int code."""
+    return (
+        (flit.wid << _WID_SHIFT)
+        | (_KIND_CODE[flit.kind] << 10)
+        | (bool(flit.broadcast) << 9)
+        | (bool(flit.multicast) << 8)
+        | flit.value
+    )
+
+
+def decode_flit(code: int) -> Flit:
+    """Unpack a cut-wire int code back into an (equal-valued) :class:`Flit`."""
+    return Flit(
+        _KIND_OBJ[(code >> 10) & 7],
+        code >> _WID_SHIFT,
+        value=code & 0xFF,
+        multicast=bool(code & 0x100),
+        broadcast=bool(code & 0x200),
+    )
 
 
 def rebind_worm_ids(base: int) -> None:
@@ -90,8 +129,7 @@ class ShardHarness:
         Shard count and this shard's index in the deterministic
         partition of the scenario topology.
     engine:
-        Flit engine for the replica (``"dense"``, ``"active"`` or
-        ``"array"``).
+        Flit engine for the replica (``"active"`` or ``"dense"``).
     wid_base:
         Start value for the worm-id counters; identical across replicas.
     obs:
@@ -124,7 +162,6 @@ class ShardHarness:
             bundle = Observability(tracer=False, kernel=False)
         self.net = scenario.build_net(engine, shard=local, obs=bundle)
         self.obs = bundle
-        self._lane = self.net._lane
 
         # -- cut-wire classification ------------------------------------
         topo = self.net.topology
@@ -141,14 +178,11 @@ class ShardHarness:
                 if shard_of[link.b] == index:
                     side = self.in_wires if a_to_b else self.out_wires
                     side[(lid, slot)] = wire
-        if self._lane is not None:
-            self._out_groups = self._delay_groups(self.out_wires)
-            self._in_groups = self._delay_groups(self.in_wires)
 
         # -- injection / delivery capture -------------------------------
         # All call sites look these methods up on the network instance at
-        # call time, so instance-attribute shadowing intercepts every
-        # engine (object adapters and the array lane's receive path).
+        # call time, so instance-attribute shadowing intercepts them on
+        # every engine.
         self._new_injections: List[Tuple[int, int]] = []
         self._new_deliveries: List[Tuple[int, int, int, Optional[int]]] = []
         net = self.net
@@ -176,21 +210,6 @@ class ShardHarness:
         net._note_injection = _note_injection
         net.record_delivery = _record_delivery
 
-    def _delay_groups(self, wires: Dict[CutKey, object]):
-        """Group cut wires by delay for block ring scans: one fancy-index
-        gather per (delay, direction-set) instead of one per wire."""
-        import numpy as np
-
-        by_delay: Dict[int, List[CutKey]] = {}
-        for key, wire in wires.items():
-            by_delay.setdefault(wire.delay, []).append(key)
-        groups = []
-        for delay in sorted(by_delay):
-            keys = sorted(by_delay[delay])
-            rows = np.array([wires[key]._row for key in keys], dtype=np.int64)
-            groups.append((delay, keys, rows))
-        return groups
-
     # -- windows ---------------------------------------------------------------
     def run_window(self, until: int) -> Tuple[int, int]:
         """Advance to exactly ``until``; returns (progress events inside
@@ -206,7 +225,7 @@ class ShardHarness:
         return events, net._last_progress_tick
 
     # -- window-edge capture -----------------------------------------------------
-    def capture_edge(self, t_edge: int):
+    def capture_edge(self):
         """Drain everything pushed since the previous edge.
 
         Returns ``(forward, reverse, injections, deliveries)`` where
@@ -216,49 +235,20 @@ class ShardHarness:
         """
         forward: Dict[CutKey, list] = {}
         reverse: Dict[CutKey, list] = {}
-        if self._lane is None:
-            for key in sorted(self.out_wires):
-                wire = self.out_wires[key]
-                if wire._forward:
-                    forward[key] = [
-                        (due, encode_flit(flit)) for due, flit in wire._forward
-                    ]
-                    wire._forward.clear()
-            for key in sorted(self.in_wires):
-                wire = self.in_wires[key]
-                if wire._reverse:
-                    reverse[key] = [
-                        (due, bool(stop)) for due, stop in wire._reverse
-                    ]
-                    wire._reverse.clear()
-        else:
-            import numpy as np
-
-            lane = self._lane
-            dmask = lane.dmask
-            for delay, keys, rows in self._out_groups:
-                cols = np.arange(t_edge + 1, t_edge + 1 + delay) & dmask
-                block = lane.w_buf[np.ix_(rows, cols)]
-                ii, jj = np.nonzero(block)
-                if ii.size:
-                    vals = block[ii, jj].tolist()
-                    for i, j, code in zip(ii.tolist(), jj.tolist(), vals):
-                        forward.setdefault(keys[i], []).append(
-                            (t_edge + 1 + j, code)
-                        )
-                    lane.w_buf[rows[ii], cols[jj]] = 0
-            for delay, keys, rows in self._in_groups:
-                cols = np.arange(t_edge + 1, t_edge + 1 + delay) & dmask
-                block = lane.w_rsig[np.ix_(rows, cols)]
-                ii, jj = np.nonzero(block >= 0)
-                if ii.size:
-                    vals = block[ii, jj].tolist()
-                    for i, j, sig in zip(ii.tolist(), jj.tolist(), vals):
-                        reverse.setdefault(keys[i], []).append(
-                            (t_edge + 1 + j, bool(sig))
-                        )
-                    lane.w_rsig[rows[ii], cols[jj]] = -1
-                    lane._rsig_pending -= ii.size
+        for key in sorted(self.out_wires):
+            wire = self.out_wires[key]
+            if wire._forward:
+                forward[key] = [
+                    (due, encode_flit(flit)) for due, flit in wire._forward
+                ]
+                wire._forward.clear()
+        for key in sorted(self.in_wires):
+            wire = self.in_wires[key]
+            if wire._reverse:
+                reverse[key] = [
+                    (due, bool(stop)) for due, stop in wire._reverse
+                ]
+                wire._reverse.clear()
         injections = self._new_injections
         deliveries = self._new_deliveries
         self._new_injections = []
@@ -274,46 +264,25 @@ class ShardHarness:
         carries ``(wid, injected_at)`` stamps from remote source
         adapters (needed for delivery-latency obs on this side)."""
         net = self.net
-        if self._lane is None:
-            for key in sorted(forward):
-                wire = self.in_wires[key]
-                if not wire.alive:
-                    continue  # a dead wire swallows flits, as push does
-                if not wire._forward and wire.notify is not None:
-                    wire.notify(wire.receiver)
-                append = wire._forward.append
-                for due, code in forward[key]:
-                    flit = decode_flit(code)
-                    if flit.wid != wire._tracked_wid:
-                        wire._tracked_wid = flit.wid
-                        net._register_site(flit.wid, wire)
-                    append((due, flit))
-            for key in sorted(reverse):
-                # signal_stop has no aliveness gate; neither does this.
-                wire = self.out_wires[key]
-                append = wire._reverse.append
-                for due, stop in reverse[key]:
-                    append((due, stop))
-        else:
-            lane = self._lane
-            dmask = lane.dmask
-            tracked = lane.w_tracked
-            for key in sorted(forward):
-                wire = self.in_wires[key]
-                row = wire._row
-                if not lane.w_alive[row]:
-                    continue
-                for due, code in forward[key]:
-                    wid = code >> _WID_SHIFT
-                    if wid != tracked[row]:
-                        tracked[row] = wid
-                        net._register_site(wid, wire)
-                    lane.w_buf[row, due & dmask] = code
-            for key in sorted(reverse):
-                row = self.out_wires[key]._row
-                for due, stop in reverse[key]:
-                    lane.w_rsig[row, due & dmask] = 1 if stop else 0
-                    lane._rsig_pending += 1
+        for key in sorted(forward):
+            wire = self.in_wires[key]
+            if not wire.alive:
+                continue  # a dead wire swallows flits, as push does
+            if not wire._forward and wire.notify is not None:
+                wire.notify(wire.receiver)
+            append = wire._forward.append
+            for due, code in forward[key]:
+                flit = decode_flit(code)
+                if flit.wid != wire._tracked_wid:
+                    wire._tracked_wid = flit.wid
+                    net._register_site(flit.wid, wire)
+                append((due, flit))
+        for key in sorted(reverse):
+            # signal_stop has no aliveness gate; neither does this.
+            wire = self.out_wires[key]
+            append = wire._reverse.append
+            for due, stop in reverse[key]:
+                append((due, stop))
         records = net.records
         for wid, tick in injected:
             record = records.get(wid)
@@ -396,9 +365,6 @@ class ShardHarness:
         snap = None
         if self.obs is not None:
             snap = self.obs.snapshot()
-            # The array lane's phase timer measures wall seconds --
-            # nondeterministic across runs and shard counts.
-            snap["phases"] = None
             snap["kernel"] = None
             snap["trace"] = None
         return timeline, self.wire_stats(), snap

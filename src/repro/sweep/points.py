@@ -431,7 +431,7 @@ def _partitioned_run(params: Dict[str, Any]) -> Dict[str, Any]:
     """One K-way-partitioned run of a registered :mod:`repro.par` scenario.
 
     Required params: ``scenario``.  Optional: ``partitions`` (default 2),
-    ``engine`` (default ``"array"``), ``backend`` (``"inline"`` /
+    ``engine`` (default ``"active"``), ``backend`` (``"inline"`` /
     ``"process"``), ``verify`` (default True: also run the sequential
     reference and record whether the merged timeline matched it byte for
     byte), ``timing`` (default False: include wall-clock fields, which
@@ -444,7 +444,7 @@ def _partitioned_run(params: Dict[str, Any]) -> Dict[str, Any]:
 
     name = params["scenario"]
     k = int(params.get("partitions", 2))
-    engine = str(params.get("engine", "array"))
+    engine = str(params.get("engine", "active"))
     result = run_partitioned(
         name, k, engine=engine, backend=str(params.get("backend", "inline"))
     )

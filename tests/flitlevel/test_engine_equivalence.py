@@ -1,12 +1,11 @@
 """Cross-engine equivalence: byte-identical semantics.
 
-The active-set and array engines must reproduce the dense polling loop
-exactly --
+The active-set engine must reproduce the dense polling loop exactly --
 same per-worm injection and delivery ticks, same retransmission counts,
 same final status -- across every multicast mode, with and without
 tree-restricted routing, and under link fail/repair.  These tests run
-each scenario under dense vs each optimized engine and diff the
-canonical timelines from :mod:`repro.net.flitlevel.crosscheck`.
+each scenario under dense vs active and diff the canonical timelines
+from :mod:`repro.net.flitlevel.crosscheck`.
 """
 
 import pytest
@@ -17,23 +16,8 @@ from repro.net.flitlevel import FlitNetwork, MulticastMode
 from repro.net.flitlevel.crosscheck import crosscheck
 from repro.sweep.points import execute_point
 
-try:
-    import numpy  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    _HAVE_NUMPY = False
-
 #: Candidate engines checked against the dense baseline.
-CANDIDATES = [
-    "active",
-    pytest.param(
-        "array",
-        marks=pytest.mark.skipif(
-            not _HAVE_NUMPY, reason="array engine needs numpy"
-        ),
-    ),
-]
+CANDIDATES = ["active"]
 
 
 def _fabric_links(topo):
@@ -179,10 +163,8 @@ def test_quiet_limit_none_times_out_on_both_engines():
     from repro.core.switch_mcast import build_switch_multicast_network
     from repro.net.topology import fig3_topology
 
-    engines = ("dense", "active", "array") if _HAVE_NUMPY else (
-        "dense", "active")
     statuses = {}
-    for engine in engines:
+    for engine in ("dense", "active"):
         # The Figure 3 race wedges the base scheme: with detection
         # disabled the run must grind to max_ticks and report "timeout".
         topology = fig3_topology()
@@ -331,43 +313,3 @@ def test_saturated_shufflenet_equivalent(candidate, lanes, vc_policy):
 
     report = crosscheck(scenario, engines=("dense", candidate))
     assert report.ok, report.describe()
-
-
-@pytest.mark.skipif(not _HAVE_NUMPY, reason="array engine needs numpy")
-def test_array_phase_timer_does_not_perturb():
-    # The array lane feeds repro.obs's phase timer when (and only when)
-    # an Observability is attached; attaching it must not perturb the
-    # simulation, and the timer must see every vector phase.
-    from repro.obs import Observability
-    from repro.net.flitlevel.crosscheck import worm_timeline
-
-    def run(obs):
-        topo = bidirectional_shufflenet(2, 3)
-        net = FlitNetwork(topo, engine="array", seed=21, obs=obs)
-        hosts = topo.hosts
-        for i, src in enumerate(hosts):
-            net.send_unicast(src, hosts[(i + 7) % len(hosts)],
-                             payload_bytes=60)
-        status = net.run(max_ticks=60_000)
-        return net, status
-
-    plain_net, plain_status = run(None)
-    assert plain_net._lane.timer is None  # zero overhead when detached
-
-    obs = Observability()
-    traced_net, traced_status = run(obs)
-    assert traced_net._lane.timer is obs.phases
-
-    plain = worm_timeline(plain_net, plain_status)
-    traced = worm_timeline(traced_net, traced_status)
-    assert plain == traced
-
-    summary = obs.phases.summary()
-    assert summary is not None
-    assert {"deliver", "advance", "contend"} <= set(summary)
-    for rec in summary.values():
-        assert rec["seconds"] >= 0.0
-        assert rec["ticks"] > 0
-    # The snapshot carries the same numbers for export/merge.
-    snap = obs.snapshot(traced_net.now)
-    assert set(snap["phases"]) == set(summary)

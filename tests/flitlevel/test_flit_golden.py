@@ -1,8 +1,8 @@
 """Golden records of the flit-level engines.
 
-Every engine shares ``InputPort.absorb``, ``CrossbarSwitch._stream`` and
-``Wire.push``, so the engine crosschecks (dense vs active vs array) cannot
-see a change to that shared code: both sides of the comparison move
+Both engines share ``InputPort.absorb``, ``CrossbarSwitch._stream`` and
+``Wire.push``, so the engine crosscheck (dense vs active) cannot see a
+change to that shared code: both sides of the comparison move
 together.  These pins can.  Each scenario pins two sha256 digests:
 
 * ``timeline`` -- :func:`~repro.net.flitlevel.crosscheck.timeline_digest`
@@ -18,9 +18,9 @@ base scheme at two lanes, the ``vc_lanes`` traffic for every multicast
 mode, lane count and allocation policy on a small torus and a 2-ary
 4-fly, a link failed and repaired mid-worm, a broadcast and a
 host-adapter (Hamiltonian) multicast.  Each runs on the active and dense
-engines, and on the array engine when numpy imports; all three must read
-the same pins.  ``ticks_executed`` is deliberately not pinned: it counts
-the ticks an engine chose to execute, not the physics.
+engines, and both must read the same pins.  ``ticks_executed`` is
+deliberately not pinned: it counts the ticks an engine chose to execute,
+not the physics.
 
 Re-pin after a change that is meant to change the physics::
 
@@ -39,14 +39,7 @@ from repro.net.flitlevel.crosscheck import timeline_digest, worm_timeline
 from repro.net.flitlevel.network import FlitNetwork
 from repro.net.topology import butterfly, fig3_topology, ring, torus
 
-try:
-    import numpy  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    _HAVE_NUMPY = False
-
-ENGINES = ("active", "dense", "array") if _HAVE_NUMPY else ("active", "dense")
+ENGINES = ("active", "dense")
 
 
 def _digest(obj) -> str:

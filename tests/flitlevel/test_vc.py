@@ -20,14 +20,7 @@ from repro.net.flitlevel.crosscheck import (
     worm_timeline,
 )
 
-try:
-    import numpy  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    _HAVE_NUMPY = False
-
-ENGINES = ("dense", "active", "array") if _HAVE_NUMPY else ("dense", "active")
+ENGINES = ("dense", "active")
 
 
 # -- wiring ------------------------------------------------------------------

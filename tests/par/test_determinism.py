@@ -26,14 +26,14 @@ from repro.par import run_partitioned, run_sequential
 #: boundary-fault scenarios cover mid-worm faults on cut links and on a
 #: boundary switch.
 _COVERED = [
-    ("fig3_base", ("dense", "array")),
-    ("fig3_s1", ("array",)),
-    ("fig3_s2", ("array",)),
-    ("mixed_torus", ("dense", "array")),
-    ("saturated_shufflenet", ("array",)),
-    ("bcast_torus_8", ("dense", "active", "array")),
-    ("torus_boundary_fault", ("dense", "array")),
-    ("torus_boundary_node_fault", ("array",)),
+    ("fig3_base", ("dense", "active")),
+    ("fig3_s1", ("active",)),
+    ("fig3_s2", ("active",)),
+    ("mixed_torus", ("dense", "active")),
+    ("saturated_shufflenet", ("active",)),
+    ("bcast_torus_8", ("dense", "active")),
+    ("torus_boundary_fault", ("dense", "active")),
+    ("torus_boundary_node_fault", ("active",)),
 ]
 
 
@@ -54,7 +54,7 @@ def test_digest_identical_across_partition_counts(name, engines):
 def test_crosscheck_partitioned_report():
     report = crosscheck_partitioned("mixed_torus", 2)
     assert report.ok, report.describe()
-    assert report.engines == ("array/seq", "array/K=2")
+    assert report.engines == ("active/seq", "active/K=2")
     # Shards each tick the full window span, so executed ticks scale with
     # K while the timeline does not.
     assert report.candidate_ticks == 2 * report.baseline_ticks
@@ -63,7 +63,7 @@ def test_crosscheck_partitioned_report():
 def test_merged_obs_snapshot_is_k_invariant():
     snapshots = {}
     for k in (1, 2, 4):
-        result = run_partitioned("mixed_torus", k, engine="array", obs=True)
+        result = run_partitioned("mixed_torus", k, engine="active", obs=True)
         assert result.obs_snapshot is not None
         snapshots[k] = json.dumps(
             result.obs_snapshot, sort_keys=True, default=str
@@ -72,7 +72,7 @@ def test_merged_obs_snapshot_is_k_invariant():
 
 
 def test_merged_obs_counters_match_timeline():
-    result = run_partitioned("mixed_torus", 2, engine="array", obs=True)
+    result = run_partitioned("mixed_torus", 2, engine="active", obs=True)
     metrics = {
         (entry["name"], tuple(sorted(entry["tags"].items()))): entry
         for entry in result.obs_snapshot["metrics"]
@@ -88,7 +88,7 @@ def test_merged_obs_counters_match_timeline():
 def test_boundary_fault_loses_same_worms_at_every_k():
     per_k = {}
     for k in (1, 2, 4):
-        result = run_partitioned("torus_boundary_fault", k, engine="array")
+        result = run_partitioned("torus_boundary_fault", k, engine="active")
         per_k[k] = (
             result.timeline["worms_lost"],
             result.timeline["killed"],
@@ -100,8 +100,8 @@ def test_boundary_fault_loses_same_worms_at_every_k():
 
 def test_process_backend_matches_inline():
     for name in ("mixed_torus", "torus_boundary_node_fault"):
-        inline = run_partitioned(name, 2, engine="array", backend="inline")
-        proc = run_partitioned(name, 2, engine="array", backend="process")
+        inline = run_partitioned(name, 2, engine="active", backend="inline")
+        proc = run_partitioned(name, 2, engine="active", backend="process")
         assert timeline_digest(proc.timeline) == timeline_digest(
             inline.timeline
         )

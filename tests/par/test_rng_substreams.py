@@ -32,12 +32,12 @@ def test_replicas_build_identical_schedules():
     base = next(netmod._flit_worm_ids) + 1
 
     rebind_worm_ids(base)
-    reference_net = scenario.build_net("array")
+    reference_net = scenario.build_net("active")
     reference = _schedule(reference_net)
     reference_rng = reference_net._rng._rng.getstate()
 
     for index in range(2):
-        harness = ShardHarness(scenario, 2, index, "array", base)
+        harness = ShardHarness(scenario, 2, index, "active", base)
         assert _schedule(harness.net) == reference
         # The network RNG substream is in the identical state too: no
         # replica consumed extra draws while building.
@@ -47,7 +47,7 @@ def test_replicas_build_identical_schedules():
 def test_replica_rng_is_seed_derived_not_process_local():
     scenario = get_scenario("mixed_torus")
     base = next(netmod._flit_worm_ids) + 1
-    harness = ShardHarness(scenario, 2, 0, "array", base)
+    harness = ShardHarness(scenario, 2, 0, "active", base)
     expected = RandomStreams(
         seed=scenario.net_kwargs["seed"]
     ).stream("flitnet")
@@ -62,7 +62,7 @@ def test_sharded_traffic_schedule_bit_equal_to_sequential():
     # must reproduce the sequential timeline exactly, which it can only
     # do if every worker's RNG and traffic schedule were bit-equal.
     for name in ("fig3_s2", "mixed_torus"):
-        net, status = run_sequential(name, "array")
+        net, status = run_sequential(name, "active")
         reference = timeline_digest(worm_timeline(net, status))
-        result = run_partitioned(name, 2, engine="array", backend="process")
+        result = run_partitioned(name, 2, engine="active", backend="process")
         assert timeline_digest(result.timeline) == reference

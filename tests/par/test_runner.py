@@ -10,6 +10,7 @@ from repro.par import (
     run_partitioned,
     run_sequential,
 )
+from repro.sweep.points import execute_point
 
 
 def _unicast_pair(net):
@@ -20,10 +21,10 @@ def _unicast_pair(net):
 
 def test_statuses_match_sequential():
     for name, expected in [("fig3_base", "deadlock"), ("fig3_s1", "delivered")]:
-        net, status = run_sequential(name, "array")
+        net, status = run_sequential(name, "active")
         assert status == expected
         for k in (1, 2):
-            result = run_partitioned(name, k, engine="array")
+            result = run_partitioned(name, k, engine="active")
             assert result.status == status
             assert result.now == net.now
 
@@ -37,10 +38,10 @@ def test_timeout_status_reconstructed():
         max_ticks=40,          # far too small to deliver
         quiet_limit=2_000,
     )
-    net, status = run_sequential(scenario, "array")
+    net, status = run_sequential(scenario, "active")
     assert status == "timeout"
     for k in (1, 2):
-        result = run_partitioned(scenario, k, engine="array")
+        result = run_partitioned(scenario, k, engine="active")
         assert result.status == "timeout"
         assert result.now == net.now == 40
 
@@ -99,10 +100,10 @@ def test_process_backend_requires_registered_scenario():
 
 
 def test_result_metadata():
-    result = run_partitioned("saturated_torus_8", 4, engine="array")
+    result = run_partitioned("saturated_torus_8", 4, engine="active")
     assert result.scenario == "saturated_torus_8"
     assert result.k == 4
-    assert result.engine == "array"
+    assert result.engine == "active"
     assert result.backend == "inline"
     assert result.scheme == "torus-rows"
     assert result.cut_links == 32
@@ -123,9 +124,9 @@ def test_worm_id_counters_survive_a_run():
     # increasing wids.
     import repro.net.flitlevel.network as netmod
 
-    run_partitioned("mixed_torus", 2, engine="array")
+    run_partitioned("mixed_torus", 2, engine="active")
     a = next(netmod._flit_worm_ids)
-    run_partitioned("mixed_torus", 4, engine="array")
+    run_partitioned("mixed_torus", 4, engine="active")
     b = next(netmod._flit_worm_ids)
     assert b > a
 
@@ -145,3 +146,22 @@ def test_scenario_registry_lookup():
     assert get_scenario("fig3_base").name == "fig3_base"
     with pytest.raises(KeyError, match="unknown par scenario"):
         get_scenario("nope")
+
+
+def test_partitioned_run_point_defaults_to_active():
+    record = execute_point(
+        "partitioned_run", {"scenario": "mixed_torus", "partitions": 2}
+    )
+    assert record["engine"] == "active"
+    assert record["match"] is True
+
+
+@pytest.mark.parametrize("backend", ["inline", "process"])
+def test_partitioned_run_point_rejects_unknown_engine(backend):
+    # Rejected before any shard is built, so the process backend raises
+    # the same error instead of losing it in a worker.
+    with pytest.raises(ValueError, match="unknown engine 'array'; known: "
+                                         "active, dense"):
+        execute_point("partitioned_run", {
+            "scenario": "mixed_torus", "engine": "array", "backend": backend,
+        })

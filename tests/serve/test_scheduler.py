@@ -154,8 +154,11 @@ def test_backoff_retry_survives_garbage_collection():
             return [{"ok": True, "record": {"attempt": self.calls}} for _ in payloads]
 
     async def main():
+        # The backoff must outlast the three collections below: in a full
+        # tier-1 run each pass takes ~0.1 s, and ~0.2 s when it finds
+        # garbage earlier tests left.
         config = ServeConfig(
-            workers=1, retry_backoff=0.5, backoff_factor=1.0, max_retries=2
+            workers=1, retry_backoff=2.0, backoff_factor=1.0, max_retries=2
         )
         sched = Scheduler(config, pool=CrashOncePool())
         sched.start()
