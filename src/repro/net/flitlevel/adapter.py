@@ -70,12 +70,12 @@ class FlitAdapter:
     # -- sending ------------------------------------------------------------
     def enqueue(self, record: WormRecord) -> None:
         self._tx.append(record)
-        self.network._wake_component(self)
+        self.network._wake_host(self)
 
     def requeue_front(self, record: WormRecord) -> None:
         """Put a flushed worm back at the head of the queue (retransmit)."""
         self._tx.appendleft(record)
-        self.network._wake_component(self)
+        self.network._wake_host(self)
 
     @property
     def sending(self) -> Optional[WormRecord]:

@@ -239,13 +239,15 @@ def crosscheck_partitioned(
 
 
 def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
-    """Two quick scenarios covering both hot paths: a mixed-traffic torus
-    (headers, grants, multicast replication) and a saturated shufflenet
-    (every port streaming at once).  ``lanes``/``vc_policy`` thread the
-    virtual-channel configuration through both networks, so the same
+    """Three quick scenarios covering the hot paths: a mixed-traffic torus
+    (headers, grants, multicast replication), a saturated shufflenet
+    (every port streaming at once) and a sparse 2-ary 5-fly (a fabric
+    mostly never built by the active engine, with a link cut ahead of a
+    queued worm before its wires exist).  ``lanes``/``vc_policy`` thread
+    the virtual-channel configuration through every network, so the same
     scenarios prove multi-lane runs byte-identical across engines."""
     from repro.net.flitlevel.network import FlitNetwork
-    from repro.net.topology import bidirectional_shufflenet, torus
+    from repro.net.topology import bidirectional_shufflenet, butterfly, torus
 
     def mixed(engine):
         topo = torus(3, 3)
@@ -275,7 +277,30 @@ def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
         status = net.run(max_ticks=60_000)
         return net, status
 
-    return {"mixed_torus": mixed, "saturated_shufflenet": saturated}
+    def sparse_fly(engine):
+        topo = butterfly(k=2, n=5)
+        net = FlitNetwork(topo, engine=engine, seed=4,
+                          lanes=lanes, vc_policy=vc_policy)
+        hosts = topo.hosts
+        net.send_unicast(hosts[0], hosts[-1], payload_bytes=96)
+        # Cut the queued worm's last fabric hop before its head gets there.
+        cut = net.routing.route(hosts[0], hosts[-1])[-2][2].id
+        for _ in range(4):
+            net.tick()
+        net.fail_link(cut)
+        net.send_multicast(
+            hosts[1], [hosts[-1], hosts[-5], hosts[20]], payload_bytes=80,
+        )
+        net.send_unicast(hosts[3], hosts[-2], payload_bytes=64, start_delay=5)
+        status = net.run(max_ticks=60_000, quiet_limit=2_000,
+                         raise_on_deadlock=False)
+        return net, status
+
+    return {
+        "mixed_torus": mixed,
+        "saturated_shufflenet": saturated,
+        "sparse_fly": sparse_fly,
+    }
 
 
 def main(argv=None) -> int:

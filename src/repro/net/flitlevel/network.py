@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
+from collections.abc import Mapping
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -79,6 +80,35 @@ class DeadlockDetected(RuntimeError):
         self.stuck = stuck
 
 
+class _BuildOnRead(Mapping):
+    """Read-only view of a lazily built fabric: iterates every key in
+    order, and reading an entry builds it."""
+
+    __slots__ = ("_keys", "_built", "_build")
+
+    def __init__(self, keys, built: dict, build: Callable) -> None:
+        self._keys = keys
+        self._built = built
+        self._build = build
+
+    def __getitem__(self, key):
+        value = self._built.get(key)
+        if value is None:
+            if key not in self._keys:
+                raise KeyError(key)
+            value = self._build(key)
+        return value
+
+    def __contains__(self, key) -> bool:
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 class FlitNetwork:
     """Byte-granular wormhole network over a topology.
 
@@ -115,21 +145,27 @@ class FlitNetwork:
     engine:
         ``"active"`` (default) ticks only the switch input ports and host
         adapters registered in the network's active set and fast-forwards
-        the clock across quiescent spans; ``"dense"`` is the reference
-        loop that polls every switch port and adapter each byte-time.
-        Both produce byte-identical worm timelines (see
-        :mod:`repro.net.flitlevel.crosscheck`).
+        the clock across quiescent spans.  It also builds a switch (its
+        ports, slack buffers, lane groups and its links' wires) only on
+        first touch: when its host adapter is handed a worm, or when a
+        flit is pushed onto a wire toward it.  ``"dense"`` is the
+        reference loop that builds every switch up front and polls every
+        switch port and adapter each byte-time.  Both produce
+        byte-identical worm timelines (see
+        :mod:`repro.net.flitlevel.crosscheck`).  ``switches`` lists every
+        switch either way; reading an entry builds it.
     obs:
         Optional :class:`~repro.obs.Observability` bundle; worm-lifecycle
         hooks cost one pointer test each when ``None`` and are purely
         passive when set (results stay byte-identical either way).
     shard:
         Optional iterable of switch ids restricting which components this
-        instance *ticks*.  The full object graph (all switches, adapters,
-        wires, records) is still built -- a shard is a replica that only
-        advances its local partition; everything else stays frozen and is
-        driven externally through cut wires by :mod:`repro.par`.  Hosts
-        follow their switch.  ``None`` (the default) ticks everything.
+        instance builds and ticks: a shard is a replica that only advances
+        its local partition and never builds a switch outside it.  Every
+        host adapter and worm record exists in every replica; remote
+        traffic arrives through cut wires driven by :mod:`repro.par`.
+        Hosts follow their switch.  ``None`` (the default) ticks
+        everything.
     """
 
     def __init__(
@@ -161,6 +197,15 @@ class FlitNetwork:
         except ValueError:
             known = ", ".join(m.value for m in MulticastMode)
             raise ValueError(f"unknown mode {mode!r}; known: {known}") from None
+        if slack_capacity < 2:
+            raise ValueError(
+                f"slack_capacity must be at least 2, got {slack_capacity!r}"
+            )
+        lo, hi = flush_backoff
+        if not 0 <= lo <= hi:
+            raise ValueError(
+                f"flush_backoff must satisfy 0 <= lo <= hi, got {flush_backoff!r}"
+            )
         self.lanes = lanes
         self.vc_policy = vc_policy
         self.engine = engine
@@ -185,120 +230,78 @@ class FlitNetwork:
         self._actions: List[Tuple[int, int, Callable[[], None]]] = []
         self._action_seq = itertools.count()
 
-        # Build switches with ports in adjacency order (port numbers in
-        # source routes are adjacency indices).
-        self.switches: Dict[int, CrossbarSwitch] = {}
-        self.adapters: Dict[int, FlitAdapter] = {}
-        self._wires: List[Wire] = []
-        #: (node, link id) -> port index at that node's switch
+        self.slack_capacity = slack_capacity
+        self.wire_delay = wire_delay
+        self.shard = frozenset(shard) if shard is not None else None
+        if self.shard is not None:
+            unknown = self.shard - set(topology.switches)
+            if unknown:
+                raise ValueError(f"shard names non-switches: {sorted(unknown)}")
+
+        self.adapters: Dict[int, FlitAdapter] = {
+            hid: FlitAdapter(self, hid) for hid in topology.hosts
+        }
+        # Port numbers, for every switch up front: route bytes name them
+        # before the switch is built.  Ports follow adjacency order, and a
+        # switch-to-switch link takes ``lanes`` consecutive ports from its
+        # base (host-adapter links always carry one lane).
+        #: (switch, link id) -> base port index at that switch
         self._port_of: Dict[Tuple[int, int], int] = {}
-
+        #: switch -> ``_net_seq`` of its port 0: ports are numbered through
+        #: the topology's switch order, whatever order they are built in.
+        self._seq_base: Dict[int, int] = {}
+        seq = 0
         for sid in topology.switches:
-            self.switches[sid] = CrossbarSwitch(
-                self, sid, slack_capacity=slack_capacity
-            )
-        for hid in topology.hosts:
-            self.adapters[hid] = FlitAdapter(self, hid)
-
-        for sid in topology.switches:
-            switch = self.switches[sid]
+            self._seq_base[sid] = seq
+            port = 0
             for link in topology.adjacent(sid):
-                peer = link.other(sid)
-                delay = max(1, wire_delay + int(link.prop_delay))
-                host_peer = topology.node(peer).is_host
-                # Virtual channels: a switch-to-switch link carries `lanes`
-                # full wire pairs, each behind its own port (slack buffer +
-                # STOP/GO credit).  Host-adapter links stay single-lane.
-                n_lanes = 1 if host_peer else lanes
-                ports = []
-                for _lane in range(n_lanes):
-                    wire_in = Wire(delay=delay)
-                    wire_out = Wire(delay=delay)
-                    ports.append(switch.add_port(wire_in, wire_out))
-                    self._wires.extend([wire_in, wire_out])
-                base = ports[0]
-                if base >= BROADCAST_BYTE:
+                if port >= BROADCAST_BYTE:
                     raise ValueError(
-                        f"switch {sid}: port index {base} for link {link.id} "
+                        f"switch {sid}: port index {port} for link {link.id} "
                         f"exceeds the route-byte limit ({BROADCAST_BYTE - 1}); "
                         f"a switch supports at most {BROADCAST_BYTE} ports "
                         f"(degree x lanes) -- reduce the radix or lanes={lanes}"
                     )
-                self._port_of[(sid, link.id)] = base
-                if n_lanes > 1:
-                    switch.register_lane_group(ports)
-                if host_peer:
-                    adapter = self.adapters[peer]
-                    adapter.wire_out = switch.inputs[base].wire  # host -> switch
-                    adapter.wire_in = switch.outputs[base].wire  # switch -> host
-        # Second pass: splice switch-to-switch wires so each side shares
-        # the same Wire object per direction, lane by lane (lane ports are
-        # consecutive from the base on both sides).
-        spliced = set()
-        for link in topology.links:
-            if not (
-                topology.node(link.a).is_switch and topology.node(link.b).is_switch
-            ):
-                continue
-            if link.id in spliced:
-                continue
-            spliced.add(link.id)
-            pa = self._port_of[(link.a, link.id)]
-            pb = self._port_of[(link.b, link.id)]
-            sa, sb = self.switches[link.a], self.switches[link.b]
-            for off in range(lanes):
-                # a's out wire is b's in wire and vice versa.
-                sb.inputs[pb + off].wire = sa.outputs[pa + off].wire
-                sa.inputs[pa + off].wire = sb.outputs[pb + off].wire
-        # The wires actually carrying each link's traffic (post-splice),
-        # ordered [a->b, b->a] per lane so lane l occupies slots 2l, 2l+1
-        # (repro.par keys cut-wire batches by this ordering).
-        self._link_wires: Dict[int, List[Wire]] = {}
-        for link in topology.links:
-            a_host = topology.node(link.a).is_host
-            b_host = topology.node(link.b).is_host
-            if a_host or b_host:
-                host = link.a if a_host else link.b
-                adapter = self.adapters[host]
-                self._link_wires[link.id] = [adapter.wire_out, adapter.wire_in]
-            else:
-                pa = self._port_of[(link.a, link.id)]
-                pb = self._port_of[(link.b, link.id)]
-                self._link_wires[link.id] = [
-                    self.switches[end].outputs[port + off].wire
-                    for off in range(lanes)
-                    for end, port in ((link.a, pa), (link.b, pb))
-                ]
-        self._refresh_down_ports()
+                self._port_of[(sid, link.id)] = port
+                port += self._lanes_of(link)
+            seq += port
+
+        self._links = topology.links
+        #: Built components: switches by id and each link's wires
+        #: (``[a->b, b->a]`` per lane, so lane l occupies slots 2l, 2l+1;
+        #: repro.par keys cut-wire batches by this ordering).
+        self._built_switches: Dict[int, CrossbarSwitch] = {}
+        self._built_links: Dict[int, List[Wire]] = {}
+        #: Links this network failed and has not repaired: their wires,
+        #: built now or later, are dead.
+        self._failed_links: set = set()
+        #: Every switch in topology order; reading an entry builds it.
+        self.switches = _BuildOnRead(
+            dict.fromkeys(topology.switches), self._built_switches,
+            self._build_switch,
+        )
+        #: Every link's wires; reading an entry builds them.
+        self._link_wires = _BuildOnRead(
+            range(len(self._links)), self._built_links, self._build_link
+        )
 
         # -- active-set / progress bookkeeping --------------------------------
-        # Component lists in dense iteration order (dict insertion order),
-        # so the active-set engine arbitrates identically to the dense loop.
-        # A shard keeps only its local components in these lists: everything
-        # downstream (hook installation, _wake_all, dense iteration)
-        # restricts automatically.
-        self.shard = frozenset(shard) if shard is not None else None
-        if self.shard is None:
-            self._switch_list = list(self.switches.values())
-            self._adapter_list = list(self.adapters.values())
-        else:
-            unknown = self.shard - set(self.switches)
-            if unknown:
-                raise ValueError(f"shard names non-switches: {sorted(unknown)}")
-            self._switch_list = [
-                s for sid, s in self.switches.items() if sid in self.shard
-            ]
-            self._adapter_list = [
-                a
-                for hid, a in self.adapters.items()
-                if topology.host_switch(hid) in self.shard
-            ]
+        # A shard keeps only its local components in these lists, so
+        # _wake_all and dense iteration restrict with them.
+        #: Built local switches, in build order (topology order under the
+        #: dense engine, which builds them all below).
+        self._switch_list: List[CrossbarSwitch] = []
+        self._adapter_list = [
+            a for hid, a in self.adapters.items()
+            if self._local(topology.host_switch(hid))
+        ]
+        if self.shard is not None:
             # Non-local components must never enter the active set.  Only
-            # local ports get wire wake hooks (below), but any adapter can
-            # be handed a worm (enqueue wakes it): marking non-local
-            # adapters permanently "active" makes that wake a no-op (they
-            # are not in _adapter_list, so they are never ticked and never
-            # settle back out).
+            # local ports get wire wake hooks, but any adapter can be
+            # handed a worm (enqueue wakes it): marking non-local adapters
+            # permanently "active" makes that wake a no-op (they are not in
+            # _adapter_list, so they are never ticked and never settle back
+            # out).
             local_adapters = set(self._adapter_list)
             for a in self.adapters.values():
                 if a not in local_adapters:
@@ -327,35 +330,126 @@ class FlitNetwork:
         #: deterministic run to run (byte reproducibility).
         self._worm_sites: Dict[int, Dict[object, bool]] = {}
         #: Active set: input ports and adapters, each list in dense
-        #: iteration order (ports by switch creation order, then port
-        #: index).  A fresh network has nothing in flight, so nothing is
-        #: active until a worm is enqueued.
+        #: iteration order (ports by ``_net_seq``, adapters by host order).
+        #: A fresh network has nothing in flight, so nothing is active
+        #: until a worm is enqueued.
         self._n_active = 0
         self._active_ports: List[InputPort] = []
         self._active_adapters: List[FlitAdapter] = []
         self._woken: List[object] = []
-        # Every wire registers in the worm-site index; only the active
-        # engine needs receiver wake-ups on the empty->non-empty edge.  One
-        # bound method serves every wire (no per-port closure: the large
-        # multistage builds have tens of thousands of ports).
-        track = self._register_site
-        wake = self._wake_component if self._engine_active else None
-        seq = 0
-        for switch in self._switch_list:
-            for port in switch.inputs:
-                port._net_seq = seq
-                seq += 1
-                port.wire.receiver = port
-                port.wire.notify = wake
-            for output in switch.outputs:
-                output.wire.track = track
         for seq, adapter in enumerate(self._adapter_list):
             adapter._net_seq = seq
-            if adapter.wire_out is not None:
-                adapter.wire_out.track = track
-            if adapter.wire_in is not None:
-                adapter.wire_in.receiver = adapter
-                adapter.wire_in.notify = wake
+        # Wire hooks, bound once and shared by every wire.  Only the active
+        # engine needs receiver wake-ups on the empty->non-empty edge.
+        self._track_hook = self._register_site
+        self._wake_hook = self._wake_component if self._engine_active else None
+        self._touch_hook = self._touch if self._engine_active else None
+        self._refresh_down_ports()
+        if not self._engine_active:
+            for sid in topology.switches:
+                if self._local(sid):
+                    self._build_switch(sid)
+
+    # -- construction on first touch ------------------------------------------
+    def _lanes_of(self, link) -> int:
+        """Wire pairs on ``link``: ``lanes`` between switches, one to a host."""
+        if link.a in self.adapters or link.b in self.adapters:
+            return 1
+        return self.lanes
+
+    def _local(self, sid: int) -> bool:
+        return self.shard is None or sid in self.shard
+
+    def _build_link(self, link_id: int) -> List[Wire]:
+        """The wires of link ``link_id``, created on first use -- by the
+        first of its ends to be built, or by a reader -- and shared by both
+        ends.  A wire toward a switch that is not built yet wakes
+        :meth:`_touch`, which builds it, so flits and STOP/GO symbols sent
+        toward an unbuilt switch are kept."""
+        wires = self._built_links.get(link_id)
+        if wires is not None:
+            return wires
+        link = self._links[link_id]
+        delay = max(1, self.wire_delay + int(link.prop_delay))
+        alive = link_id not in self._failed_links
+        adapters = self.adapters
+        wires = []
+        for lane in range(self._lanes_of(link)):
+            for sender, receiver in ((link.a, link.b), (link.b, link.a)):
+                wire = Wire(delay=delay)
+                wire.alive = alive
+                wire.track = self._track_hook
+                if receiver in adapters:
+                    adapter = adapters[receiver]
+                    adapter.wire_in = wire
+                    wire.receiver = adapter
+                    if self._local(sender):
+                        wire.notify = self._wake_hook
+                else:
+                    if sender in adapters:
+                        adapters[sender].wire_out = wire
+                    base = self._port_of[(receiver, link_id)]
+                    wire.receiver = (receiver, base + lane)
+                    if self._local(receiver):
+                        wire.notify = self._touch_hook
+                wires.append(wire)
+        self._built_links[link_id] = wires
+        return wires
+
+    def _build_switch(self, sid: int) -> CrossbarSwitch:
+        """Build switch ``sid``: its ports with their slack buffers, its
+        lane groups, and the wires of every link it touches.  The dense
+        engine calls this for every switch at construction; the active
+        engine on first touch.  A built switch is idle and inactive, so
+        when it is built never changes the byte timeline."""
+        switch = CrossbarSwitch(self, sid, slack_capacity=self.slack_capacity)
+        self._built_switches[sid] = switch
+        local = self._local(sid)
+        wake = self._wake_hook if local else None
+        seq = self._seq_base[sid]
+        for link in self.topology.adjacent(sid):
+            wires = self._build_link(link.id)
+            # Slot 2l carries a->b, slot 2l+1 carries b->a.
+            into = 0 if sid == link.b else 1
+            ports = []
+            for lane in range(len(wires) // 2):
+                wire_in = wires[2 * lane + into]
+                index = switch.add_port(wire_in, wires[2 * lane + 1 - into])
+                port = switch.inputs[index]
+                port._net_seq = seq + index
+                wire_in.receiver = port
+                wire_in.notify = wake
+                ports.append(index)
+            if len(ports) > 1:
+                switch.register_lane_group(ports)
+        switch.down_ports = self._down_ports(sid)
+        if local:
+            self._switch_list.append(switch)
+        return switch
+
+    def _touch(self, end: Tuple[int, int]) -> None:
+        """Wake hook of a wire whose receiving switch is not built yet:
+        build the switch, then wake the receiving port."""
+        sid, index = end
+        self._wake_component(self._build_switch(sid).inputs[index])
+
+    def _wake_host(self, adapter: FlitAdapter) -> None:
+        """An adapter was handed a worm: the first time, build its switch
+        (unless a shard does not own it), then wake it."""
+        if adapter.wire_out is None:
+            sid = self.topology.host_switch(adapter.host_id)
+            if self._local(sid):
+                self._build_switch(sid)
+        self._wake_component(adapter)
+
+    def wire_counts(self, link_id: int) -> List[Tuple[int, int]]:
+        """``(carried, idles)`` of each wire of a link, in ``[a->b, b->a]``
+        per-lane slot order.  A link whose wires were never built reads
+        zeros; reading never builds."""
+        wires = self._built_links.get(link_id)
+        if wires is None:
+            return [(0, 0)] * (2 * self._lanes_of(self._links[link_id]))
+        return [(wire.carried, wire.idles) for wire in wires]
 
     # -- active-set engine internals ------------------------------------------
     def _wake_component(self, comp) -> None:
@@ -368,9 +462,10 @@ class FlitNetwork:
             self._woken.append(comp)
 
     def _wake_all(self) -> None:
-        """Activate every input port and adapter: used after external
-        mutations (fault injection, reconfiguration) whose state edges are
-        not covered by the per-wire wake hooks.  Spuriously woken
+        """Activate every local adapter and every input port of a built
+        local switch: used after external mutations (fault injection,
+        reconfiguration) whose state edges are not covered by the per-wire
+        wake hooks.  An unbuilt switch is quiescent.  Spuriously woken
         components settle back out after one no-op tick."""
         wake = self._wake_component
         for switch in self._switch_list:
@@ -431,18 +526,24 @@ class FlitNetwork:
         sites[site] = True
 
     def _refresh_down_ports(self) -> None:
-        """(Re)compute each switch's broadcast down-link ports from the
-        current up/down tree (Section 3); called after reconfiguration."""
-        topology = self.topology
-        tree_links = self.routing.tree_links
-        for sid in topology.switches:
-            switch = self.switches[sid]
-            ports = []
-            for link in topology.adjacent(sid):
+        """(Re)compute each built switch's broadcast down-link ports from
+        the current up/down tree (Section 3); called after reconfiguration.
+        The tree is kept, so a switch built later reads the same ports."""
+        self._down_tree = (self.routing.tree_links, self.routing.level)
+        for sid, switch in self._built_switches.items():
+            switch.down_ports = self._down_ports(sid)
+
+    def _down_ports(self, sid: int) -> List[int]:
+        tree_links, level = self._down_tree
+        ports = []
+        for link in self.topology.adjacent(sid):
+            if link.id in tree_links:
                 peer = link.other(sid)
-                if link.id in tree_links and not self.routing.is_up(sid, peer):
+                # A down hop leads away from the root; equal levels go down
+                # toward the higher id (UpDownRouting.is_up).
+                if (level[peer], peer) > (level[sid], sid):
                     ports.append(self._port_of[(sid, link.id)])
-            switch.down_ports = ports
+        return ports
 
     # -- fault injection ---------------------------------------------------------
     def fail_link(self, link_id: int) -> List[int]:
@@ -451,10 +552,10 @@ class FlitNetwork:
         the up/down routing reconfigures around the dead link for worms
         injected from now on.  Returns the lost worm ids."""
         self.topology.fail_link(link_id)  # bumps version; routing re-derives
+        self._failed_links.add(link_id)
         lost: set = set()
-        for wire in self._link_wires[link_id]:
-            if wire is not None:
-                lost |= wire.fail()
+        for wire in self._built_links.get(link_id, ()):
+            lost |= wire.fail()
         self.link_faults += 1
         if self.obs is not None:
             self.obs.link_fault(self.now, link_id, "cut")
@@ -469,11 +570,11 @@ class FlitNetwork:
     def repair_link(self, link_id: int) -> None:
         """Bring a failed link back; routing reconfigures to use it again."""
         self.topology.repair_link(link_id)
+        self._failed_links.discard(link_id)
         if self.obs is not None:
             self.obs.link_fault(self.now, link_id, "repair")
-        for wire in self._link_wires[link_id]:
-            if wire is not None:
-                wire.repair()
+        for wire in self._built_links.get(link_id, ()):
+            wire.repair()
         self._refresh_down_ports()
         self._wake_all()
 
@@ -761,8 +862,8 @@ class FlitNetwork:
     def _tick_active(self) -> bool:
         """Active-set engine: tick only the input ports and adapters
         registered as holding flits or pending work, in dense iteration
-        order (the phases of :meth:`_tick_dense`; ports by switch creation
-        order, then port index).
+        order (the phases of :meth:`_tick_dense`; ports by the switch's
+        place in topology order, then port index).
 
         A component missing from the active set satisfies ``quiescent()``,
         and a quiescent component's dense tick is provably a no-op: an

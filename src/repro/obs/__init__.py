@@ -249,7 +249,9 @@ class Observability:
 
         ``Wire.carried``/``Wire.idles`` accumulate unconditionally in the
         wire model, so this costs nothing on the hot path — the gauges are
-        filled only when a snapshot is taken.
+        filled only when a snapshot is taken.  Every link publishes its
+        gauges; a link whose wires were never built reads zero
+        (:meth:`~repro.net.flitlevel.network.FlitNetwork.wire_counts`).
 
         On a multi-lane fabric (``net.lanes > 1``) each switch-to-switch
         link additionally publishes per-lane occupancy gauges
@@ -258,26 +260,21 @@ class Observability:
         lanes sweep can see how the allocator spreads worms across lanes.
         """
         gauge = self.metrics.gauge
-        topology = net.topology
-        lanes = getattr(net, "lanes", 1)
-        for link in topology.links:
-            wires = net._link_wires.get(link.id)
-            if not wires:
-                continue
-            carried = sum(w.carried for w in wires if w is not None)
-            idles = sum(w.idles for w in wires if w is not None)
+        lanes = net.lanes
+        for link in net.topology.links:
+            counts = net.wire_counts(link.id)
             tags = {"link": link.id, "a": link.a, "b": link.b}
-            gauge("link.flits", **tags).set(carried)
-            gauge("link.idles", **tags).set(idles)
-            if lanes > 1 and len(wires) == 2 * lanes:
-                # _link_wires orders lane l's wire pair at slots 2l, 2l+1.
+            gauge("link.flits", **tags).set(sum(c for c, _ in counts))
+            gauge("link.idles", **tags).set(sum(i for _, i in counts))
+            if lanes > 1 and len(counts) == 2 * lanes:
+                # Lane l's wire pair sits at slots 2l, 2l+1.
                 for lane in range(lanes):
-                    pair = wires[2 * lane : 2 * lane + 2]
+                    pair = counts[2 * lane : 2 * lane + 2]
                     gauge("link.lane.flits", lane=lane, **tags).set(
-                        sum(w.carried for w in pair if w is not None)
+                        sum(c for c, _ in pair)
                     )
                     gauge("link.lane.idles", lane=lane, **tags).set(
-                        sum(w.idles for w in pair if w is not None)
+                        sum(i for _, i in pair)
                     )
         gauge("flit.ticks_executed").set(net.ticks_executed)
         gauge("flit.now").set(net.now)

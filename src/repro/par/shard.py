@@ -1,7 +1,8 @@
 """One shard of a window-partitioned flit-level simulation.
 
-A :class:`ShardHarness` wraps a *replica* of the full scenario network
-(`FlitNetwork(shard=...)`) that only advances its local partition.  The
+A :class:`ShardHarness` wraps a *replica* of the scenario network
+(`FlitNetwork(shard=...)`) that builds and advances only its local
+partition; every replica holds every host adapter and worm record.  The
 coordinator (:mod:`repro.par.runner`) drives every shard in lockstep
 barrier windows; at each window edge the harness
 
@@ -333,24 +334,24 @@ class ShardHarness:
         index = self.index
         stats: Dict[int, Tuple[int, int]] = {}
         for link in topo.links:
-            wire_ab, wire_ba = net._link_wires[link.id]
+            ab, ba = net.wire_counts(link.id)
             a_host = topo.node(link.a).is_host
             if a_host or topo.node(link.b).is_host:
                 host = link.a if a_host else link.b
                 if shard_of[topo.host_switch(host)] != index:
                     continue
-                owned = (wire_ab, wire_ba)
+                owned = (ab, ba)
             else:
                 owned = tuple(
-                    wire
-                    for end, wire in ((link.a, wire_ab), (link.b, wire_ba))
+                    counts
+                    for end, counts in ((link.a, ab), (link.b, ba))
                     if shard_of[end] == index
                 )
                 if not owned:
                     continue
             stats[link.id] = (
-                sum(w.carried for w in owned),
-                sum(w.idles for w in owned),
+                sum(carried for carried, _ in owned),
+                sum(idles for _, idles in owned),
             )
         return stats
 

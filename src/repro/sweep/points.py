@@ -395,14 +395,14 @@ def _vc_lanes(params: Dict[str, Any]) -> Dict[str, Any]:
     lane_flits = [0] * lanes
     lane_idles = [0] * lanes
     switch_set = set(topo.switches)
-    for lid, wires in net._link_wires.items():
-        link = topo.links[lid]
+    for link in topo.links:
         if link.a not in switch_set or link.b not in switch_set:
             continue  # host-adapter links stay single-lane
+        counts = net.wire_counts(link.id)
         for lane in range(lanes):
-            for wire in wires[2 * lane : 2 * lane + 2]:
-                lane_flits[lane] += wire.carried
-                lane_idles[lane] += wire.idles
+            for carried, idles in counts[2 * lane : 2 * lane + 2]:
+                lane_flits[lane] += carried
+                lane_idles[lane] += idles
     return sanitize_record(
         {
             "topology": params["topology"],

@@ -16,9 +16,12 @@ The scenarios cover the Figure 3 race for all four schemes at two
 offsets (at (0, 5) the base scheme deadlocks and scheme 3 flushes), the
 base scheme at two lanes, the ``vc_lanes`` traffic for every multicast
 mode, lane count and allocation policy on a small torus and a 2-ary
-4-fly, a link failed and repaired mid-worm, a broadcast and a
-host-adapter (Hamiltonian) multicast.  Each runs on the active and dense
-engines, and both must read the same pins.  ``ticks_executed`` is
+4-fly, a link failed and repaired mid-worm, a link cut (and a link cut
+then repaired) ahead of a queued worm on a 2-ary 5-fly at one and two
+lanes, a broadcast and a host-adapter (Hamiltonian) multicast.  The
+active engine builds a switch on first touch, so on the 5-fly the cut
+link's wires do not exist yet when it fails.  Each runs on the active
+and dense engines, and both must read the same pins.  ``ticks_executed`` is
 deliberately not pinned: it counts the ticks an engine chose to execute,
 not the physics.
 
@@ -184,6 +187,38 @@ def _host_multicast(engine):
     return net, status
 
 
+def _fly_cut(lanes, repair):
+    """A fabric link on a queued worm's route goes down before any flit
+    reaches it, on a 2-ary 5-fly whose switches mostly never carry a
+    flit.  The worm's head would cross the link at tick 13; the cut comes
+    at tick 4 and, with ``repair``, the link is back at tick 8.  A
+    multicast and a unicast sent after the fault route around the dead
+    link (or over the repaired one)."""
+
+    def run(engine):
+        topo = butterfly(k=2, n=5)
+        net = FlitNetwork(topo, lanes=lanes, seed=4, engine=engine)
+        hosts = topo.hosts
+        net.send_unicast(hosts[0], hosts[-1], payload_bytes=96)
+        cut = net.routing.route(hosts[0], hosts[-1])[-2][2].id
+        for _ in range(4):
+            net.tick()
+        net.fail_link(cut)
+        if repair:
+            for _ in range(4):
+                net.tick()
+            net.repair_link(cut)
+        net.send_multicast(
+            hosts[1], [hosts[-1], hosts[-5], hosts[20]], payload_bytes=80,
+        )
+        net.send_unicast(hosts[3], hosts[-2], payload_bytes=64, start_delay=5)
+        status = net.run(max_ticks=60_000, quiet_limit=2_000,
+                         raise_on_deadlock=False)
+        return net, status
+
+    return run
+
+
 def _fly():
     return butterfly(k=2, n=4)
 
@@ -205,6 +240,9 @@ for _family, _make in (("torus", _small_torus), ("fly", _fly)):
                     _make, _mode, _lanes, _policy
                 )
 SCENARIOS["link_fail_repair"] = _link_fail_repair
+for _lanes in (1, 2):
+    SCENARIOS[f"sparse_fly/cut/L{_lanes}"] = _fly_cut(_lanes, repair=False)
+    SCENARIOS[f"sparse_fly/cut_repair/L{_lanes}"] = _fly_cut(_lanes, repair=True)
 SCENARIOS["broadcast"] = _broadcast
 SCENARIOS["host_multicast"] = _host_multicast
 
@@ -275,6 +313,26 @@ GOLDEN = {
         "status": 'deadlock', "now": 3913,
         "timeline": '44920bf3ce2bf8b9711561c0a39de620a7a7fe9b4a6b22c49c289b81b67aae88',
         "counters": 'a5779a481ad3b1881e9e7b93085cfcaf26382d02f25f35bcb7ec724b64c27c7c',
+    },
+    'sparse_fly/cut/L1': {
+        "status": 'deadlock', "now": 2138,
+        "timeline": '7b4aece9ca89101b3232e8d8cb1f8497db7116afad4b97127a07cea4f103f2de',
+        "counters": 'd6f308ac703d570467067a2ff84e5552057756a306c8dfa1a4eebe90a1c6db95',
+    },
+    'sparse_fly/cut/L2': {
+        "status": 'deadlock', "now": 2138,
+        "timeline": '7b4aece9ca89101b3232e8d8cb1f8497db7116afad4b97127a07cea4f103f2de',
+        "counters": '740f2619a5783c77c55198ea18232e11e35afa7005f33c66ab2bb75e10c547fa',
+    },
+    'sparse_fly/cut_repair/L1': {
+        "status": 'delivered', "now": 195,
+        "timeline": 'f6d292623f1c78e7fec8979718cfdbaff51297be8c05d00f2fffd1946a5b1780',
+        "counters": 'c5b64c16bbd83384d69fb3bc9cb60f1570c45db657e6aa91a46f3c94f1767618',
+    },
+    'sparse_fly/cut_repair/L2': {
+        "status": 'delivered', "now": 195,
+        "timeline": 'f6d292623f1c78e7fec8979718cfdbaff51297be8c05d00f2fffd1946a5b1780',
+        "counters": 'b09c5d9fa4bd2876939a718c7f9dcf717096ff03e3d3be6cc346d22fd6127261',
     },
     'vc/fly/idle_fill/L1/first_free': {
         "status": 'delivered', "now": 476,

@@ -136,6 +136,30 @@ def test_unknown_mode_rejected(mode):
         FlitNetwork(torus(2, 2), mode=mode)
 
 
+# Rejected by the constructor, before any traffic: an empty backoff range
+# used to surface as randrange's ValueError at the first scheme-3 flush,
+# and a too-small slack buffer only when a switch got built.
+@pytest.mark.parametrize("engine", ["active", "dense"])
+@pytest.mark.parametrize("backoff", [(400, 200), (-1, 5)])
+def test_bad_flush_backoff_rejected(engine, backoff):
+    with pytest.raises(ValueError, match="flush_backoff"):
+        FlitNetwork(torus(2, 2), flush_backoff=backoff, engine=engine)
+
+
+@pytest.mark.parametrize("engine", ["active", "dense"])
+@pytest.mark.parametrize("capacity", [1, 0])
+def test_small_slack_capacity_rejected(engine, capacity):
+    with pytest.raises(ValueError, match="slack_capacity"):
+        FlitNetwork(torus(2, 2), slack_capacity=capacity, engine=engine)
+
+
+@pytest.mark.parametrize("engine", ["active", "dense"])
+def test_boundary_construction_values_accepted(engine):
+    net = FlitNetwork(torus(2, 2), slack_capacity=2, flush_backoff=(0, 0),
+                      engine=engine)
+    assert net.run(max_ticks=10) == "delivered"
+
+
 def test_progress_signature_detects_quiescence():
     topo = line(2)
     net = FlitNetwork(topo)
