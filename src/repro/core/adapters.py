@@ -369,6 +369,14 @@ class MulticastEngine:
     def adapter(self, host: int) -> "HostAdapter":
         return self.adapters[host]
 
+    def close(self) -> None:
+        """Drop the adapters and credit controllers, which point back at
+        the engine, once the run is over (after :meth:`Simulator.close`,
+        whose closing processes may still use them).  Statistics stay
+        readable."""
+        self.adapters.clear()
+        self.credit_controllers.clear()
+
     # -- traffic entry points ---------------------------------------------------
     def multicast(
         self, origin: int, gid: int, length: int, payload: object = None

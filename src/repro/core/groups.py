@@ -43,7 +43,9 @@ class MulticastGroup:
         return self.members[-1]
 
     def __contains__(self, host: int) -> bool:
-        return host in set(self.members)
+        # A scan of the (at most a few dozen) sorted members: cheaper than
+        # building a set per test, and always in step with remove_member.
+        return host in self.members
 
     def index_of(self, host: int) -> int:
         """Position of ``host`` in the id-sorted member list."""
@@ -121,9 +123,10 @@ class GroupTable:
         return sorted(self._groups)
 
     def groups_of(self, host: int) -> List[MulticastGroup]:
-        """All groups ``host`` belongs to (worm generation picks uniformly
-        among these, per Section 7)."""
-        return [g for g in self._groups.values() if host in g]
+        """All groups ``host`` belongs to, in registration order (worm
+        generation picks uniformly among these, per Section 7, so the
+        order is part of every traffic sample path)."""
+        return [g for g in self._groups.values() if host in g.members]
 
     def random_groups(
         self,

@@ -112,7 +112,12 @@ def run_fault_campaign(
     carries an ``"obs"`` snapshot (fault counters, channel gauges).
     """
     from repro.traffic.generators import TrafficConfig, TrafficGenerator
-    from repro.traffic.workloads import GroupPlan, build_engine, scheme_by_name
+    from repro.traffic.workloads import (
+        GroupPlan,
+        build_engine,
+        close_engine,
+        scheme_by_name,
+    )
 
     topology = torus(rows, cols)
     routing = UpDownRouting(topology)
@@ -147,47 +152,51 @@ def run_fault_campaign(
     )
     injector = FaultInjector(sim, net, schedule)
     injector.start()
-    traffic.start()
+    try:
+        traffic.start()
 
-    sim.run(until=warmup_time)
-    engine.reset_stats()
-    net.reset_stats()
-    if obs is not None:
-        obs.reset(sim.now)
-    sim.run(until=warmup_time + measure_time)
+        sim.run(until=warmup_time)
+        engine.reset_stats()
+        net.reset_stats()
+        if obs is not None:
+            obs.reset(sim.now)
+        sim.run(until=warmup_time + measure_time)
 
-    metrics = AvailabilityMetrics.collect(
-        net, injector=injector, recovery=recovery, engine=engine
-    )
-    deadlock_free = None
-    if check_deadlocks:
-        try:
-            deadlock_free = check_deadlock_free(routing)
-        except ValueError:
-            deadlock_free = False  # some live pair is unroutable (partition)
-    obs_snapshot = None
-    if obs is not None:
-        obs.snapshot_wormnet(net, sim.now)
-        obs_snapshot = obs.snapshot(sim.now)
-    return {
-        "params": {
-            "rows": rows,
-            "cols": cols,
-            "scheme": scheme,
-            "load": load,
-            "multicast_fraction": multicast_fraction,
-            "link_failures": link_failures,
-            "downtime": downtime,
-            "seed": seed,
-        },
-        "metrics": metrics.to_dict(),
-        "mean_multicast_latency": engine.delivery_latency.mean,
-        "messages_completed": engine.messages_completed,
-        "deadlock_free": deadlock_free,
-        "event_log": list(injector.log),
-        "sim_time": sim.now,
-        "obs": obs_snapshot,
-    }
+        metrics = AvailabilityMetrics.collect(
+            net, injector=injector, recovery=recovery, engine=engine
+        )
+        deadlock_free = None
+        if check_deadlocks:
+            try:
+                deadlock_free = check_deadlock_free(routing)
+            except ValueError:
+                deadlock_free = False  # some live pair is unroutable (partition)
+        obs_snapshot = None
+        if obs is not None:
+            obs.snapshot_wormnet(net, sim.now)
+            obs_snapshot = obs.snapshot(sim.now)
+        return {
+            "params": {
+                "rows": rows,
+                "cols": cols,
+                "scheme": scheme,
+                "load": load,
+                "multicast_fraction": multicast_fraction,
+                "link_failures": link_failures,
+                "downtime": downtime,
+                "seed": seed,
+            },
+            "metrics": metrics.to_dict(),
+            "mean_multicast_latency": engine.delivery_latency.mean,
+            "messages_completed": engine.messages_completed,
+            "deadlock_free": deadlock_free,
+            "event_log": list(injector.log),
+            "sim_time": sim.now,
+            "obs": obs_snapshot,
+        }
+    finally:
+        close_engine(sim, net, engine)
+        recovery.detach()
 
 
 def run_repair_campaign(
@@ -248,41 +257,45 @@ def run_repair_campaign(
             yield sim.timeout(spacing)
 
     sim.process(traffic(), name="repair-campaign-traffic")
-    # all_complete() is vacuously true before the first send: run the whole
-    # send window first, then chase completion.
-    sim.run(until=send_window)
-    while not session.all_complete() and sim.now < max_sim_time:
-        sim.run(until=sim.now + 50_000.0)
+    try:
+        # all_complete() is vacuously true before the first send: run the whole
+        # send window first, then chase completion.
+        sim.run(until=send_window)
+        while not session.all_complete() and sim.now < max_sim_time:
+            sim.run(until=sim.now + 50_000.0)
 
-    metrics = AvailabilityMetrics.collect(net, injector=injector, session=session)
-    obs_snapshot = None
-    if obs is not None:
-        obs.snapshot_wormnet(net, sim.now)
-        obs_snapshot = obs.snapshot(sim.now)
-    latencies = [
-        session.latency(seq)
-        for seq in range(session.highest_sent + 1)
-        if session.complete(seq)
-    ]
-    return {
-        "params": {
-            "rows": rows,
-            "cols": cols,
-            "members_count": members_count,
+        metrics = AvailabilityMetrics.collect(net, injector=injector, session=session)
+        obs_snapshot = None
+        if obs is not None:
+            obs.snapshot_wormnet(net, sim.now)
+            obs_snapshot = obs.snapshot(sim.now)
+        latencies = [
+            session.latency(seq)
+            for seq in range(session.highest_sent + 1)
+            if session.complete(seq)
+        ]
+        return {
+            "params": {
+                "rows": rows,
+                "cols": cols,
+                "members_count": members_count,
+                "messages": messages,
+                "drops": drops,
+                "recv_faults": recv_faults,
+                "seed": seed,
+            },
+            "metrics": metrics.to_dict(),
+            "recovered_all": session.all_complete(),
             "messages": messages,
-            "drops": drops,
-            "recv_faults": recv_faults,
-            "seed": seed,
-        },
-        "metrics": metrics.to_dict(),
-        "recovered_all": session.all_complete(),
-        "messages": messages,
-        "losses_injected": net.dropped_worms + net.orphaned_worms,
-        "max_latency": max(latencies) if latencies else None,
-        "mean_latency": (
-            sum(latencies) / len(latencies) if latencies else None
-        ),
-        "event_log": list(injector.log),
-        "sim_time": sim.now,
-        "obs": obs_snapshot,
-    }
+            "losses_injected": net.dropped_worms + net.orphaned_worms,
+            "max_latency": max(latencies) if latencies else None,
+            "mean_latency": (
+                sum(latencies) / len(latencies) if latencies else None
+            ),
+            "event_log": list(injector.log),
+            "sim_time": sim.now,
+            "obs": obs_snapshot,
+        }
+    finally:
+        sim.close()
+        net.close()

@@ -238,5 +238,14 @@ class MyrinetAdapter:
             self.stats.forwarded += 1
         self.input_buffer.put(packet.size)
 
+    def close(self) -> None:
+        """Unlink from the ring and drop the claims held or queued on this
+        card's resources once the run is over: each claim points back at
+        its resource, so a live one would keep the run a reference cycle."""
+        self.successor = None
+        for resource in (self.tx, self.cpu, self.host_cpu):
+            resource.users.clear()
+            resource.queue.clear()
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<MyrinetAdapter h{self.host_id}>"

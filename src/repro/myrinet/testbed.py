@@ -69,42 +69,49 @@ def run_throughput_experiment(
     if packet_size <= 0:
         raise ValueError("packet size must be positive")
     sim, adapters = build_testbed(n_hosts, config, obs=obs)
-    hop_count = n_hosts - 1  # stop at the previous node in the circuit
-    senders = adapters if all_send else adapters[:1]
-    for adapter in senders:
-        adapter.start_greedy_sender(packet_size, hop_count)
+    try:
+        hop_count = n_hosts - 1  # stop at the previous node in the circuit
+        senders = adapters if all_send else adapters[:1]
+        for adapter in senders:
+            adapter.start_greedy_sender(packet_size, hop_count)
 
-    sim.run(until=warmup_us)
-    for adapter in adapters:
-        adapter.stats.reset()
-    if obs is not None:
-        obs.reset(sim.now)
-    sim.run(until=warmup_us + measure_us)
+        sim.run(until=warmup_us)
+        for adapter in adapters:
+            adapter.stats.reset()
+        if obs is not None:
+            obs.reset(sim.now)
+        sim.run(until=warmup_us + measure_us)
 
-    receivers = [a for a in adapters if all_send or a is not adapters[0]]
-    per_host_throughput = {
-        a.host_id: a.stats.received_bytes * 8.0 / measure_us for a in receivers
-    }
-    per_host_loss = {a.host_id: a.stats.loss_rate for a in adapters}
-    throughput = sum(per_host_throughput.values()) / len(per_host_throughput)
-    sent = sum(a.stats.originated for a in senders) * packet_size * 8.0
-    sent_per_sender = sent / len(senders) / measure_us
-    loss = sum(per_host_loss.values()) / len(per_host_loss)
-    obs_snapshot = None
-    if obs is not None:
-        obs.snapshot_testbed(per_host_throughput, per_host_loss)
-        obs_snapshot = obs.snapshot(sim.now)
-    return TestbedResult(
-        packet_size=packet_size,
-        all_send=all_send,
-        duration_us=measure_us,
-        throughput_mbps_per_host=throughput,
-        sent_mbps_per_sender=sent_per_sender,
-        loss_rate_per_host=loss,
-        per_host_throughput=per_host_throughput,
-        per_host_loss=per_host_loss,
-        obs=obs_snapshot,
-    )
+        receivers = [a for a in adapters if all_send or a is not adapters[0]]
+        per_host_throughput = {
+            a.host_id: a.stats.received_bytes * 8.0 / measure_us for a in receivers
+        }
+        per_host_loss = {a.host_id: a.stats.loss_rate for a in adapters}
+        throughput = sum(per_host_throughput.values()) / len(per_host_throughput)
+        sent = sum(a.stats.originated for a in senders) * packet_size * 8.0
+        sent_per_sender = sent / len(senders) / measure_us
+        loss = sum(per_host_loss.values()) / len(per_host_loss)
+        obs_snapshot = None
+        if obs is not None:
+            obs.snapshot_testbed(per_host_throughput, per_host_loss)
+            obs_snapshot = obs.snapshot(sim.now)
+        return TestbedResult(
+            packet_size=packet_size,
+            all_send=all_send,
+            duration_us=measure_us,
+            throughput_mbps_per_host=throughput,
+            sent_mbps_per_sender=sent_per_sender,
+            loss_rate_per_host=loss,
+            per_host_throughput=per_host_throughput,
+            per_host_loss=per_host_loss,
+            obs=obs_snapshot,
+        )
+    finally:
+        # Free the run by reference counting: processes and queue first,
+        # then the adapter ring and the claims on each card's resources.
+        sim.close()
+        for adapter in adapters:
+            adapter.close()
 
 
 def run_loss_experiment(

@@ -141,7 +141,8 @@ class Channel:
 class Transfer:
     """Handle for one worm's trip through the network.
 
-    Exposes two waitable events:
+    Exposes two waitable events, both valueless (a value pointing back at
+    the transfer would make every transfer a reference cycle):
 
     * :attr:`head_arrived` -- the worm's head reached the destination
       adapter (used for cut-through forwarding decisions);
@@ -322,7 +323,7 @@ class _WormRun:
         if net.obs is not None:
             net.obs.worm_head(now, worm.wid, dest)
         watcher = net._head_watchers.get(dest)
-        transfer.head_arrived.succeed(transfer)
+        transfer.head_arrived.succeed()
         if watcher is not None:
             watcher(worm, transfer)
         self.step = _DELIVERED
@@ -354,7 +355,7 @@ class _WormRun:
                     now, worm.wid, transfer.latency,
                     transfer.blocked_time, worm.length,
                 )
-            transfer.completed.succeed(transfer)
+            transfer.completed.succeed()
             receiver = net._receivers.get(worm.dest)
             if receiver is not None:
                 receiver(worm, transfer)
@@ -367,7 +368,7 @@ class _WormRun:
             reason = "orphaned"
         if obs is not None:
             obs.worm_dropped(now, worm.wid, reason)
-        transfer.completed.succeed(transfer)
+        transfer.completed.succeed()
 
 
 class _TailRelease:
@@ -627,6 +628,22 @@ class WormholeNetwork:
         forced_drop = self.drop_filter is not None and self.drop_filter(worm)
         _WormRun(self, transfer, channels, forced_drop)
         return transfer
+
+    def close(self) -> None:
+        """Drop what points back at the network once its run is over.
+
+        Adapter receivers and head watchers, the drop filter and the worm
+        runs holding or queued on a channel all reach the network again,
+        so a finished run would be a reference cycle; with them dropped
+        (and :meth:`Simulator.close` dropping the queue) reference counting
+        frees it.  Counters and tallies stay readable; channels read idle.
+        """
+        self._receivers.clear()
+        self._head_watchers.clear()
+        self.drop_filter = None
+        for channel in self._channels.values():
+            channel.holder = None
+            channel.waiters.clear()
 
     # -- statistics ------------------------------------------------------------
     def reset_stats(self) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
@@ -88,6 +88,9 @@ class Simulator:
         self._queue: List[Tuple[float, int, Any]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
+        #: Processes whose generator has not finished, in creation order
+        #: (a dict used as an ordered set): what :meth:`close` closes.
+        self._processes: Dict[Process, None] = {}
         self._trace = trace
 
     # -- introspection -------------------------------------------------------
@@ -225,6 +228,22 @@ class Simulator:
                 event._process()
         if until != Infinity:
             self.now = until
+
+    def close(self) -> None:
+        """Free the run: close every suspended process, drop the queue.
+
+        A finished run is one large reference cycle: queued entries and
+        suspended processes point back at the components that scheduled
+        them.  Closing each unfinished generator runs its ``finally``
+        blocks once and releases its frame; the queue goes with whatever
+        those blocks scheduled.  The clock, the trace and every component's
+        counters stay readable.  A second call does nothing.
+        """
+        processes = self._processes
+        while processes:
+            process, _ = processes.popitem()
+            process._close()
+        self._queue.clear()
 
     def run_process(self, generator: Generator[Event, Any, Any]) -> Any:
         """Convenience: run ``generator`` as a process to completion.

@@ -31,6 +31,7 @@ class Process(Event):
         self._gen = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
+        sim._processes[self] = None
         Initialize(sim, self)
 
     @property
@@ -62,10 +63,12 @@ class Process(Event):
                     target = self._gen.throw(event._value)
             except StopIteration as stop:
                 self.sim._active_process = None
+                self.sim._processes.pop(self, None)
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
                 self.sim._active_process = None
+                self.sim._processes.pop(self, None)
                 self.fail(exc)
                 return
 
@@ -108,6 +111,12 @@ class Process(Event):
                 pass
             self._target = None
         self._resume(event)
+
+    def _close(self) -> None:
+        """Close the suspended generator (its ``finally`` blocks run) and
+        drop the event it waits on; see :meth:`Simulator.close`."""
+        self._target = None
+        self._gen.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Process {self.name!r} alive={self.is_alive}>"

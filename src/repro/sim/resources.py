@@ -34,8 +34,10 @@ class Request(Event):
             # Uncontended grant: no waiter can be subscribed yet (the
             # request object is still being constructed), so skip the
             # event-queue round-trip — the requester resumes synchronously
-            # on yield (the _succeed_immediately fast path, inlined).
-            self._value = self
+            # on yield (the _succeed_immediately fast path, inlined).  The
+            # grant carries no value: the requester already holds the
+            # request, and a self-reference would make it a cycle.
+            self._value = None
             self._ok = True
             self._state = 2  # PROCESSED
             self.callbacks = None
@@ -108,7 +110,7 @@ class Resource:
             # just verified, so poke the grant straight onto the queue at
             # the current instant (identical ordering and semantics).
             nxt._ok = True
-            nxt._value = nxt
+            nxt._value = None
             nxt._state = 1  # TRIGGERED
             self.sim._post(nxt)
 

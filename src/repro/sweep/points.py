@@ -2,24 +2,33 @@
 
 Executors are registered by name and take/return plain JSON-serializable
 dicts, which keeps sweep points picklable for ``multiprocessing`` and
-hashable for the on-disk result cache.  Two kinds cover the paper's
-figures:
+hashable for the on-disk result cache.  The registered kinds:
 
 * ``load_point`` -- one (scheme, load) steady-state measurement on the
   worm-level network (Figures 10 and 11; any topology the workload layer
   can build).
 * ``myrinet_throughput`` -- one (packet size, sender pattern) point on the
   Myrinet testbed model (Figures 12 and 13).
+* ``fault_campaign`` / ``repair_campaign`` -- availability under link
+  failures with Autonet-style recovery, and transport repair under
+  injected worm losses.
+* ``fig3_offsets`` -- one Figure 3 injection-offset grid on the flit-level
+  engine.
 * ``vc_lanes`` -- one (topology family, lanes, scheme) flit-level run of
   the virtual-channel fabric, recording completion and per-lane
   occupancy (the lanes-vs-scheme grid).
+* ``partitioned_run`` -- one K-way partitioned run of a :mod:`repro.par`
+  scenario.
+* ``stress_search`` -- one shard of a :mod:`repro.stress` search.
+* ``nap`` -- a sleep-then-echo plumbing exerciser for the serving layer.
+
+The worm-level kinds (the first four) free their simulation by reference
+counting as they return: their runners close what they built.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
-import gc
 import math
 from typing import Any, Callable, Dict
 
@@ -75,26 +84,6 @@ def point_kind(name: str) -> Callable[[PointFn], PointFn]:
     return register
 
 
-def _collect_after(fn: PointFn) -> PointFn:
-    """Free a worm-level point's simulation as soon as the point returns.
-
-    A finished simulation is one large reference cycle (kernel, network,
-    adapters, worms in flight), so only the cyclic collector frees it.
-    The worm-level hot path allocates few container objects, so that
-    collector runs rarely, and without this a sweep process would hold a
-    dozen dead simulations at once (the small Fig-11 points pile up).
-    """
-
-    @functools.wraps(fn)
-    def run(params: Dict[str, Any]) -> Dict[str, Any]:
-        try:
-            return fn(params)
-        finally:
-            gc.collect()
-
-    return run
-
-
 def execute_point(kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """Run one point; the module-level entry used by pool workers."""
     try:
@@ -130,7 +119,6 @@ def _nap(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 @point_kind("load_point")
-@_collect_after
 def _load_point(params: Dict[str, Any]) -> Dict[str, Any]:
     """One steady-state (scheme, load) measurement.
 
@@ -174,7 +162,6 @@ def _load_point(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 @point_kind("fault_campaign")
-@_collect_after
 def _fault_campaign(params: Dict[str, Any]) -> Dict[str, Any]:
     """One availability-under-faults measurement (multicast workload on a
     torus with injected link failures and Autonet-style recovery).
@@ -207,7 +194,6 @@ def _fault_campaign(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 @point_kind("repair_campaign")
-@_collect_after
 def _repair_campaign(params: Dict[str, Any]) -> Dict[str, Any]:
     """One transport-repair recovery measurement (repair chain under
     injected worm drops and adapter-buffer faults).

@@ -17,6 +17,7 @@ from typing import List, Optional
 from repro.core.adapters import MulticastEngine
 from repro.net.worm import MAX_WORM_BYTES
 from repro.sim.engine import Simulator
+from repro.sim.events import URGENT
 from repro.sim.rng import RandomStreams
 
 
@@ -65,7 +66,7 @@ class TrafficConfig:
 
 
 class TrafficGenerator:
-    """Runs one Poisson source process per host."""
+    """Runs one Poisson source per host."""
 
     def __init__(
         self,
@@ -85,43 +86,14 @@ class TrafficGenerator:
         self._started = False
 
     def start(self) -> None:
-        """Launch all per-host source processes (idempotent)."""
+        """Launch the per-host sources; a second call raises RuntimeError."""
         if self._started:
             raise RuntimeError("traffic generator already started")
         self._started = True
         for host in self.hosts:
-            self.sim.process(self._source(host), name=f"traffic-h{host}")
-
-    def _source(self, host: int):
-        config = self.config
-        arrivals = self.rng.stream(f"traffic.arrivals.h{host}")
-        lengths = self.rng.stream(f"traffic.lengths.h{host}")
-        choices = self.rng.stream(f"traffic.choices.h{host}")
-        topology = self.engine.net.topology
-        others = [h for h in self.hosts if h != host]
-        if not others:
-            return
-        while True:
-            yield self.sim.timeout(arrivals.exponential(config.mean_interarrival))
-            length = min(
-                lengths.geometric(config.mean_length, minimum=config.min_length),
-                config.max_length,
-            )
-            if not topology.node_alive(host):
-                # A crashed host stops generating, but the RNG draws above
-                # still happen so its streams stay aligned if it comes back.
-                continue
-            # Re-resolved every message: host death splices members out of
-            # (or dissolves) groups mid-run.  Fault-free runs see a static
-            # list, and no RNG draw depends on it until `if groups`.
-            groups = self.engine.groups.groups_of(host)
-            self.generated_worms += 1
-            if groups and choices.bernoulli(config.multicast_fraction):
-                group = choices.choice(groups)
-                self.generated_multicasts += 1
-                self.engine.multicast(origin=host, gid=group.gid, length=length)
-            else:
-                self.engine.unicast(host, choices.choice(others), length)
+            others = [h for h in self.hosts if h != host]
+            if others:
+                _PoissonSource(self, host, others)
 
     @property
     def multicast_share(self) -> float:
@@ -129,3 +101,74 @@ class TrafficGenerator:
         if self.generated_worms == 0:
             return 0.0
         return self.generated_multicasts / self.generated_worms
+
+
+class _PoissonSource:
+    """One host's Poisson source, as a queue entry that re-enqueues itself.
+
+    The first :meth:`_process` is the bootstrap, enqueued urgent at
+    :meth:`TrafficGenerator.start` where a generator process's
+    ``Initialize`` would land; it draws the first inter-arrival time.
+    Every later one is an arrival: it draws the worm's length, sends the
+    worm, and then draws the next inter-arrival time and enqueues itself
+    there, as a generator would create its next ``Timeout``.  So every
+    entry keeps the instant, priority and order of the generator process
+    this replaces, and each stream draws in the same sequence, without a
+    Timeout, an event dispatch and a generator resume per arrival.
+    """
+
+    __slots__ = (
+        "traffic", "engine", "topology", "config", "host", "others",
+        "arrivals", "lengths", "choices", "started",
+    )
+
+    def __init__(
+        self, traffic: TrafficGenerator, host: int, others: List[int]
+    ) -> None:
+        rng = traffic.rng
+        self.traffic = traffic
+        self.engine = traffic.engine
+        self.topology = traffic.engine.net.topology
+        self.config = traffic.config
+        self.host = host
+        self.others = others
+        self.arrivals = rng.stream(f"traffic.arrivals.h{host}")
+        self.lengths = rng.stream(f"traffic.lengths.h{host}")
+        self.choices = rng.stream(f"traffic.choices.h{host}")
+        self.started = False
+        traffic.sim.schedule_entry(self, 0.0, URGENT)
+
+    def _process(self) -> None:
+        if self.started:
+            self._arrive()
+        else:
+            self.started = True
+        self.traffic.sim.schedule_entry(
+            self, self.arrivals.exponential(self.config.mean_interarrival)
+        )
+
+    def _arrive(self) -> None:
+        config = self.config
+        host = self.host
+        length = min(
+            self.lengths.geometric(config.mean_length, minimum=config.min_length),
+            config.max_length,
+        )
+        if not self.topology.node_alive(host):
+            # A crashed host stops generating, but the RNG draws above
+            # still happen so its streams stay aligned if it comes back.
+            return
+        # Re-resolved every message: host death splices members out of
+        # (or dissolves) groups mid-run.  Fault-free runs see a static
+        # list, and no RNG draw depends on it until `if groups`.
+        engine = self.engine
+        traffic = self.traffic
+        groups = engine.groups.groups_of(host)
+        traffic.generated_worms += 1
+        choices = self.choices
+        if groups and choices.bernoulli(config.multicast_fraction):
+            group = choices.choice(groups)
+            traffic.generated_multicasts += 1
+            engine.multicast(origin=host, gid=group.gid, length=length)
+        else:
+            engine.unicast(host, choices.choice(self.others), length)

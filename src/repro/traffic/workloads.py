@@ -207,6 +207,16 @@ def build_engine(
     return sim, net, engine
 
 
+def close_engine(sim: Simulator, net: WormholeNetwork, engine: MulticastEngine) -> None:
+    """Tear down what :func:`build_engine` built once a run's record is
+    built, so reference counting frees the run (see
+    :meth:`Simulator.close`).  The simulator goes first: the processes it
+    closes may still reach the network and the adapters."""
+    sim.close()
+    net.close()
+    engine.close()
+
+
 def run_load_point(
     scheme_setup: SchemeSetup,
     offered_load: float,
@@ -242,65 +252,72 @@ def run_load_point(
     sim, net, engine = build_engine(
         topology, scheme_setup, setup["groups"], seed, routing=routing, obs=obs
     )
-    traffic = TrafficGenerator(
-        sim,
-        engine,
-        TrafficConfig(
+    try:
+        traffic = TrafficGenerator(
+            sim,
+            engine,
+            TrafficConfig(
+                offered_load=offered_load,
+                mean_length=setup["mean_length"],
+                multicast_fraction=fraction,
+            ),
+        )
+        traffic.start()
+
+        samples: List[float] = []
+        if collect_samples:
+            previous_observer = engine.delivery_observer
+
+            def observer(host, worm, message, when):
+                samples.append(when - message.created)
+                if previous_observer is not None:
+                    previous_observer(host, worm, message, when)
+
+            engine.delivery_observer = observer
+
+        chunk = 100_000.0
+        while engine.delivery_latency.count < warmup_deliveries:
+            sim.run(until=sim.now + chunk)
+            if sim.now >= max_sim_time:
+                break
+        engine.reset_stats()
+        net.reset_stats()
+        if obs is not None:
+            obs.reset(sim.now)
+        samples.clear()
+        while engine.delivery_latency.count < measure_deliveries:
+            sim.run(until=sim.now + chunk)
+            if sim.now >= max_sim_time:
+                break
+
+        ci = (
+            batch_means_ci(samples, batches=20)
+            if samples
+            else {"half_width": float("nan")}
+        )
+        obs_snapshot = None
+        if obs is not None:
+            obs.snapshot_wormnet(net, sim.now)
+            obs_snapshot = obs.snapshot(sim.now)
+        return ExperimentResult(
+            scheme=scheme_setup.name,
             offered_load=offered_load,
-            mean_length=setup["mean_length"],
             multicast_fraction=fraction,
-        ),
-    )
-    traffic.start()
-
-    samples: List[float] = []
-    if collect_samples:
-        previous_observer = engine.delivery_observer
-
-        def observer(host, worm, message, when):
-            samples.append(when - message.created)
-            if previous_observer is not None:
-                previous_observer(host, worm, message, when)
-
-        engine.delivery_observer = observer
-
-    chunk = 100_000.0
-    while engine.delivery_latency.count < warmup_deliveries:
-        sim.run(until=sim.now + chunk)
-        if sim.now >= max_sim_time:
-            break
-    engine.reset_stats()
-    net.reset_stats()
-    if obs is not None:
-        obs.reset(sim.now)
-    samples.clear()
-    while engine.delivery_latency.count < measure_deliveries:
-        sim.run(until=sim.now + chunk)
-        if sim.now >= max_sim_time:
-            break
-
-    ci = batch_means_ci(samples, batches=20) if samples else {"half_width": float("nan")}
-    obs_snapshot = None
-    if obs is not None:
-        obs.snapshot_wormnet(net, sim.now)
-        obs_snapshot = obs.snapshot(sim.now)
-    return ExperimentResult(
-        scheme=scheme_setup.name,
-        offered_load=offered_load,
-        multicast_fraction=fraction,
-        mean_multicast_latency=engine.delivery_latency.mean,
-        ci_half_width=ci["half_width"],
-        mean_completion_latency=engine.completion_latency.mean,
-        mean_unicast_latency=engine.unicast_latency.mean,
-        deliveries=engine.delivery_latency.count,
-        messages_completed=engine.messages_completed,
-        throughput_bytes_per_bytetime=(
-            net.delivered_bytes / sim.now if sim.now > 0 else 0.0
-        ),
-        mean_channel_utilization=net.mean_utilization(),
-        sim_time=sim.now,
-        obs=obs_snapshot,
-    )
+            mean_multicast_latency=engine.delivery_latency.mean,
+            ci_half_width=ci["half_width"],
+            mean_completion_latency=engine.completion_latency.mean,
+            mean_unicast_latency=engine.unicast_latency.mean,
+            deliveries=engine.delivery_latency.count,
+            messages_completed=engine.messages_completed,
+            throughput_bytes_per_bytetime=(
+                net.delivered_bytes / sim.now if sim.now > 0 else 0.0
+            ),
+            mean_channel_utilization=net.mean_utilization(),
+            sim_time=sim.now,
+            obs=obs_snapshot,
+        )
+    finally:
+        close_engine(sim, net, engine)
 
 
 def sweep(

@@ -87,6 +87,31 @@ def test_groups_of_host():
     assert table.groups_of(9) == []
 
 
+def test_groups_of_keeps_registration_order():
+    """Sources draw ``choice(groups_of(host))``, so the order is part of
+    every traffic sample path: registration order, not gid order."""
+    table = GroupTable()
+    table.add(7, [1, 2])
+    table.add(3, [1, 4])
+    table.add(5, [2, 4])
+    table.add(1, [1, 5])
+    assert [g.gid for g in table.groups_of(1)] == [7, 3, 1]
+    assert [g.gid for g in table.groups_of(4)] == [3, 5]
+
+
+def test_membership_follows_remove_member():
+    table = GroupTable()
+    group = table.add(1, [1, 2, 3])
+    table.add(2, [2, 3])
+    assert 1 in group
+    group.remove_member(1)
+    assert 1 not in group
+    assert 2 in group
+    assert table.groups_of(1) == []
+    group.remove_member(3)
+    assert [g.gid for g in table.groups_of(3)] == [2]
+
+
 def test_random_groups_figure10_shape():
     """The Figure 10 setup: ten groups of ten members chosen at random."""
     table = GroupTable()
