@@ -137,6 +137,7 @@ def run_fig3_scenario(
     )
     if obs is not None:
         obs.snapshot_flitnet(net)
+    net.close()
     return Fig3Outcome(
         scheme=SwitchScheme(scheme),
         mc_delay=mc_delay,

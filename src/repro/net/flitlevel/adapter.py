@@ -11,6 +11,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.flitlevel.network import FlitNetwork
     from repro.net.flitlevel.wire import Wire
 
+_ROUTE = FlitKind.ROUTE
+_IDLE = FlitKind.IDLE
+_TAIL = FlitKind.TAIL
+_FRAG_TAIL = FlitKind.FRAG_TAIL
+
 
 class WormRecord:
     """Source-side record of one injected worm."""
@@ -77,58 +82,70 @@ class FlitAdapter:
         self._tx.appendleft(record)
         self.network._wake_host(self)
 
-    @property
-    def sending(self) -> Optional[WormRecord]:
-        return self._tx[0] if self._tx else None
-
     def tick_output(self, now: int) -> bool:
-        record = self.sending
-        if record is None or self.wire_out is None:
+        """Inject the next byte of the head worm.  Applies
+        :meth:`Wire.can_push` and then :meth:`Wire.stop_at_sender` in
+        place."""
+        tx = self._tx
+        wire = self.wire_out
+        if not tx or wire is None:
             return False
+        record = tx[0]
         if record.wid in self.network.killed:
             # Our own worm was flushed mid-injection: abort, the network
             # callback handles the retransmission.
-            self._tx.popleft()
+            tx.popleft()
             self._tx_pos = 0
             return True
-        if not self.wire_out.can_push(now) or self.wire_out.stop_at_sender(now):
+        if wire._last_push_tick == now:
+            return False
+        reverse = wire._reverse
+        while reverse and reverse[0][0] <= now:
+            wire._stop_at_sender = reverse.popleft()[1]
+        if wire._stop_at_sender:
             return False
         if record.injected_at is None:
             record.injected_at = now
             self.network._note_injection(record)
-        flit = record.flits[self._tx_pos]
-        self.wire_out.push(flit, now)
+        wire.push(record.flits[self._tx_pos], now)
         self._tx_pos += 1
         if self._tx_pos >= len(record.flits):
-            self._tx.popleft()
+            tx.popleft()
             self._tx_pos = 0
         return True
 
     # -- receiving ------------------------------------------------------------
     def tick_input(self, now: int) -> bool:
-        if self.wire_in is None:
+        """Sink the arriving byte, if any.  Applies :meth:`Wire.deliver`
+        in place."""
+        wire = self.wire_in
+        if wire is None:
             return False
-        flit = self.wire_in.deliver(now)
-        if flit is None:
+        forward = wire._forward
+        if not forward or forward[0][0] > now:
             return False
-        if flit.wid in self.network.killed:
+        flit = forward.popleft()[1]
+        network = self.network
+        wid = flit.wid
+        if wid in network.killed:
             return True  # drains silently
-        if flit.kind == FlitKind.ROUTE or flit.kind == FlitKind.IDLE:
+        kind = flit.kind
+        if kind is _ROUTE or kind is _IDLE:
             # Residual end markers and IDLE fills are stripped and -- key
             # for deadlock detection -- do NOT count as worm progress: a
             # deadlocked multicast can spin IDLEs through its non-blocked
             # branch forever (Figure 3).
             return True
         self.received_flits += 1
-        self.network._note_progress()
-        if flit.kind == FlitKind.FRAG_TAIL:
+        network._note_progress()
+        if kind is _FRAG_TAIL:
             return True  # fragment boundary; payload already accumulated
-        progress = self._rx_progress.get(flit.wid, 0) + 1
-        self._rx_progress[flit.wid] = progress
-        if flit.kind == FlitKind.TAIL:
-            self.received_worms.append(flit.wid)
-            del self._rx_progress[flit.wid]
-            self.network.record_delivery(flit.wid, self.host_id, now)
+        rx_progress = self._rx_progress
+        rx_progress[wid] = rx_progress.get(wid, 0) + 1
+        if kind is _TAIL:
+            self.received_worms.append(wid)
+            del rx_progress[wid]
+            network.record_delivery(wid, self.host_id, now)
         return True
 
     def quiescent(self) -> bool:

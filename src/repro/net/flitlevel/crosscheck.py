@@ -239,20 +239,23 @@ def crosscheck_partitioned(
 
 
 def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
-    """Three quick scenarios covering the hot paths: a mixed-traffic torus
+    """Four quick scenarios covering the hot paths: a mixed-traffic torus
     (headers, grants, multicast replication), a saturated shufflenet
-    (every port streaming at once) and a sparse 2-ary 5-fly (a fabric
+    (every port streaming at once), a sparse 2-ary 5-fly (a fabric
     mostly never built by the active engine, with a link cut ahead of a
-    queued worm before its wires exist).  ``lanes``/``vc_policy`` thread
-    the virtual-channel configuration through every network, so the same
-    scenarios prove multi-lane runs byte-identical across engines."""
+    queued worm before its wires exist) and the mixed traffic again on
+    three-tick wires with 4-slot slack buffers (several flits in flight
+    per wire, STOP/GO symbols that arrive late, and flits dropped by
+    slack overflow).  ``lanes``/``vc_policy`` thread the virtual-channel
+    configuration through every network, so the same scenarios prove
+    multi-lane runs byte-identical across engines."""
     from repro.net.flitlevel.network import FlitNetwork
     from repro.net.topology import bidirectional_shufflenet, butterfly, torus
 
-    def mixed(engine):
+    def mixed_traffic(engine, **wires):
         topo = torus(3, 3)
         net = FlitNetwork(topo, engine=engine, seed=7,
-                          lanes=lanes, vc_policy=vc_policy)
+                          lanes=lanes, vc_policy=vc_policy, **wires)
         hosts = topo.hosts
         for i, src in enumerate(hosts):
             net.send_unicast(
@@ -263,8 +266,16 @@ def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
             hosts[0], [hosts[2], hosts[5], hosts[7]],
             payload_bytes=120, start_delay=9,
         )
-        status = net.run(max_ticks=80_000)
-        return net, status
+        return net
+
+    def mixed(engine):
+        net = mixed_traffic(engine)
+        return net, net.run(max_ticks=80_000)
+
+    def long_wires(engine):
+        # The overflows lose flits, so this run ends in a deadlock.
+        net = mixed_traffic(engine, wire_delay=3, slack_capacity=4)
+        return net, net.run(max_ticks=80_000, raise_on_deadlock=False)
 
     def saturated(engine):
         topo = bidirectional_shufflenet(2, 3)
@@ -300,6 +311,7 @@ def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
         "mixed_torus": mixed,
         "saturated_shufflenet": saturated,
         "sparse_fly": sparse_fly,
+        "long_wires": long_wires,
     }
 
 

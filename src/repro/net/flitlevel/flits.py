@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import Dict, List
 
 
 class FlitKind(str, Enum):
@@ -45,16 +45,32 @@ def worm_flits(
     multicast: bool = False,
     broadcast: bool = False,
 ) -> List[Flit]:
-    """Build the flit stream for a worm: header bytes, payload, tail."""
+    """Build the flit stream for a worm: header bytes, payload, tail.
+
+    Flits are immutable, so the payload is one DATA flit repeated."""
     if payload_bytes < 1:
         raise ValueError("worm needs at least one payload byte (the tail)")
     flits = [
         Flit(FlitKind.ROUTE, wid, value=b, multicast=multicast, broadcast=broadcast)
         for b in header
     ]
-    flits.extend(
-        Flit(FlitKind.DATA, wid, multicast=multicast, broadcast=broadcast)
-        for _ in range(payload_bytes - 1)
-    )
+    data = Flit(FlitKind.DATA, wid, multicast=multicast, broadcast=broadcast)
+    flits += [data] * (payload_bytes - 1)
     flits.append(Flit(FlitKind.TAIL, wid, multicast=multicast, broadcast=broadcast))
     return flits
+
+
+def retag_flits(flits: List[Flit], wid: int) -> List[Flit]:
+    """The same flit stream under worm id ``wid``.  A flit the stream
+    repeats (the payload of :func:`worm_flits`) is copied once, so the
+    copy shares it the same way."""
+    copies: Dict[int, Flit] = {}
+    out = []
+    for flit in flits:
+        copy = copies.get(id(flit))
+        if copy is None:
+            copy = copies[id(flit)] = Flit(
+                flit.kind, wid, flit.value, flit.multicast, flit.broadcast
+            )
+        out.append(copy)
+    return out

@@ -11,7 +11,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.route_encoding import encode_multicast_route, route_tree_from_paths
 from repro.net.flitlevel.adapter import FlitAdapter, WormRecord
-from repro.net.flitlevel.flits import worm_flits
+from repro.net.flitlevel.flits import retag_flits, worm_flits
 from repro.net.flitlevel.switch import (
     BROADCAST_BYTE,
     IDLE_FILL,
@@ -109,6 +109,10 @@ class _BuildOnRead(Mapping):
         return len(self._keys)
 
 
+def _closed(key):
+    raise RuntimeError("the network is closed; only built parts are readable")
+
+
 class FlitNetwork:
     """Byte-granular wormhole network over a topology.
 
@@ -201,6 +205,10 @@ class FlitNetwork:
             raise ValueError(
                 f"slack_capacity must be at least 2, got {slack_capacity!r}"
             )
+        for name, value in (("wire_delay", wire_delay),
+                            ("mc_idle_threshold", mc_idle_threshold)):
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         lo, hi = flush_backoff
         if not 0 <= lo <= hi:
             raise ValueError(
@@ -450,6 +458,27 @@ class FlitNetwork:
         if wires is None:
             return [(0, 0)] * (2 * self._lanes_of(self._links[link_id]))
         return [(wire.carried, wire.idles) for wire in wires]
+
+    def close(self) -> None:
+        """Break the reference cycles of a finished network (wire hooks,
+        back-references to the switch and the network, scheduled
+        closures), so it is freed by reference counting.  Records,
+        counters and :meth:`wire_counts` stay readable; the network cannot
+        run again, and reading an unbuilt switch or link raises."""
+        for wires in self._built_links.values():
+            for wire in wires:
+                wire.notify = wire.track = wire.receiver = None
+        for switch in self._built_switches.values():
+            switch.network = None
+            for port in switch.inputs:
+                port.switch = None
+            for output in switch.outputs:
+                output.switch = None
+        for adapter in self.adapters.values():
+            adapter.network = None
+        self._actions.clear()
+        self._track_hook = self._wake_hook = self._touch_hook = None
+        self.switches._build = self._link_wires._build = _closed
 
     # -- active-set engine internals ------------------------------------------
     def _wake_component(self, comp) -> None:
@@ -806,12 +835,9 @@ class FlitNetwork:
 
         def retransmit() -> None:
             new_wid = next(_flit_worm_ids)
-            flits = [
-                type(f)(f.kind, new_wid, f.value, f.multicast, f.broadcast)
-                for f in record.flits
-            ]
             new_record = WormRecord(
-                new_wid, record.src, record.dests, flits, record.payload_bytes
+                new_wid, record.src, record.dests,
+                retag_flits(record.flits, new_wid), record.payload_bytes,
             )
             new_record.retransmissions = record.retransmissions + 1
             new_record.delivered_at.update(record.delivered_at)

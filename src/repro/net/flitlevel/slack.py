@@ -71,6 +71,9 @@ class SlackBuffer:
         A push onto a full buffer is an *overflow*: it means the STOP
         round-trip slack was undersized.  The flit is dropped and counted
         (reliable configurations must never see this).
+
+        ``InputPort.absorb`` applies this rule (with :attr:`full`) and
+        :meth:`desired_stop` in place, once per byte.
         """
         if self.full:
             self.overflows += 1
@@ -101,7 +104,8 @@ class SlackBuffer:
         """The STOP/GO level this buffer wants its upstream to observe.
 
         Hysteresis per Figure 1: assert STOP at/above Ks, keep it asserted
-        until occupancy falls to/below Kg.
+        until occupancy falls to/below Kg.  Applied in place by
+        ``InputPort.absorb``.
         """
         occupancy = len(self._flits)
         if self._stopping:

@@ -35,6 +35,10 @@ IDLE_FILL = "idle_fill"
 INTERRUPT = "interrupt"
 IDLE_FLUSH = "idle_flush"
 
+_IDLE = FlitKind.IDLE
+_TAIL = FlitKind.TAIL
+_FRAG_TAIL = FlitKind.FRAG_TAIL
+
 
 class _Branch:
     """One output leg of a connection.
@@ -122,23 +126,40 @@ class InputPort:
     # -- input phase ------------------------------------------------------------
     def absorb(self, now: int) -> bool:
         """Pull the arriving flit (if any) into slack; returns True on
-        activity."""
-        flit = self.wire.deliver(now)
+        activity.
+
+        The per-byte hot path: it applies :meth:`Wire.deliver`,
+        :meth:`SlackBuffer.push` and :meth:`SlackBuffer.desired_stop` in
+        place (same rules, no calls)."""
+        wire = self.wire
+        slack = self.slack
+        flits = slack._flits
+        forward = wire._forward
         moved = False
-        if flit is not None:
+        if forward and forward[0][0] <= now:
+            flit = forward.popleft()[1]
+            moved = True
+            wid = flit.wid
             network = self.switch.network
-            if flit.wid in network.killed:
-                moved = True  # flushed worm drains away
-            else:
-                if flit.wid != self._site_wid:
-                    self._site_wid = flit.wid
-                    if flit.wid is not None:
-                        network._register_site(flit.wid, self.switch)
-                self.slack.push(flit)
-                moved = True
-        stop = self.slack.desired_stop()
+            if wid not in network.killed:  # a flushed worm drains away
+                if wid != self._site_wid:
+                    self._site_wid = wid
+                    if wid is not None:
+                        network._register_site(wid, self.switch)
+                if len(flits) >= slack.capacity:
+                    slack.overflows += 1
+                else:
+                    flits.append(flit)
+                    if len(flits) > slack.peak:
+                        slack.peak = len(flits)
+        if slack._stopping:
+            if len(flits) <= slack.go_mark:
+                slack._stopping = False
+        elif len(flits) >= slack.stop_mark:
+            slack._stopping = True
+        stop = slack._stopping
         if stop != self._last_stop:
-            self.wire.signal_stop(stop, now)
+            wire.signal_stop(stop, now)
             self._last_stop = stop
         return moved
 
@@ -219,13 +240,20 @@ class OutputPort:
         return self.holder == input_index
 
     def ready(self, now: int) -> bool:
-        """Can this port emit a flit this tick?"""
-        return self.wire.can_push(now) and not self.wire.stop_at_sender(now)
+        """Can this port emit a flit this tick?  :meth:`Wire.can_push`
+        and then :meth:`Wire.stop_at_sender`, applied in place."""
+        wire = self.wire
+        if wire._last_push_tick == now:
+            return False
+        reverse = wire._reverse
+        while reverse and reverse[0][0] <= now:
+            wire._stop_at_sender = reverse.popleft()[1]
+        return not wire._stop_at_sender
 
     def emit(self, flit: Flit, now: int) -> None:
         self.wire.push(flit, now)
         self.sent_flits += 1
-        if flit.kind is FlitKind.IDLE:
+        if flit.kind is _IDLE:
             self.idle_run += 1
         else:
             self.idle_run = 0
@@ -337,6 +365,9 @@ class CrossbarSwitch:
 
     def _advance(self, port: InputPort, now: int) -> bool:
         state = port.state
+        # Most advances stream payload, so that state is tested first.
+        if state == InputPort.STREAMING:
+            return self._stream(port, now)
         if state == InputPort.IDLE:
             return self._start_worm(port)
         if state in (
@@ -349,8 +380,6 @@ class CrossbarSwitch:
             return self._advance_mc_header(port, now)
         if state == InputPort.REQUESTING:
             return self._advance_request(port, now)
-        if state == InputPort.STREAMING:
-            return self._stream(port, now)
         return False
 
     # -- worm start -----------------------------------------------------------------
@@ -510,10 +539,40 @@ class CrossbarSwitch:
 
     # -- payload replication ---------------------------------------------------------
     def _stream(self, port: InputPort, now: int) -> bool:
-        mode = self.network.mode
         branches = port.branches
-        outputs = self.outputs
+        if len(branches) == 1:
+            # One branch (every unicast): only a multi-branch multicast is
+            # ever interrupted, so there is nothing to resume.  The step
+            # applies OutputPort.ready and OutputPort.emit in place.
+            flits = port.slack._flits
+            if not flits:
+                return False  # hole in the stream: upstream is slower
+            output = self.outputs[branches[0].port]
+            wire = output.wire
+            if wire._last_push_tick == now:
+                return False
+            reverse = wire._reverse
+            while reverse and reverse[0][0] <= now:
+                wire._stop_at_sender = reverse.popleft()[1]
+            if wire._stop_at_sender:
+                return False  # unicast: wait; backpressure does the rest
+            flit = flits.popleft()
+            wire.push(flit, now)
+            output.sent_flits += 1
+            kind = flit.kind
+            if kind is _IDLE:
+                output.idle_run += 1
+                return True
+            output.idle_run = 0
+            if kind is _TAIL:
+                self.forwarded_worms += 1
+                port.disconnect()
+            elif kind is _FRAG_TAIL:
+                port.disconnect()
+            return True
 
+        mode = self.network.mode
+        outputs = self.outputs
         if not branches:
             # A multicast header with zero branches cannot occur (encoders
             # reject empty trees); defensive teardown.
@@ -568,53 +627,46 @@ class CrossbarSwitch:
             # be asked yet: STOP/GO symbols apply lazily on the next read.
             return False
 
-        if len(branches) == 1:
-            output = outputs[branches[0].port]
-            if not output.ready(now):
-                return False  # unicast: wait; backpressure does the rest
+        ready = [outputs[b.port].ready(now) for b in branches]
+        if all(ready):
+            # Flits are immutable: every branch carries the same object.
             flit = slack.pop()
-            output.emit(flit, now)
+            for branch in branches:
+                outputs[branch.port].emit(flit, now)
+        elif mode == INTERRUPT:
+            # Non-blocked branches interrupt altogether: stamp a
+            # fragment tail (tearing down the downstream path), release
+            # the port, and remember the header for the resume replay.
+            moved = False
+            for branch, is_ready in zip(branches, ready):
+                if is_ready and branch.granted and not branch.interrupted:
+                    output = outputs[branch.port]
+                    output.emit(
+                        Flit(FlitKind.FRAG_TAIL, port.wid, multicast=True), now
+                    )
+                    output.release(port.index)
+                    branch.granted = False
+                    branch.interrupted = True
+                    branch.replay_pos = 0
+                    moved = True
+            return moved
         else:
-            ready = [outputs[b.port].ready(now) for b in branches]
-            if all(ready):
-                # Flits are immutable: every branch carries the same object.
-                flit = slack.pop()
-                for branch in branches:
-                    outputs[branch.port].emit(flit, now)
-            elif mode == INTERRUPT:
-                # Non-blocked branches interrupt altogether: stamp a
-                # fragment tail (tearing down the downstream path), release
-                # the port, and remember the header for the resume replay.
-                moved = False
-                for branch, is_ready in zip(branches, ready):
-                    if is_ready and branch.granted and not branch.interrupted:
-                        output = outputs[branch.port]
-                        output.emit(
-                            Flit(FlitKind.FRAG_TAIL, port.wid, multicast=True), now
-                        )
-                        output.release(port.index)
-                        branch.granted = False
-                        branch.interrupted = True
-                        branch.replay_pos = 0
-                        moved = True
-                return moved
-            else:
-                # Base scheme (and scheme 3): fill the non-blocked branches
-                # with IDLE characters -- the bandwidth waste (and deadlock
-                # fuel) of Figure 3.
-                moved = False
-                for branch, is_ready in zip(branches, ready):
-                    if is_ready:
-                        outputs[branch.port].emit(
-                            Flit(FlitKind.IDLE, port.wid, multicast=True), now
-                        )
-                        moved = True
-                return moved
+            # Base scheme (and scheme 3): fill the non-blocked branches
+            # with IDLE characters -- the bandwidth waste (and deadlock
+            # fuel) of Figure 3.
+            moved = False
+            for branch, is_ready in zip(branches, ready):
+                if is_ready:
+                    outputs[branch.port].emit(
+                        Flit(FlitKind.IDLE, port.wid, multicast=True), now
+                    )
+                    moved = True
+            return moved
         kind = flit.kind
-        if kind is FlitKind.TAIL:
+        if kind is _TAIL:
             self.forwarded_worms += 1
             port.disconnect()
-        elif kind is FlitKind.FRAG_TAIL:
+        elif kind is _FRAG_TAIL:
             # A fragment boundary from an upstream interrupt: the path
             # tears down here too; the resume header re-establishes it.
             port.disconnect()

@@ -77,10 +77,15 @@ class Wire:
             self.idles += 1
 
     def can_push(self, now: int) -> bool:
+        """Sender-side: no flit pushed yet this tick.  The per-byte
+        senders apply this rule and :meth:`stop_at_sender` in place:
+        ``OutputPort.ready``, the one-branch step of
+        ``CrossbarSwitch._stream`` and ``FlitAdapter.tick_output``."""
         return now != self._last_push_tick
 
     def deliver(self, now: int) -> Optional[Flit]:
-        """The flit arriving at the receiver this tick, if any."""
+        """The flit arriving at the receiver this tick, if any.  Applied
+        in place by ``InputPort.absorb`` and ``FlitAdapter.tick_input``."""
         if self._forward and self._forward[0][0] <= now:
             return self._forward.popleft()[1]
         return None
@@ -101,7 +106,8 @@ class Wire:
         self._reverse.append((now + self.delay, stop))
 
     def stop_at_sender(self, now: int) -> bool:
-        """Sender-side: the STOP/GO state currently in effect."""
+        """Sender-side: the STOP/GO state currently in effect.  Applied in
+        place where :meth:`can_push` is."""
         while self._reverse and self._reverse[0][0] <= now:
             self._stop_at_sender = self._reverse.popleft()[1]
         return self._stop_at_sender

@@ -389,6 +389,8 @@ def _vc_lanes(params: Dict[str, Any]) -> Dict[str, Any]:
             for carried, idles in counts[2 * lane : 2 * lane + 2]:
                 lane_flits[lane] += carried
                 lane_idles[lane] += idles
+    digest = timeline_digest(worm_timeline(net, status))
+    net.close()
     return sanitize_record(
         {
             "topology": params["topology"],
@@ -405,7 +407,7 @@ def _vc_lanes(params: Dict[str, Any]) -> Dict[str, Any]:
             "flushes": net.flushes,
             "worms_injected": net.worms_injected,
             "worm_deliveries": net.worm_deliveries,
-            "digest": timeline_digest(worm_timeline(net, status)),
+            "digest": digest,
             "lane_flits": lane_flits,
             "lane_idles": lane_idles,
         }

@@ -1,8 +1,11 @@
 """Golden records of the flit-level engines.
 
-Both engines share ``InputPort.absorb``, ``CrossbarSwitch._stream`` and
-``Wire.push``, so the engine crosscheck (dense vs active) cannot see a
-change to that shared code: both sides of the comparison move
+Both engines share every per-port method: ``InputPort.absorb`` (which
+applies ``Wire.deliver``, ``SlackBuffer.push`` and the STOP/GO
+hysteresis in place), ``CrossbarSwitch._advance`` and ``_stream``,
+``OutputPort.ready``/``emit``, ``FlitAdapter.tick_input``/``tick_output``
+and ``Wire.push``.  So the engine crosscheck (dense vs active) cannot see
+a change to that shared code: both sides of the comparison move
 together.  These pins can.  Each scenario pins two sha256 digests:
 
 * ``timeline`` -- :func:`~repro.net.flitlevel.crosscheck.timeline_digest`
@@ -18,9 +21,14 @@ base scheme at two lanes, the ``vc_lanes`` traffic for every multicast
 mode, lane count and allocation policy on a small torus and a 2-ary
 4-fly, a link failed and repaired mid-worm, a link cut (and a link cut
 then repaired) ahead of a queued worm on a 2-ary 5-fly at one and two
-lanes, a broadcast and a host-adapter (Hamiltonian) multicast.  The
-active engine builds a switch on first touch, so on the 5-fly the cut
-link's wires do not exist yet when it fails.  Each runs on the active
+lanes, three-tick wires on a torus with roomy and with undersized slack
+buffers at one and two lanes, a broadcast and a host-adapter
+(Hamiltonian) multicast.  The active engine builds a switch on first
+touch, so on the 5-fly the cut link's wires do not exist yet when it
+fails.  Every other scenario uses one-tick wires and never overflows a
+slack buffer; the long-wire ones pin a flit that is not yet due, STOP/GO
+symbols that take three ticks to act, and the slack overflow count
+(16 dropped flits at one lane, 13 at two).  Each runs on the active
 and dense engines, and both must read the same pins.  ``ticks_executed`` is
 deliberately not pinned: it counts the ticks an engine chose to execute,
 not the physics.
@@ -219,6 +227,36 @@ def _fly_cut(lanes, repair):
     return run
 
 
+def _long_wires(slack_capacity, lanes):
+    """Three-tick wires on a 3x3 torus: nine staggered unicasts and a
+    3-way multicast, so several flits are in flight on a wire and STOP/GO
+    symbols land three ticks after they are sent.  With 32-slot slack the
+    round trip fits and everything is delivered; with 4 slots the STOP
+    arrives too late, flits overflow the slack buffers and are dropped,
+    and the worms they belonged to never complete (a deadlock)."""
+
+    def run(engine):
+        topo = torus(3, 3)
+        net = FlitNetwork(
+            topo, engine=engine, seed=7, wire_delay=3,
+            slack_capacity=slack_capacity, lanes=lanes,
+        )
+        hosts = topo.hosts
+        for i, src in enumerate(hosts):
+            net.send_unicast(
+                src, hosts[(i + 3) % len(hosts)],
+                payload_bytes=40 + 8 * (i % 4), start_delay=i * 17,
+            )
+        net.send_multicast(
+            hosts[0], [hosts[2], hosts[5], hosts[7]],
+            payload_bytes=120, start_delay=9,
+        )
+        status = net.run(max_ticks=80_000, raise_on_deadlock=False)
+        return net, status
+
+    return run
+
+
 def _fly():
     return butterfly(k=2, n=4)
 
@@ -243,6 +281,11 @@ SCENARIOS["link_fail_repair"] = _link_fail_repair
 for _lanes in (1, 2):
     SCENARIOS[f"sparse_fly/cut/L{_lanes}"] = _fly_cut(_lanes, repair=False)
     SCENARIOS[f"sparse_fly/cut_repair/L{_lanes}"] = _fly_cut(_lanes, repair=True)
+for _slack in (32, 4):
+    for _lanes in (1, 2):
+        SCENARIOS[f"long_wires/slack{_slack}/L{_lanes}"] = _long_wires(
+            _slack, _lanes
+        )
 SCENARIOS["broadcast"] = _broadcast
 SCENARIOS["host_multicast"] = _host_multicast
 
@@ -313,6 +356,26 @@ GOLDEN = {
         "status": 'deadlock', "now": 3913,
         "timeline": '44920bf3ce2bf8b9711561c0a39de620a7a7fe9b4a6b22c49c289b81b67aae88',
         "counters": 'a5779a481ad3b1881e9e7b93085cfcaf26382d02f25f35bcb7ec724b64c27c7c',
+    },
+    'long_wires/slack32/L1': {
+        "status": 'delivered', "now": 269,
+        "timeline": 'a9f37505a9e243697c2fb4b8767e88032032ece2ddcf57faa3e448ceb05c823f',
+        "counters": '978bc2f229c8ce473ce4fe4d1f1069fecdf2f85cc34c5d8e008bb0c826279ed3',
+    },
+    'long_wires/slack32/L2': {
+        "status": 'delivered', "now": 265,
+        "timeline": 'fd13ce7f41a7e8ab1fde8f366f0fd5a851dae278079238761d5c6e28275d6bac',
+        "counters": 'b6be99763a71469f98576c7dd6ab2431306cee8769077bb047460d6a5e0c905a',
+    },
+    'long_wires/slack4/L1': {
+        "status": 'deadlock', "now": 2195,
+        "timeline": '9862fec924270e08b31341bcd88e5eff6e0d0983b86d1ee25ab96550e8baf19c',
+        "counters": '0edd8f06f5f497e3331a06d7c0b9a169847a03e4145e58d1ddd378491e5f0ff5',
+    },
+    'long_wires/slack4/L2': {
+        "status": 'deadlock', "now": 2195,
+        "timeline": '9862fec924270e08b31341bcd88e5eff6e0d0983b86d1ee25ab96550e8baf19c',
+        "counters": 'f9da329ce58dd18e8746af0417182873f617389d6c74ff33e3677f9c88d1a6ea',
     },
     'sparse_fly/cut/L1': {
         "status": 'deadlock', "now": 2138,
@@ -525,8 +588,9 @@ def test_flit_golden(name, engine):
 
 def test_scenarios_cover_the_paper_outcomes():
     """The pins include a deadlock, scheme-3 flushes, IDLE fills,
-    interrupts, lane choices that change the timeline, a lost worm and a
-    completed host-adapter multicast."""
+    interrupts, lane choices that change the timeline, a lost worm, a
+    completed host-adapter multicast and slack overflows on long
+    wires."""
     assert GOLDEN["fig3/base/0,5"]["status"] == "deadlock"
     assert GOLDEN["fig3/base/0,5/lanes=2"]["status"] == "delivered"
     net, status = SCENARIOS["fig3/s3_idle_flush/0,5"]("dense")
@@ -548,6 +612,13 @@ def test_scenarios_cover_the_paper_outcomes():
     assert net.worms_lost > 0 and net.link_faults == 1
     net, status = SCENARIOS["host_multicast"]("dense")
     assert status == "delivered" and all(m.complete for m in net.messages.values())
+    for lanes, overflows in ((1, 16), (2, 13)):
+        net, status = SCENARIOS[f"long_wires/slack4/L{lanes}"]("dense")
+        assert status == "deadlock"
+        assert sum(map(sum, _counters(net)["slack_overflows"])) == overflows
+    net, status = SCENARIOS["long_wires/slack32/L1"]("dense")
+    assert status == "delivered" and net.now == 269
+    assert not any(map(any, _counters(net)["slack_overflows"]))
 
 
 if __name__ == "__main__":

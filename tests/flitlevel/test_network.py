@@ -21,6 +21,65 @@ def test_worm_flits_needs_payload():
         worm_flits(1, b"", payload_bytes=0)
 
 
+def test_worm_payload_is_one_shared_flit():
+    flits = worm_flits(1, bytes([3, 4]), payload_bytes=5)
+    assert len({id(f) for f in flits[2:6]}) == 1
+    assert len({id(f) for f in flits}) == 4  # two route bytes, data, tail
+
+
+def test_retransmission_keeps_the_payload_shared():
+    from repro.net.flitlevel.flits import retag_flits
+
+    flits = worm_flits(1, bytes([3, 4]), payload_bytes=5, multicast=True)
+    copy = retag_flits(flits, 9)
+    assert [f.wid for f in copy] == [9] * 7
+    assert [(f.kind, f.value, f.multicast, f.broadcast) for f in copy] == [
+        (f.kind, f.value, f.multicast, f.broadcast) for f in flits
+    ]
+    assert len({id(f) for f in copy[2:6]}) == 1
+    assert not {id(f) for f in copy} & {id(f) for f in flits}
+
+
+def test_fig3_flush_allocates_one_payload_flit_per_worm(monkeypatch):
+    """Figure 3 under scheme 3 at offsets (0, 5): the 400-byte unicast is
+    flushed once and retransmitted.  Every worm, the retransmission
+    included, carries one shared payload flit, so the run allocates fewer
+    flits than one worm has bytes (1,280 with a flit per byte)."""
+    from repro.core.switch_mcast import (
+        SwitchScheme,
+        build_switch_multicast_network,
+    )
+    from repro.net.flitlevel.flits import Flit
+    from repro.net.topology import fig3_topology
+
+    allocated = []
+    init = Flit.__init__
+
+    def counting_init(self, *args, **kwargs):
+        allocated.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Flit, "__init__", counting_init)
+    topology = fig3_topology()
+    names = {topology.node(h).name: h for h in topology.hosts}
+    net = build_switch_multicast_network(
+        topology, SwitchScheme.S3_IDLE_FLUSH, seed=3
+    )
+    net.send_multicast(names["srcM"], [names["host_b"], names["host_c"]],
+                       payload_bytes=400)
+    net.send_unicast(names["host_y"], names["host_b"], payload_bytes=400,
+                     start_delay=5)
+    assert net.run(max_ticks=100_000, quiet_limit=3_000) == "delivered"
+    assert net.flushes == 1
+    (retransmitted,) = [r for r in net.records.values() if r.retransmissions]
+    for record in net.records.values():
+        payload = record.flits[-400:-1]
+        assert len({id(f) for f in payload}) == 1
+        assert payload[0].wid == record.wid
+    assert retransmitted.flits[-1].kind is FlitKind.TAIL
+    assert len(allocated) < 400
+
+
 def test_unicast_delivery_and_latency():
     topo = line(3)
     net = FlitNetwork(topo)
@@ -153,11 +212,41 @@ def test_small_slack_capacity_rejected(engine, capacity):
         FlitNetwork(torus(2, 2), slack_capacity=capacity, engine=engine)
 
 
+# A wire_delay below 1 used to run as a 1-tick wire and a fractional one
+# put flits due at fractional ticks (2.5 acted as 3); a threshold <= 0
+# flagged every held port multicast-IDLE, so scheme 3 flushed every
+# blocked unicast.
+@pytest.mark.parametrize("engine", ["active", "dense"])
+@pytest.mark.parametrize("name", ["wire_delay", "mc_idle_threshold"])
+@pytest.mark.parametrize("value", [0, -3, 2.5, "2"])
+def test_bad_wire_delay_and_idle_threshold_rejected(engine, name, value):
+    with pytest.raises(ValueError, match=rf"{name}.*{value!r}"):
+        FlitNetwork(torus(2, 2), engine=engine, **{name: value})
+
+
 @pytest.mark.parametrize("engine", ["active", "dense"])
 def test_boundary_construction_values_accepted(engine):
     net = FlitNetwork(torus(2, 2), slack_capacity=2, flush_backoff=(0, 0),
-                      engine=engine)
+                      wire_delay=1, mc_idle_threshold=1, engine=engine)
     assert net.run(max_ticks=10) == "delivered"
+
+
+@pytest.mark.parametrize("engine", ["active", "dense"])
+def test_close_keeps_records_and_counters_readable(engine):
+    topo = torus(3, 3)
+    net = FlitNetwork(topo, engine=engine)
+    hosts = topo.hosts
+    wid = net.send_multicast(hosts[0], [hosts[4], hosts[8]], payload_bytes=40)
+    assert net.run() == "delivered"
+    counts = [net.wire_counts(link.id) for link in topo.links]
+    now, delivered = net.now, dict(net.records[wid].delivered_at)
+    net.close()
+    assert [net.wire_counts(link.id) for link in topo.links] == counts
+    assert (net.now, net.records[wid].delivered_at) == (now, delivered)
+    unbuilt = [s for s in topo.switches if s not in net._built_switches]
+    if unbuilt:  # only the active engine leaves switches unbuilt
+        with pytest.raises(RuntimeError, match="closed"):
+            net.switches[unbuilt[0]]
 
 
 def test_progress_signature_detects_quiescence():

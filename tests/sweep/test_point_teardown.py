@@ -1,11 +1,14 @@
-"""Worm-level points free themselves by reference counting.
+"""Sweep points free themselves by reference counting.
 
 Each worm-level runner closes the simulator, network, adapters and fault
-plane it built once its record is built, so a finished point leaves no
-reference cycle behind and no cyclic collection is needed to free it.
-Each test runs one point kind with the cyclic collector disabled, checks
-that the point ran no collection of its own, then asks the collector how
-many unreachable objects the point left.
+plane it built once its record is built, and each flit-level point
+(``fig3_offsets``, ``vc_lanes``) closes its ``FlitNetwork`` once the
+outcome, the observability snapshot and the timeline digest are read.
+So a finished point leaves no reference cycle behind and no cyclic
+collection is needed to free it.  Each test runs one point kind with the
+cyclic collector disabled, checks that the point ran no collection of its
+own, then asks the collector how many unreachable objects the point
+left.
 """
 
 from __future__ import annotations
@@ -51,6 +54,30 @@ POINTS = {
     "repair_campaign/drops-and-recv-fault": (
         "repair_campaign",
         {"drops": 3, "recv_faults": 1, "messages": 10, "seed": 6},
+    ),
+    "fig3_offsets/2x2": (
+        "fig3_offsets", {"scheme": "base", "mc_delays": 2, "uc_delays": 2},
+    ),
+    # Offset (0, 5): the base scheme deadlocks with worms stuck in the
+    # fabric, and scheme 3 flushes the unicast and retransmits it.
+    "fig3_offsets/1x6-deadlock": (
+        "fig3_offsets", {"scheme": "base", "mc_delays": 1, "uc_delays": 6},
+    ),
+    "fig3_offsets/1x6-flush": (
+        "fig3_offsets",
+        {"scheme": "s3_idle_flush", "mc_delays": 1, "uc_delays": 6},
+    ),
+    # Cut off at tick 300: the unicast flushed at tick 59 still waits for
+    # its retransmission, scheduled for tick 416.
+    "fig3_offsets/1x6-timeout": (
+        "fig3_offsets",
+        {"scheme": "s3_idle_flush", "mc_delays": 1, "uc_delays": 6,
+         "max_ticks": 300},
+    ),
+    "vc_lanes/butterfly-L2": (
+        "vc_lanes",
+        {"topology": "butterfly", "ary": 2, "stages": 4, "lanes": 2,
+         "mode": "idle_flush", "seed": 2},
     ),
     "myrinet_throughput/all_send": (
         "myrinet_throughput",
