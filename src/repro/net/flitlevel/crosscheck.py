@@ -239,18 +239,26 @@ def crosscheck_partitioned(
 
 
 def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
-    """Four quick scenarios covering the hot paths: a mixed-traffic torus
+    """Five quick scenarios covering the hot paths: a mixed-traffic torus
     (headers, grants, multicast replication), a saturated shufflenet
     (every port streaming at once), a sparse 2-ary 5-fly (a fabric
     mostly never built by the active engine, with a link cut ahead of a
-    queued worm before its wires exist) and the mixed traffic again on
+    queued worm before its wires exist), the mixed traffic again on
     three-tick wires with 4-slot slack buffers (several flits in flight
     per wire, STOP/GO symbols that arrive late, and flits dropped by
-    slack overflow).  ``lanes``/``vc_policy`` thread the virtual-channel
+    slack overflow) and scheme 3 on the Figure 3 fabric with worms of
+    assorted sizes (steady streaming spans the active engine skips, one
+    of them only once a one-tick gap in front of an idle destination
+    closes).  ``lanes``/``vc_policy`` thread the virtual-channel
     configuration through every network, so the same scenarios prove
     multi-lane runs byte-identical across engines."""
     from repro.net.flitlevel.network import FlitNetwork
-    from repro.net.topology import bidirectional_shufflenet, butterfly, torus
+    from repro.net.topology import (
+        bidirectional_shufflenet,
+        butterfly,
+        fig3_topology,
+        torus,
+    )
 
     def mixed_traffic(engine, **wires):
         topo = torus(3, 3)
@@ -307,11 +315,30 @@ def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
                          raise_on_deadlock=False)
         return net, status
 
+    def streaming_spans(engine):
+        topo = fig3_topology()
+        net = FlitNetwork(topo, engine=engine, mode="idle_flush", seed=3,
+                          lanes=lanes, vc_policy=vc_policy)
+        h = topo.hosts
+        net.send_multicast(h[2], [h[1], h[0]], payload_bytes=5, start_delay=55)
+        net.send_multicast(h[4], [h[0], h[2]], payload_bytes=400,
+                           start_delay=14)
+        net.send_multicast(h[0], [h[3], h[2], h[1], h[4]], payload_bytes=120,
+                           start_delay=119)
+        net.send_unicast(h[4], h[0], payload_bytes=400, start_delay=161)
+        net.send_unicast(h[2], h[3], payload_bytes=5, start_delay=160)
+        net.send_unicast(h[1], h[3], payload_bytes=120, start_delay=46)
+        net.send_unicast(h[4], h[0], payload_bytes=120, start_delay=26)
+        status = net.run(max_ticks=20_000, quiet_limit=1_500,
+                         raise_on_deadlock=False)
+        return net, status
+
     return {
         "mixed_torus": mixed,
         "saturated_shufflenet": saturated,
         "sparse_fly": sparse_fly,
         "long_wires": long_wires,
+        "streaming_spans": streaming_spans,
     }
 
 

@@ -11,7 +11,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.route_encoding import encode_multicast_route, route_tree_from_paths
 from repro.net.flitlevel.adapter import FlitAdapter, WormRecord
-from repro.net.flitlevel.flits import retag_flits, worm_flits
+from repro.net.flitlevel.flits import FlitKind, retag_flits, worm_flits
 from repro.net.flitlevel.switch import (
     BROADCAST_BYTE,
     IDLE_FILL,
@@ -33,6 +33,9 @@ _net_seq_key = operator.attrgetter("_net_seq")
 
 #: The flit engines: ``"active"`` and its reference oracle ``"dense"``.
 ENGINES = ("active", "dense")
+
+_DATA = FlitKind.DATA
+_STREAMING = InputPort.STREAMING
 
 
 class HostMulticastMessage:
@@ -113,6 +116,68 @@ def _closed(key):
     raise RuntimeError("the network is closed; only built parts are readable")
 
 
+def _streams_steadily(port: InputPort, due: int, killed) -> bool:
+    """The input-port half of :meth:`FlitNetwork._steady_span`: ``port``
+    streams a live worm it has already indexed, latches and asserts no
+    STOP, holds k flits with k + 1 below the STOP mark, and its slack and
+    input wire hold only that worm's DATA flit, the wire exactly
+    ``delay`` of them, due from tick ``due`` on.  Every branch is granted
+    and not interrupted, and its output wire is alive, already tracks the
+    worm, has no STOP in effect and no STOP/GO symbol queued, and is full
+    the same way, ending in that DATA flit."""
+    wid = port.wid
+    if (
+        port.state != _STREAMING
+        or port._last_stop
+        or wid in killed
+        or port._site_wid != wid
+    ):
+        return False
+    wire = port.wire
+    forward = wire._forward
+    if len(forward) != wire.delay or forward[0][0] != due:
+        return False
+    data = forward[0][1]
+    if data.kind is not _DATA or data.wid != wid:
+        return False
+    for _due, flit in forward:
+        if flit is not data:
+            return False
+    slack = port.slack
+    flits = slack._flits
+    if (
+        slack._stopping
+        or len(flits) + 1 >= slack.stop_mark
+        or flits.count(data) != len(flits)
+        or not port.branches
+    ):
+        return False
+    outputs = port.switch.outputs
+    for branch in port.branches:
+        if not branch.granted or branch.interrupted:
+            return False
+        wire = outputs[branch.port].wire
+        forward = wire._forward
+        if (
+            not wire.alive
+            or wire._tracked_wid != wid
+            or wire._stop_at_sender
+            or wire._reverse
+            or len(forward) != wire.delay
+            or forward[0][0] != due
+            or forward[-1][1] is not data
+        ):
+            return False
+    return True
+
+
+def _shift_due(forward, span: int) -> None:
+    """Delay every ``(due, flit)`` entry of a wire by ``span`` ticks."""
+    for i in range(len(forward)):
+        due, flit = forward[i]
+        forward[i] = (due + span, flit)
+
+
 class FlitNetwork:
     """Byte-granular wormhole network over a topology.
 
@@ -148,16 +213,19 @@ class FlitNetwork:
         (lo, hi) uniform random retransmission delay after a flush, ticks.
     engine:
         ``"active"`` (default) ticks only the switch input ports and host
-        adapters registered in the network's active set and fast-forwards
-        the clock across quiescent spans.  It also builds a switch (its
-        ports, slack buffers, lane groups and its links' wires) only on
-        first touch: when its host adapter is handed a worm, or when a
-        flit is pushed onto a wire toward it.  ``"dense"`` is the
-        reference loop that builds every switch up front and polls every
-        switch port and adapter each byte-time.  Both produce
-        byte-identical worm timelines (see
-        :mod:`repro.net.flitlevel.crosscheck`).  ``switches`` lists every
-        switch either way; reading an entry builds it.
+        adapters registered in the network's active set, and
+        :meth:`run` fast-forwards the clock across quiescent spans and
+        across steady streaming spans (every live component moving one
+        payload byte per tick, so the ticks differ only in counters).
+        It also builds a switch (its ports, slack buffers, lane groups and
+        its links' wires) only on first touch: when its host adapter is
+        handed a worm, or when a flit is pushed onto a wire toward it.
+        ``"dense"`` is the reference loop that builds every switch up
+        front, polls every switch port and adapter each byte-time and
+        never skips a tick.  Both produce byte-identical worm timelines
+        and fabric counters (see :mod:`repro.net.flitlevel.crosscheck`).
+        ``switches`` lists every switch either way; reading an entry
+        builds it.
     obs:
         Optional :class:`~repro.obs.Observability` bundle; worm-lifecycle
         hooks cost one pointer test each when ``None`` and are purely
@@ -325,8 +393,9 @@ class FlitNetwork:
         self._last_progress_events = 0
         self.worms_injected = 0
         self.worm_deliveries = 0
-        #: Ticks actually executed (fast-forwarded spans are excluded, so
-        #: active/dense ratios of this counter measure the skipped work).
+        #: Ticks actually executed (fast-forwarded quiescent and steady
+        #: streaming spans are excluded, so active/dense ratios of this
+        #: counter measure the skipped work).
         self.ticks_executed = 0
         #: Worm records plus host-multicast messages not yet fully
         #: delivered, maintained incrementally so run() never scans
@@ -345,6 +414,9 @@ class FlitNetwork:
         self._active_ports: List[InputPort] = []
         self._active_adapters: List[FlitAdapter] = []
         self._woken: List[object] = []
+        #: The input port that last failed the steady-span check; it is
+        #: tested first next time (a hint only, see _steady_span).
+        self._span_blocker: Optional[InputPort] = None
         for seq, adapter in enumerate(self._adapter_list):
             adapter._net_seq = seq
         # Wire hooks, bound once and shared by every wire.  Only the active
@@ -945,6 +1017,142 @@ class FlitNetwork:
         self._n_active -= drained + off
         return moved
 
+    # -- steady streaming spans ---------------------------------------------------
+    def _steady_span(self, max_ticks: int) -> int:
+        """How many ticks from now on differ only in counters, or 0.
+
+        The active network streams steadily when nothing waits in
+        ``_woken``, every active input port passes
+        :func:`_streams_steadily`, and every active adapter receives a
+        full stream of a live worm's DATA flit (``delay`` of them on its
+        wire, due from the next tick on), or injects DATA of an already
+        injected head worm onto a full wire with GO in effect, or both.
+        Each of them then moves one payload byte per tick at link rate.
+        A port's output wires must be full too, so the component at their
+        far end is active (the wake hooks keep every component with flits
+        on its wire active), is checked, and cannot sit idle in front of a
+        gap.  At least one adapter must receive, so every skipped tick
+        counts progress and restarts the stall window, as each of those
+        ticks would.
+
+        The span ends before a source reaches its tail, before the next
+        scheduled action fires, and at ``max_ticks``.  The check stops at
+        the first component that fails it.
+        """
+        if self._woken:
+            return 0
+        now = self.now
+        span = max_ticks - now
+        actions = self._actions
+        if actions:
+            span = min(span, actions[0][0] - now - 1)
+        elif not self._undelivered:
+            return 0  # run() ends "delivered" after the next tick
+        if span < 1:
+            return 0
+        due = now + 1
+        killed = self.killed
+        # The port that failed last time usually still fails: testing it
+        # first makes a tick that cannot be skipped cost about one port.
+        blocker = self._span_blocker
+        if (
+            blocker is not None
+            and blocker._active
+            and not _streams_steadily(blocker, due, killed)
+        ):
+            return 0
+        for port in self._active_ports:
+            if not _streams_steadily(port, due, killed):
+                self._span_blocker = port
+                return 0
+        receiving = False
+        for adapter in self._active_adapters:
+            wire = adapter.wire_in
+            tx = adapter._tx
+            if wire is not None and wire._forward:
+                forward = wire._forward
+                if len(forward) != wire.delay or forward[0][0] != due:
+                    return 0
+                data = forward[0][1]
+                if data.kind is not _DATA or data.wid in killed:
+                    return 0
+                for _due, flit in forward:
+                    if flit is not data:
+                        return 0
+                receiving = True
+            elif not tx:
+                return 0  # idle: it settles out of the active set
+            if tx:
+                record = tx[0]
+                wid = record.wid
+                wire = adapter.wire_out
+                if wire is None or record.injected_at is None or wid in killed:
+                    return 0
+                pos = adapter._tx_pos
+                data = record.flits[pos]
+                forward = wire._forward
+                if (
+                    data.kind is not _DATA
+                    or not wire.alive
+                    or wire._tracked_wid != wid
+                    or wire._stop_at_sender
+                    or wire._reverse
+                    or len(forward) != wire.delay
+                    or forward[0][0] != due
+                    or forward[-1][1] is not data
+                ):
+                    return 0
+                # worm_flits: the payload runs up to the tail, the last flit.
+                left = len(record.flits) - 1 - pos
+                if left < span:
+                    span = left
+        return span if receiving else 0
+
+    def _skip_span(self, span: int) -> None:
+        """Apply ``span`` ticks of a steady span (:meth:`_steady_span`) in
+        one step.  The bulk counterpart of the per-byte steps each tick
+        runs, so a change to one of those must be made here too:
+        ``InputPort.absorb`` (slack peak), ``CrossbarSwitch._stream`` and
+        ``OutputPort.emit`` (sent flits, IDLE run), ``Wire.push`` (carried
+        flits, last push tick), ``FlitAdapter.tick_output`` (the source's
+        position) and ``FlitAdapter.tick_input`` (flits received, payload
+        progress, progress events).  Every wire in flight holds the
+        worm's one DATA flit, so its contents stay and its due times
+        shift by ``span``.  Skipped ticks do not count in
+        ``ticks_executed``."""
+        end = self.now + span
+        progress = 0
+        for port in self._active_ports:
+            slack = port.slack
+            occupancy = len(slack._flits) + 1
+            if occupancy > slack.peak:
+                slack.peak = occupancy
+            _shift_due(port.wire._forward, span)
+            outputs = port.switch.outputs
+            for branch in port.branches:
+                output = outputs[branch.port]
+                output.sent_flits += span
+                output.idle_run = 0
+                wire = output.wire
+                wire.carried += span
+                wire._last_push_tick = end
+        for adapter in self._active_adapters:
+            wire = adapter.wire_in
+            if wire is not None and wire._forward:
+                wid = wire._forward[0][1].wid
+                _shift_due(wire._forward, span)
+                adapter.received_flits += span
+                rx_progress = adapter._rx_progress
+                rx_progress[wid] = rx_progress.get(wid, 0) + span
+                progress += span
+            if adapter._tx:
+                adapter._tx_pos += span
+                wire = adapter.wire_out
+                wire.carried += span
+                wire._last_push_tick = end
+        self._progress_events += progress
+        self.now = end
+
     def pending_worms(self) -> List[int]:
         """Worm ids not yet fully delivered (plus incomplete host-adapter
         multicast messages, reported as negative message ids)."""
@@ -979,16 +1187,30 @@ class FlitNetwork:
         Progress is measured on worm *payload* and record churn (O(1)
         monotonic counters): IDLE fills spinning through a deadlocked
         cycle (Figure 3) do not count.  The active-set engine additionally
-        fast-forwards the clock across fully quiescent spans -- nothing in
+        fast-forwards the clock instead of spinning one byte at a time
+        across two kinds of span: fully quiescent ones -- nothing in
         flight, only scheduled actions (flush backoffs, delayed
-        injections) remaining -- instead of spinning one byte at a time;
-        outcomes are byte-identical to the dense engine's (see
-        :mod:`repro.net.flitlevel.crosscheck`).
+        injections) remaining -- and steady streaming ones, where every
+        live port and adapter moves one payload byte of a live worm per
+        tick at link rate (:meth:`_steady_span`); their ticks differ only
+        in counters, which :meth:`_skip_span` applies in one step.
+        Header phases, grant waits, IDLE fills and STOP/GO changes still
+        tick.  Outcomes and fabric counters are byte-identical to the
+        dense engine's (see :mod:`repro.net.flitlevel.crosscheck`).
         """
         last_progress = self.now
         last_events = self._progress_events
         while self.now < max_ticks:
-            if self._engine_active and not self._n_active:
+            if self._engine_active and self._n_active:
+                span = self._steady_span(max_ticks)
+                if span:
+                    # Steady streaming: each skipped tick delivered
+                    # payload, so the stall window restarts at its end.
+                    self._skip_span(span)
+                    last_events = self._progress_events
+                    last_progress = self.now
+                    continue
+            elif self._engine_active:
                 if self._actions:
                     # Idle span: nothing can move before the next
                     # scheduled action, so jump to the tick it fires on.

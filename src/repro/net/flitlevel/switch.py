@@ -130,7 +130,9 @@ class InputPort:
 
         The per-byte hot path: it applies :meth:`Wire.deliver`,
         :meth:`SlackBuffer.push` and :meth:`SlackBuffer.desired_stop` in
-        place (same rules, no calls)."""
+        place (same rules, no calls).  Its bulk counterpart, for the
+        ticks of a steady streaming span, is
+        ``FlitNetwork._skip_span``: a change here is made there too."""
         wire = self.wire
         slack = self.slack
         flits = slack._flits
@@ -251,6 +253,8 @@ class OutputPort:
         return not wire._stop_at_sender
 
     def emit(self, flit: Flit, now: int) -> None:
+        """Send ``flit`` this tick.  ``FlitNetwork._skip_span`` applies
+        the same counts in bulk over a steady streaming span."""
         self.wire.push(flit, now)
         self.sent_flits += 1
         if flit.kind is _IDLE:
@@ -396,18 +400,22 @@ class CrossbarSwitch:
         port.wid = front.wid
         if front.broadcast:
             port.is_multicast = True
-            port.slack.pop()
             if front.value == BROADCAST_BYTE:
                 # At (or past) the root: fan out on every down link; the
                 # climb covered nobody, so no exclusions (the crossbar can
                 # connect an input to its own port's output).
+                port.slack.pop()
                 port.branches = [
                     _Branch(self._select_lane(p)) for p in self.down_ports
                 ]
                 for branch in port.branches:
                     branch.header = [BROADCAST_BYTE]
             else:
-                port.branches = [_Branch(self._select_lane(front.value))]
+                lane = self._route_output(port, front.value)
+                if lane is None:
+                    return True
+                port.slack.pop()
+                port.branches = [_Branch(lane)]
             port.state = InputPort.REQUESTING
             return True
         if front.multicast:
@@ -416,10 +424,30 @@ class CrossbarSwitch:
             return True
         # Unicast: strip the leading route byte.
         port.is_multicast = False
+        lane = self._route_output(port, front.value)
+        if lane is None:
+            return True
         port.slack.pop()
-        port.branches = [_Branch(self._select_lane(front.value))]
+        port.branches = [_Branch(lane)]
         port.state = InputPort.REQUESTING
         return True
+
+    def _route_output(self, port: InputPort, value: int) -> Optional[int]:
+        """The output a route byte of ``port``'s worm selects, or None
+        once the worm is dropped.  A byte that names no port, or names an
+        output the worm already holds, can only come from a header that
+        slack overflows cut bytes out of: the worm is lost ("corrupt
+        header") and its flits leave this switch."""
+        if value < len(self.outputs):
+            lane = self._select_lane(value)
+            if all(branch.port != lane for branch in port.branches):
+                return lane
+        wid = port.wid
+        self.network.lose_worm(wid, reason="corrupt header")
+        # The site index may no longer list this switch (a record is
+        # unindexed once fully delivered), so reset it here as well.
+        self.drop_worm(wid)
+        return None
 
     # -- multicast streaming header (the paper's algorithm) -----------------------
     def _advance_mc_header(self, port: InputPort, now: int) -> bool:
@@ -434,8 +462,11 @@ class CrossbarSwitch:
                 port.slack.pop()
                 port.state = InputPort.STREAMING
                 return True
+            lane = self._route_output(port, front.value)
+            if lane is None:
+                return True
             port.slack.pop()
-            branch = _Branch(self._select_lane(front.value))
+            branch = _Branch(lane)
             port.branches.append(branch)
             self.outputs[branch.port].request(port.index)
             port.state = InputPort.MC_GRANT
@@ -539,6 +570,11 @@ class CrossbarSwitch:
 
     # -- payload replication ---------------------------------------------------------
     def _stream(self, port: InputPort, now: int) -> bool:
+        """Forward one flit of a connected worm on every branch (or fill,
+        interrupt or resume them per the multicast mode).  A steady span
+        of this step -- one DATA flit per tick on every branch -- is
+        applied in bulk by ``FlitNetwork._skip_span``: a change here is
+        made there too."""
         branches = port.branches
         if len(branches) == 1:
             # One branch (every unicast): only a multi-branch multicast is

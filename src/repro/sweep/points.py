@@ -282,35 +282,34 @@ def _fig3_offsets(params: Dict[str, Any]) -> Dict[str, Any]:
     )
 
 
-def _vc_topology(params: Dict[str, Any]):
-    """Build the topology a ``vc_lanes`` point asked for.
+def _vc_setup(params: Dict[str, Any]) -> Dict[str, Any]:
+    """The topology setup (see
+    :func:`repro.traffic.workloads.build_topology`) a ``vc_lanes`` point
+    asked for.
 
     Families cover the paper's direct networks (``torus``,
     ``bshufflenet``) and the multistage interconnects (``clos``,
     ``benes``, ``butterfly``); each takes its own shape parameters with
     small defaults so a grid can name just the family.
     """
-    from repro.net import topology as T
-
     name = params["topology"]
     if name == "torus":
-        return T.torus(int(params.get("rows", 4)), int(params.get("cols", 4)))
+        return {"topology": "torus", "rows": int(params.get("rows", 4)),
+                "cols": int(params.get("cols", 4))}
     if name == "bshufflenet":
-        return T.bidirectional_shufflenet(
-            int(params.get("p", 2)), int(params.get("k", 3))
-        )
+        return {"topology": "bidirectional_shufflenet",
+                "p": int(params.get("p", 2)), "k": int(params.get("k", 3)),
+                "prop_delay": 0.0}
     if name == "clos":
-        return T.clos(
-            spines=int(params.get("spines", 4)),
-            leaves=int(params.get("leaves", 8)),
-            hosts_per_leaf=int(params.get("hosts_per_leaf", 2)),
-        )
+        return {"topology": "clos", "spines": int(params.get("spines", 4)),
+                "leaves": int(params.get("leaves", 8)),
+                "hosts_per_leaf": int(params.get("hosts_per_leaf", 2))}
     if name == "benes":
-        return T.benes(terminals=int(params.get("terminals", 16)))
+        return {"topology": "benes",
+                "terminals": int(params.get("terminals", 16))}
     if name == "butterfly":
-        return T.butterfly(
-            k=int(params.get("ary", 2)), n=int(params.get("stages", 4))
-        )
+        return {"topology": "butterfly", "ary": int(params.get("ary", 2)),
+                "stages": int(params.get("stages", 4))}
     raise ValueError(
         f"unknown vc_lanes topology {name!r}; known: torus, bshufflenet, "
         "clos, benes, butterfly"
@@ -324,7 +323,7 @@ def _vc_lanes(params: Dict[str, Any]) -> Dict[str, Any]:
     A multicast from the first host to ``fanout`` spread-out destinations
     plus ``unicast_pairs`` staggered cross-traffic unicasts, on one
     (topology family, lanes, multicast scheme) grid point.  Required
-    params: ``topology`` (see :func:`_vc_topology`), ``lanes``.
+    params: ``topology`` (see :func:`_vc_setup`), ``lanes``.
     Optional: the family's shape parameters, ``mode`` (``idle_fill`` /
     ``interrupt`` / ``idle_flush``), ``vc_policy``, ``strategy``
     (``tree``/``path``), ``engine``, ``fanout``, ``unicast_pairs``,
@@ -333,15 +332,20 @@ def _vc_lanes(params: Dict[str, Any]) -> Dict[str, Any]:
     The record carries the canonical timeline digest (so byte-identity
     across engines/configs is checkable straight from sweep artifacts)
     and per-lane flit/idle totals summed over all multi-lane links --
-    the occupancy split the lanes-vs-scheme figure plots.
+    the occupancy split the lanes-vs-scheme figure plots.  Points of one
+    shape share one topology and routing per process
+    (:func:`~repro.traffic.workloads.shared_topology`): no point fails a
+    link.
     """
     from repro.net.flitlevel.crosscheck import timeline_digest, worm_timeline
     from repro.net.flitlevel.network import FlitNetwork
+    from repro.traffic.workloads import shared_topology
 
-    topo = _vc_topology(params)
+    topo, routing = shared_topology(_vc_setup(params))
     lanes = int(params.get("lanes", 1))
     net = FlitNetwork(
         topo,
+        routing=routing,
         mode=str(params.get("mode", "idle_fill")),
         lanes=lanes,
         vc_policy=str(params.get("vc_policy", "first_free")),

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.adapters import AdapterConfig, MulticastEngine, Scheme
-from repro.net.topology import Topology, bidirectional_shufflenet, torus
+from repro.net.topology import (
+    Topology,
+    benes,
+    bidirectional_shufflenet,
+    butterfly,
+    clos,
+    torus,
+)
 from repro.net.updown import UpDownRouting
 from repro.net.wormnet import WormholeNetwork
 from repro.sim.engine import Simulator
@@ -137,17 +144,35 @@ def fig11_setup() -> dict:
 
 
 def build_topology(setup: dict) -> Topology:
-    if setup["topology"] == "torus":
+    """The topology a setup names: the paper's direct networks (``torus``
+    with ``rows``/``cols``, ``bidirectional_shufflenet`` with ``p``/``k``/
+    ``prop_delay``) or a multistage interconnect (``clos`` with
+    ``spines``/``leaves``/``hosts_per_leaf``, ``benes`` with
+    ``terminals``, ``butterfly`` with ``ary``/``stages``)."""
+    name = setup["topology"]
+    if name == "torus":
         return torus(setup["rows"], setup["cols"])
-    if setup["topology"] == "bidirectional_shufflenet":
+    if name == "bidirectional_shufflenet":
         return bidirectional_shufflenet(
             setup["p"], setup["k"], prop_delay=setup["prop_delay"]
         )
-    raise ValueError(f"unknown topology {setup['topology']!r}")
+    if name == "clos":
+        return clos(
+            spines=setup["spines"], leaves=setup["leaves"],
+            hosts_per_leaf=setup["hosts_per_leaf"],
+        )
+    if name == "benes":
+        return benes(terminals=setup["terminals"])
+    if name == "butterfly":
+        return butterfly(k=setup["ary"], n=setup["stages"])
+    raise ValueError(f"unknown topology {name!r}")
 
 
 #: Keys of ``setup`` that determine the topology (and hence the routing).
-_TOPOLOGY_KEYS = ("topology", "rows", "cols", "p", "k", "prop_delay")
+_TOPOLOGY_KEYS = (
+    "topology", "rows", "cols", "p", "k", "prop_delay",
+    "spines", "leaves", "hosts_per_leaf", "terminals", "ary", "stages",
+)
 
 _shared_cache: Dict[tuple, tuple] = {}
 
@@ -156,10 +181,11 @@ def shared_topology(setup: dict) -> tuple:
     """Memoized ``(Topology, UpDownRouting)`` for a setup, per process.
 
     Both objects are effectively immutable once built (the routing's
-    internal route cache only ever adds deterministic entries), so load
+    internal route cache only ever adds deterministic entries), so the
     points of a sweep can share them instead of re-running the spanning
-    tree + all-pairs BFS per point.  Results are byte-identical to a fresh
-    build because routes are deterministic.
+    tree + all-pairs BFS per point: the worm-level load points and the
+    flit-level ``vc_lanes`` points, none of which fails a link.  Results
+    are byte-identical to a fresh build because routes are deterministic.
     """
     key = tuple((k, setup.get(k)) for k in _TOPOLOGY_KEYS)
     cached = _shared_cache.get(key)

@@ -218,15 +218,19 @@ def test_fresh_network_has_nothing_active():
 
 
 #: InputPort.absorb calls for one 64-byte unicast across a 4-lane 4x4
-#: torus on the active engine: only ports holding or receiving flits.
-ONE_UNICAST_PORT_STEPS = 345
+#: torus on the active engine: only ports holding or receiving flits,
+#: and only in the ticks it executes -- 29 of the run's 80, because one
+#: steady streaming span skips the other 51.
+ONE_UNICAST_PORT_STEPS = 90
+ONE_UNICAST_TICKS = 29
 
 
 def test_active_engine_steps_only_live_ports(monkeypatch):
     """The active engine ticks an input port only while it is live: it
     moved in the previous tick, or it holds flits, a connection or a STOP
     latch, or a flit is on its wire.  Counted independently on the dense
-    engine, which ticks every port every tick."""
+    engine, which ticks every port every tick, over the ticks the active
+    engine executes (it skips steady streaming spans)."""
     from repro.net.flitlevel.switch import CrossbarSwitch, InputPort
 
     def one_unicast(engine):
@@ -251,13 +255,22 @@ def test_active_engine_steps_only_live_ports(monkeypatch):
             return True
         return False
 
+    executed = set()
+    tick_active = FlitNetwork._tick_active
+
+    def recording_tick(net):
+        executed.add(net.now + 1)
+        return tick_active(net)
+
     monkeypatch.setattr(InputPort, "absorb", counting_absorb)
     monkeypatch.setattr(CrossbarSwitch, "_advance", recording_advance)
+    monkeypatch.setattr(FlitNetwork, "_tick_active", recording_tick)
 
     steps = []
     net = one_unicast("active")
     assert net.run() == "delivered"
     active_steps, active_now = len(steps), net.now
+    assert len(executed) == net.ticks_executed == ONE_UNICAST_TICKS
 
     net = one_unicast("dense")
     ports = [p for s in net.switches.values() for p in s.inputs]
@@ -265,11 +278,12 @@ def test_active_engine_steps_only_live_ports(monkeypatch):
     moved_before = set()
     while net._undelivered or net._actions:
         live = {p for p in ports if not p.quiescent()}
-        live_sum += len(live | moved_before)
+        if net.now + 1 in executed:
+            live_sum += len(live | moved_before)
         moved.clear()
         net.tick()
         moved_before = set(moved)
-    assert net.now == active_now
+    assert net.now == active_now == 80
     assert active_steps == live_sum == ONE_UNICAST_PORT_STEPS
     # The dense engine polls all 17 ports of all 16 switches every tick.
     assert len(ports) == 16 * 17

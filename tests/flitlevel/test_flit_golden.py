@@ -6,7 +6,10 @@ hysteresis in place), ``CrossbarSwitch._advance`` and ``_stream``,
 ``OutputPort.ready``/``emit``, ``FlitAdapter.tick_input``/``tick_output``
 and ``Wire.push``.  So the engine crosscheck (dense vs active) cannot see
 a change to that shared code: both sides of the comparison move
-together.  These pins can.  Each scenario pins two sha256 digests:
+together.  These pins can.  The active engine alone also skips steady
+streaming spans, applying their counters in bulk
+(``FlitNetwork._skip_span``); a change there shows in the crosscheck and
+in the active half of these pins.  Each scenario pins two sha256 digests:
 
 * ``timeline`` -- :func:`~repro.net.flitlevel.crosscheck.timeline_digest`
   of the canonical worm timeline (status, clock, per-worm injection and
@@ -25,11 +28,18 @@ lanes, three-tick wires on a torus with roomy and with undersized slack
 buffers at one and two lanes, a broadcast and a host-adapter
 (Hamiltonian) multicast.  The active engine builds a switch on first
 touch, so on the 5-fly the cut link's wires do not exist yet when it
-fails.  Every other scenario uses one-tick wires and never overflows a
-slack buffer; the long-wire ones pin a flit that is not yet due, STOP/GO
-symbols that take three ticks to act, and the slack overflow count
-(16 dropped flits at one lane, 13 at two).  Each runs on the active
-and dense engines, and both must read the same pins.  ``ticks_executed`` is
+fails.  No other scenario overflows a slack buffer, and all but
+``span/long_wires/L2`` use one-tick wires; the long-wire ones pin a flit
+that is not yet due, STOP/GO symbols that take three ticks to act, and
+the slack overflow count (16 dropped flits at one lane, 13 at two).
+Four ``span/*`` scenarios sit at the edges of a steady streaming span:
+scheme 3 on the Figure 3 fabric with worms of assorted sizes (the
+crosscheck's ``streaming_spans`` smoke scenario), where a one-tick gap
+in front of an idle destination adapter must close before a span may
+start; long worms over three-tick wires at two lanes with 32-slot slack;
+a span that a scheduled injection cuts off mid-payload; and a run whose
+``max_ticks`` ends mid-payload.  Each runs on the active and dense
+engines, and both must read the same pins.  ``ticks_executed`` is
 deliberately not pinned: it counts the ticks an engine chose to execute,
 not the physics.
 
@@ -46,7 +56,11 @@ import json
 import pytest
 
 from repro.core.switch_mcast import SwitchScheme, build_switch_multicast_network
-from repro.net.flitlevel.crosscheck import timeline_digest, worm_timeline
+from repro.net.flitlevel.crosscheck import (
+    _smoke_scenarios,
+    timeline_digest,
+    worm_timeline,
+)
 from repro.net.flitlevel.network import FlitNetwork
 from repro.net.topology import butterfly, fig3_topology, ring, torus
 
@@ -257,6 +271,44 @@ def _long_wires(slack_capacity, lanes):
     return run
 
 
+def _span_long_wires(engine):
+    """Long worms over three-tick wires at two lanes with 32-slot slack:
+    three flits in flight on every streaming wire."""
+    topo = torus(3, 3)
+    net = FlitNetwork(topo, engine=engine, seed=11, wire_delay=3, lanes=2,
+                      slack_capacity=32)
+    h = topo.hosts
+    net.send_multicast(h[0], [h[4], h[8], h[2]], payload_bytes=400)
+    net.send_unicast(h[1], h[7], payload_bytes=400, start_delay=3)
+    net.send_unicast(h[5], h[3], payload_bytes=300, start_delay=40)
+    status = net.run(max_ticks=20_000, raise_on_deadlock=False)
+    return net, status
+
+
+def _span_cut_by_injection(engine):
+    """A worm streams steadily until a scheduled injection fires in the
+    middle of its payload; the new worm shares part of its path."""
+    topo = ring(6)
+    net = FlitNetwork(topo, engine=engine, seed=2)
+    h = topo.hosts
+    net.send_unicast(h[0], h[3], payload_bytes=400)
+    net.send_unicast(h[1], h[4], payload_bytes=200, start_delay=150)
+    net.send_unicast(h[5], h[2], payload_bytes=120, start_delay=233)
+    status = net.run(max_ticks=20_000)
+    return net, status
+
+
+def _span_max_ticks(engine):
+    """The tick budget runs out while two worms are mid-payload."""
+    topo = torus(3, 3)
+    net = FlitNetwork(topo, engine=engine, seed=4)
+    h = topo.hosts
+    net.send_multicast(h[2], [h[6], h[7]], payload_bytes=400)
+    net.send_unicast(h[3], h[5], payload_bytes=400, start_delay=7)
+    status = net.run(max_ticks=181)
+    return net, status
+
+
 def _fly():
     return butterfly(k=2, n=4)
 
@@ -288,6 +340,13 @@ for _slack in (32, 4):
         )
 SCENARIOS["broadcast"] = _broadcast
 SCENARIOS["host_multicast"] = _host_multicast
+# Scheme 3 on the Figure 3 fabric with worms of assorted sizes: a
+# destination adapter sits idle while a one-tick gap on its wire closes,
+# so a streaming span must not start until the adapter receives.
+SCENARIOS["span/idle_dest_gap"] = _smoke_scenarios()["streaming_spans"]
+SCENARIOS["span/long_wires/L2"] = _span_long_wires
+SCENARIOS["span/cut_by_injection"] = _span_cut_by_injection
+SCENARIOS["span/max_ticks"] = _span_max_ticks
 
 
 def _run(name, engine):
@@ -376,6 +435,26 @@ GOLDEN = {
         "status": 'deadlock', "now": 2195,
         "timeline": '9862fec924270e08b31341bcd88e5eff6e0d0983b86d1ee25ab96550e8baf19c',
         "counters": 'f9da329ce58dd18e8746af0417182873f617389d6c74ff33e3677f9c88d1a6ea',
+    },
+    'span/cut_by_injection': {
+        "status": 'delivered', "now": 534,
+        "timeline": '93cbf7d09016a412a6e89784017171b59703b7aa8e40efe20f686cb65c070e61',
+        "counters": 'ad74b060a7ae52fd474ffd73385babcfc2391bf0515c102938860b3ae4e2f292',
+    },
+    'span/idle_dest_gap': {
+        "status": 'delivered', "now": 964,
+        "timeline": '942bf379a80bed0c3ff330055b8ce2def52ce8e7db559ae250fa6b7369d1273d',
+        "counters": '50fa6b805288d6babe9bbb4705119ec2c99342e2edc997485118458e71bb4bb1',
+    },
+    'span/long_wires/L2': {
+        "status": 'delivered', "now": 437,
+        "timeline": '62261b77e73dd0389f583df6ce37f3058e0edf983fa39fb2682d2d044548e931',
+        "counters": '77db24c47e477ef7b5729033653a3342df93e4fc952e6ba344f789e711342f3b',
+    },
+    'span/max_ticks': {
+        "status": 'timeout', "now": 181,
+        "timeline": '5b8c4bf615fcbc18477322507caaaa4fa7f378304c5965fca6c2ec6642a6afc1',
+        "counters": '0e23a30eaaeed183eccd188a51144b605d62fde58ce1fc0734cebc0572998040',
     },
     'sparse_fly/cut/L1': {
         "status": 'deadlock', "now": 2138,

@@ -1,0 +1,162 @@
+"""Generated dense-vs-active differential runs.
+
+A seeded generator draws small flit-level scenarios -- topology, multicast
+mode, lanes, slack size, wire delay, tree-restricted routing and one to
+seven unicasts or multicasts of assorted sizes at random start delays --
+and runs each on both engines.  The two runs must read the same final
+clock, the same timeline digest and the same fabric counters (the
+:mod:`test_flit_golden` pins) and count the same progress events (the
+stall detector's clock), and neither may raise.  Undersized slack on
+long wires drops flits, so the draw includes corrupted headers and worms
+that never finish; long worms on quiet fabrics take the active engine's
+steady-streaming fast-forward.
+
+The two corrupt-header reproducers raised on both engines before a
+switch validated its route bytes.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.net.flitlevel.network import FlitNetwork
+from repro.net.topology import butterfly, fig3_topology, ring, torus
+
+from .test_flit_golden import _pins
+
+TOPOLOGIES = {
+    "torus3x3": lambda: torus(3, 3),
+    "torus4x4": lambda: torus(4, 4),
+    "ring6": lambda: ring(6),
+    "fly2x3": lambda: butterfly(2, 3),
+    "fig3": fig3_topology,
+}
+HOSTS = {name: len(make().hosts) for name, make in TOPOLOGIES.items()}
+SIZES = (1, 2, 5, 40, 120, 400)
+
+#: Generator seed and scenario count (about three seconds for both engines).
+SEED = 1
+COUNT = 80
+
+
+def _draw(rng: random.Random):
+    """One scenario: ``(topology, FlitNetwork keywords, sends)``; a send is
+    ``(source, destinations, payload bytes, start delay)`` in host
+    indices, a unicast when it names one destination."""
+    topology = rng.choice(sorted(TOPOLOGIES))
+    config = {
+        "mode": rng.choice(("idle_fill", "interrupt", "idle_flush")),
+        "lanes": rng.choice((1, 2)),
+        "slack_capacity": rng.choice((4, 8, 32)),
+        "wire_delay": rng.choice((1, 2, 3)),
+        "restrict_to_tree": rng.random() < 0.5,
+        "seed": rng.randrange(1, 100),
+    }
+    n = HOSTS[topology]
+    sends = []
+    for _ in range(rng.randint(1, 7)):
+        src = rng.randrange(n)
+        others = [h for h in range(n) if h != src]
+        size = rng.choice(SIZES)
+        delay = rng.randrange(0, 170)
+        if rng.random() < 0.5:
+            dests = [rng.choice(others)]
+        else:
+            dests = rng.sample(others, rng.randint(2, min(5, len(others))))
+        sends.append((src, dests, size, delay))
+    return topology, config, sends
+
+
+def _run(scenario, engine):
+    topology, config, sends = scenario
+    topo = TOPOLOGIES[topology]()
+    hosts = topo.hosts
+    net = FlitNetwork(topo, engine=engine, **config)
+    for src, dests, size, delay in sends:
+        if len(dests) == 1:
+            net.send_unicast(hosts[src], hosts[dests[0]], size, start_delay=delay)
+        else:
+            net.send_multicast(
+                hosts[src], [hosts[d] for d in dests], size, start_delay=delay
+            )
+    status = net.run(max_ticks=20_000, quiet_limit=1_500,
+                     raise_on_deadlock=False)
+    return net, status
+
+
+def test_generated_scenarios_agree(monkeypatch):
+    spans = []
+    skip_span = FlitNetwork._skip_span
+
+    def counting_skip_span(net, span):
+        spans.append(span)
+        skip_span(net, span)
+
+    monkeypatch.setattr(FlitNetwork, "_skip_span", counting_skip_span)
+    rng = random.Random(SEED)
+    overflowed = jumped = 0
+    for index in range(COUNT):
+        scenario = _draw(rng)
+        dense = _run(scenario, "dense")
+        del spans[:]
+        active = _run(scenario, "active")
+        assert _pins(*dense) == _pins(*active), (index, scenario)
+        assert dense[0]._progress_events == active[0]._progress_events
+        jumped += bool(spans)
+        net = dense[0]
+        overflowed += any(
+            port.slack.overflows
+            for switch in net.switches.values() for port in switch.inputs
+        )
+    # The draw covers both edges: slack overflows and streaming spans.
+    assert overflowed >= 5 and jumped >= 20, (overflowed, jumped)
+
+
+def _corrupt_multicast_port(engine):
+    """Slack overflows on 2-tick wires cut a multicast header: a route
+    byte then names a port the switch does not have."""
+    topo = ring(6)
+    h = topo.hosts
+    net = FlitNetwork(topo, engine=engine, seed=4, mode="idle_fill",
+                      slack_capacity=8, wire_delay=2)
+    net.send_multicast(h[3], [h[2], h[4], h[0], h[5]], 40, start_delay=36)
+    net.send_multicast(h[5], [h[0], h[1]], 2, start_delay=86)
+    net.send_unicast(h[3], h[2], 40, start_delay=150)
+    net.send_unicast(h[1], h[5], 400, start_delay=66)
+    net.send_unicast(h[2], h[5], 1, start_delay=22)
+    net.send_multicast(h[4], [h[2], h[0], h[1], h[3], h[5]], 400, start_delay=60)
+    net.send_unicast(h[4], h[5], 2, start_delay=65)
+    return net, net.run(max_ticks=20_000, quiet_limit=1_500,
+                        raise_on_deadlock=False)
+
+
+def _corrupt_duplicate_branch(engine):
+    """Slack overflows on 3-tick wires cut a multicast header so that two
+    of its branches name the same output."""
+    topo = torus(4, 4)
+    h = topo.hosts
+    net = FlitNetwork(topo, engine=engine, seed=1, mode="interrupt",
+                      slack_capacity=4, wire_delay=3)
+    net.send_multicast(h[14], [h[2], h[13], h[7], h[10]], 400, start_delay=11)
+    net.send_multicast(h[9], [h[12], h[4]], 40, start_delay=127)
+    net.send_unicast(h[5], h[2], 400, start_delay=149)
+    net.send_unicast(h[15], h[9], 1, start_delay=141)
+    net.send_unicast(h[15], h[1], 400, start_delay=48)
+    net.send_unicast(h[0], h[1], 1, start_delay=35)
+    return net, net.run(max_ticks=20_000, quiet_limit=1_500,
+                        raise_on_deadlock=False)
+
+
+@pytest.mark.parametrize(
+    "scenario", [_corrupt_multicast_port, _corrupt_duplicate_branch]
+)
+def test_corrupt_header_loses_the_worm(scenario):
+    pins = {}
+    for engine in ("dense", "active"):
+        net, status = scenario(engine)
+        assert status in ("delivered", "deadlock", "timeout")
+        assert net.worms_lost >= 1
+        pins[engine] = _pins(net, status)
+    assert pins["dense"] == pins["active"]
