@@ -14,7 +14,6 @@ if TYPE_CHECKING:  # pragma: no cover
 _ROUTE = FlitKind.ROUTE
 _IDLE = FlitKind.IDLE
 _TAIL = FlitKind.TAIL
-_FRAG_TAIL = FlitKind.FRAG_TAIL
 
 
 class WormRecord:
@@ -61,8 +60,6 @@ class FlitAdapter:
         self.wire_in: Optional["Wire"] = None
         self._tx: Deque[WormRecord] = deque()
         self._tx_pos = 0
-        #: wid -> payload bytes received so far (fragments accumulate)
-        self._rx_progress: Dict[int, int] = {}
         self.received_worms: List[int] = []
         self.received_flits = 0
         #: Active-set engine bookkeeping (see FlitNetwork._tick_active):
@@ -142,20 +139,15 @@ class FlitAdapter:
             return True
         self.received_flits += 1
         network._note_progress()
-        if kind is _FRAG_TAIL:
-            return True  # fragment boundary; payload already accumulated
-        rx_progress = self._rx_progress
-        rx_progress[wid] = rx_progress.get(wid, 0) + 1
         if kind is _TAIL:
             self.received_worms.append(wid)
-            del rx_progress[wid]
             network.record_delivery(wid, self.host_id, now)
         return True
 
     def quiescent(self) -> bool:
         """True when ticking this adapter is provably a no-op: nothing
         queued for injection and nothing in flight on the receive wire.
-        A stream gap (partial ``_rx_progress``) needs no ticking -- the
+        A stream gap (a worm partly received) needs no ticking -- the
         upstream push re-activates the adapter through the wire hook."""
         if self._tx:
             return False

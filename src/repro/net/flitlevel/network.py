@@ -702,6 +702,12 @@ class FlitNetwork:
         return wid
 
     def _inject(self, record: WormRecord, start_delay: int) -> None:
+        """Hand ``record`` to its source adapter after ``start_delay``
+        ticks.  A worm queued now (``start_delay <= 0``) and one queued
+        by the action at the top of tick 1 (``start_delay == 1``) are
+        both first ticked in tick 1, so delays 0 and 1 give the same run;
+        :func:`~repro.core.switch_mcast.sweep_fig3_offsets` relies on
+        it."""
         if start_delay <= 0:
             self.adapters[record.src].enqueue(record)
         else:
@@ -1115,11 +1121,10 @@ class FlitNetwork:
         ``InputPort.absorb`` (slack peak), ``CrossbarSwitch._stream`` and
         ``OutputPort.emit`` (sent flits, IDLE run), ``Wire.push`` (carried
         flits, last push tick), ``FlitAdapter.tick_output`` (the source's
-        position) and ``FlitAdapter.tick_input`` (flits received, payload
-        progress, progress events).  Every wire in flight holds the
-        worm's one DATA flit, so its contents stay and its due times
-        shift by ``span``.  Skipped ticks do not count in
-        ``ticks_executed``."""
+        position) and ``FlitAdapter.tick_input`` (flits received, progress
+        events).  Every wire in flight holds the worm's one DATA flit, so
+        its contents stay and its due times shift by ``span``.  Skipped
+        ticks do not count in ``ticks_executed``."""
         end = self.now + span
         progress = 0
         for port in self._active_ports:
@@ -1139,11 +1144,8 @@ class FlitNetwork:
         for adapter in self._active_adapters:
             wire = adapter.wire_in
             if wire is not None and wire._forward:
-                wid = wire._forward[0][1].wid
                 _shift_due(wire._forward, span)
                 adapter.received_flits += span
-                rx_progress = adapter._rx_progress
-                rx_progress[wid] = rx_progress.get(wid, 0) + span
                 progress += span
             if adapter._tx:
                 adapter._tx_pos += span

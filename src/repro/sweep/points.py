@@ -251,6 +251,10 @@ def _fig3_offsets(params: Dict[str, Any]) -> Dict[str, Any]:
     Optional: ``mc_delays``/``uc_delays`` (exclusive range bounds, default
     6), ``worm_bytes``, ``max_ticks``, ``seed``, and ``engine``
     (``"active"``/``"dense"`` -- byte-identical results, different speed).
+    :func:`~repro.core.switch_mcast.sweep_fig3_offsets` runs each distinct
+    race once and derives the other cells from it, but the record still
+    describes every cell: ``statuses`` and the totals cover the whole
+    grid, exactly as if each cell had been run.
     """
     from repro.core.switch_mcast import (
         SwitchScheme,

@@ -97,6 +97,70 @@ def test_schemes_equivalent_when_no_contention():
         assert outcome.multicast_delivered
 
 
+#: The bench's Fig-3 grid: 36 cells, 9 distinct races.
+GRID = dict(mc_delays=range(6), uc_delays=range(6))
+
+#: Sweeps that must equal their cells run directly: the bench's grid at
+#: lanes 1 and 2 and on the dense engine, the served workload's 2x2 grid
+#: of 64-byte worms (one race), and two tick budgets: at 300 many races
+#: time out, at 845 some end on the budget once shifted.
+SWEEPS = {
+    **{
+        f"{scheme.value}/lanes{lanes}": (scheme, dict(GRID, lanes=lanes))
+        for scheme in SwitchScheme
+        for lanes in (1, 2)
+    },
+    "s3_idle_flush/dense": (
+        SwitchScheme.S3_IDLE_FLUSH, dict(GRID, engine="dense"),
+    ),
+    **{
+        f"{scheme.value}/served": (
+            scheme, dict(mc_delays=range(2), uc_delays=range(2), worm_bytes=64),
+        )
+        for scheme in SwitchScheme
+    },
+    **{
+        f"{scheme.value}/max_ticks{budget}": (
+            scheme, dict(GRID, max_ticks=budget),
+        )
+        for scheme in SwitchScheme
+        for budget in (300, 845)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_equals_direct_runs(name):
+    """Each cell derived from its race's one run (delays shifted, a delay
+    below 1 read as 1) equals the cell run directly; a shifted cell whose
+    race timed out, or would end on or past the budget once shifted, is
+    run directly."""
+    scheme, kwargs = SWEEPS[name]
+    kwargs = dict(kwargs)
+    mc_delays, uc_delays = kwargs.pop("mc_delays"), kwargs.pop("uc_delays")
+    direct = [
+        run_fig3_scenario(scheme, mc_delay, uc_delay, **kwargs)
+        for mc_delay in mc_delays
+        for uc_delay in uc_delays
+    ]
+    assert sweep_fig3_offsets(scheme, mc_delays, uc_delays, **kwargs) == direct
+
+
+def test_sweep_runs_each_distinct_race_once(monkeypatch):
+    builds = 0
+    init = FlitNetwork.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal builds
+        builds += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlitNetwork, "__init__", counting_init)
+    outcomes = sweep_fig3_offsets(SwitchScheme.BASE, **GRID)
+    assert len(outcomes) == 36
+    assert builds == 9
+
+
 def test_fabric_multicast_vs_repeated_unicast_link_usage():
     """The point of fabric multicast: shared path prefixes carry the worm
     once, while repeated unicast carries it once per destination.  A chain

@@ -74,6 +74,13 @@ POINTS = {
         {"scheme": "s3_idle_flush", "mc_delays": 1, "uc_delays": 6,
          "max_ticks": 300},
     ),
+    # Cut off at tick 844: cell (2, 2) is its race (1, 1) a tick later,
+    # but cell (2, 3) would end on the budget once shifted from its race
+    # (1, 2), so it runs directly.
+    "fig3_offsets/3x4-budget": (
+        "fig3_offsets",
+        {"scheme": "base", "mc_delays": 3, "uc_delays": 4, "max_ticks": 844},
+    ),
     "vc_lanes/butterfly-L2": (
         "vc_lanes",
         {"topology": "butterfly", "ary": 2, "stages": 4, "lanes": 2,
