@@ -9,12 +9,22 @@ by ID for deadlock prevention.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 SWITCH = "switch"
 HOST = "host"
+
+
+def _check_prop_delay(prop_delay: float) -> None:
+    """Reject a propagation delay that is not a finite number >= 0: the
+    engines schedule by it, and NaN never compares."""
+    if not (prop_delay >= 0 and math.isfinite(prop_delay)):
+        raise ValueError(
+            f"prop_delay must be a finite number >= 0, got {prop_delay!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -129,6 +139,7 @@ class Topology:
         self, switch: int, name: Optional[str] = None, prop_delay: float = 0.0
     ) -> int:
         """Add a host attached to ``switch``; returns its node id."""
+        _check_prop_delay(prop_delay)
         if self.node(switch).kind != SWITCH:
             raise ValueError(f"hosts must attach to switches, {switch} is a host")
         nid = len(self._nodes)
@@ -149,6 +160,7 @@ class Topology:
         """
         if a == b:
             raise ValueError("self-links are not allowed")
+        _check_prop_delay(prop_delay)
         for node in (a, b):
             if self.node(node).kind != SWITCH:
                 raise ValueError(f"add_link joins switches only, {node} is a host")

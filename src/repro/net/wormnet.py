@@ -21,27 +21,36 @@ at the loads and worm sizes of the paper's experiments the worm-level
 abstraction preserves the contention behaviour that dominates latency.
 
 Each worm's trip is a small callback state machine, :class:`_WormRun`,
-that is its own event-queue entry (``Simulator.schedule_entry``): an
-urgent bootstrap at injection, then per hop *acquire* (granted on the
-spot, or queued on the :class:`Channel`, which enqueues the run when it
-hands the channel over) and *cross* (one self-enqueue ``switch_latency +
-prop_delay`` later), and finally one self-enqueue ``length`` later that
-delivers, drops or orphans the worm.  Every crossed channel gets a
-:class:`_TailRelease` entry that re-enqueues itself until the tail has
-passed.  This is the worm-level hot path: no generator, Process, Timeout
-or resource Request is allocated per worm or per hop, while every entry
-lands at the instant, offset and priority a generator process waiting on
-resource requests would use, so same-instant order and all results are
-those of a process-per-worm model.
+that is its own event-queue entry: an urgent bootstrap at injection, then
+per hop *acquire* (granted on the spot, or queued on the :class:`Channel`,
+which enqueues the run when it hands the channel over) and *cross* (one
+entry ``switch_latency + prop_delay`` later), and finally one entry
+``length`` later that delivers, drops or orphans the worm.  Every crossed
+channel but the last is enqueued as its own tail release, an entry that
+re-enqueues itself until the tail has passed; the final step releases the
+last one itself.  A :class:`Transfer`'s events are made only when someone
+asks for them, so a worm nobody waits on enqueues no event.  Every queue
+entry a worm makes thus changes model state, and no generator, Process,
+Timeout, resource Request or per-hop object is allocated.
+
+The entries keep the order of a process-per-worm model.  Each lands at
+the instant, offset and priority a generator process waiting on resource
+requests would use, so same-instant order and all results are those of
+that model.  The runs and the channels push onto the kernel's heap
+themselves (:meth:`Simulator.entry_queue`, taken once by the network and
+by each channel) with the instant and key ``schedule_entry`` would give
+them; the delays they add are checked when the network is built.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from heapq import heappush
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.sim.engine import Simulator
-from repro.sim.events import URGENT, Event
+from repro.sim.engine import URGENT_KEY, Simulator
+from repro.sim.events import Event
 from repro.sim.monitor import TallyStat
 from repro.net.topology import Link, Topology
 from repro.net.updown import UpDownRouting
@@ -55,16 +64,30 @@ class Channel:
 
     One worm holds it at a time; worms that find it busy queue in arrival
     order and are handed the channel on release.
+
+    A held channel is also the queue entry that releases it once the
+    holder's tail has passed (:meth:`_process`).  The deadline is ``due =
+    cross + length`` (continuous streaming) plus every byte-time the head
+    has since spent blocked, which stalls the stream; so on each firing
+    the deadline is re-evaluated against the transfer's accumulated block
+    time, and the entry re-enqueues itself until it is stable.  A channel
+    has at most one such entry pending, its holder's: the run enqueues it
+    when its head crosses the channel, for every channel it crosses but
+    the last (see :class:`_WormRun`), and the channel changes hands only
+    when it releases.
     """
 
     __slots__ = (
-        "sim",
         "link",
         "src",
         "dst",
         "prop_delay",
+        "queue",
+        "next_eid",
         "holder",
         "waiters",
+        "due",
+        "stall",
         "busy_time",
         "acquisitions",
         "failed",
@@ -73,15 +96,21 @@ class Channel:
     )
 
     def __init__(self, sim: Simulator, link: Link, src: int, dst: int) -> None:
-        self.sim = sim
         self.link = link
         self.src = src
         self.dst = dst
         self.prop_delay = link.prop_delay
+        #: The kernel's heap and eid source: hand-overs and tail releases
+        #: push their entries directly.
+        self.queue, self.next_eid = sim.entry_queue()
         #: The worm run holding the channel (None while idle) and the runs
         #: queued for it, first come first served.
         self.holder: Optional[_WormRun] = None
         self.waiters: Deque[_WormRun] = deque()
+        #: The holder's tail deadline without stalls, and the block time
+        #: it had accrued when its head crossed (see :meth:`_process`).
+        self.due = 0.0
+        self.stall = 0.0
         self.busy_time = 0.0
         self.acquisitions = 0
         #: True while the underlying link (or an endpoint) is down; worms
@@ -94,30 +123,42 @@ class Channel:
     def busy(self) -> bool:
         return self.holder is not None
 
-    def acquire(self, run: "_WormRun") -> bool:
-        """Claim the channel for ``run``: True if granted on the spot,
-        False if ``run`` queued (it is enqueued when its turn comes)."""
-        if self.holder is None:
-            self.holder = run
-            return True
-        self.waiters.append(run)
-        return False
-
-    def on_granted(self, now: float) -> None:
-        """Bookkeeping hook: channel became busy at ``now``."""
-        self.acquisitions += 1
-        self._busy_since = now
-
     def release(self, now: float) -> None:
         """The holder lets go; the longest waiter gets the channel and is
-        enqueued at this instant, behind the entries already due."""
+        enqueued at this instant, behind the entries already due.
+
+        :meth:`_process` applies this in place; a change here is made
+        there too.
+        """
         self.busy_time += now - self._busy_since
         waiters = self.waiters
         if waiters:
             self.holder = nxt = waiters.popleft()
-            self.sim.schedule_entry(nxt)
+            heappush(self.queue, (now, self.next_eid(), nxt))
         else:
             self.holder = None
+
+    def _process(self) -> None:
+        """The holder's tail release: let go once its tail has passed."""
+        run = self.holder
+        now = run.sim.now
+        transfer = run.transfer
+        stall = transfer.blocked_time
+        since = transfer._blocked_since
+        if since is not None:
+            stall += now - since
+        target = self.due + (stall - self.stall)
+        if now >= target - 1e-9:
+            # release(now), in place.
+            self.busy_time += now - self._busy_since
+            waiters = self.waiters
+            if waiters:
+                self.holder = nxt = waiters.popleft()
+                heappush(self.queue, (now, self.next_eid(), nxt))
+            else:
+                self.holder = None
+        else:
+            heappush(self.queue, (now + (target - now), self.next_eid(), self))
 
     def utilization(self, now: float) -> float:
         """Fraction of time busy since the last stats reset."""
@@ -147,12 +188,19 @@ class Transfer:
     * :attr:`head_arrived` -- the worm's head reached the destination
       adapter (used for cut-through forwarding decisions);
     * :attr:`completed` -- the tail arrived; the worm is fully received.
+
+    Each event is made on first access and enqueued when it happens only
+    if it exists by then, so a worm nobody waits on costs no event.
+    Asked for after it happened, an event comes back already processed:
+    a process that yields it resumes at once.  A worm that is dropped or
+    orphaned completes, but its head never arrives.
     """
 
     __slots__ = (
+        "sim",
         "worm",
-        "head_arrived",
-        "completed",
+        "_head_arrived",
+        "_completed",
         "start_time",
         "head_time",
         "finish_time",
@@ -163,9 +211,10 @@ class Transfer:
     )
 
     def __init__(self, sim: Simulator, worm: Worm) -> None:
+        self.sim = sim
         self.worm = worm
-        self.head_arrived: Event = sim.event()
-        self.completed: Event = sim.event()
+        self._head_arrived: Optional[Event] = None
+        self._completed: Optional[Event] = None
         self.start_time = sim.now
         self.head_time: Optional[float] = None
         self.finish_time: Optional[float] = None
@@ -174,6 +223,24 @@ class Transfer:
         #: True when the worm was flushed mid-network (loss injection).
         self.dropped = False
         self._blocked_since: Optional[float] = None
+
+    @property
+    def head_arrived(self) -> Event:
+        event = self._head_arrived
+        if event is None:
+            event = self._head_arrived = Event(self.sim)
+            if self.head_time is not None:
+                event._succeed_immediately()
+        return event
+
+    @property
+    def completed(self) -> Event:
+        event = self._completed
+        if event is None:
+            event = self._completed = Event(self.sim)
+            if self.finish_time is not None:
+                event._succeed_immediately()
+        return event
 
     @property
     def latency(self) -> float:
@@ -193,21 +260,32 @@ _START, _GRANTED, _CROSSED, _DELIVERED, _DROPPED, _ORPHANED = range(6)
 class _WormRun:
     """One worm's trip through the network, as a callback state machine.
 
-    The run is its own queue entry: each timed step re-enqueues it with
-    ``Simulator.schedule_entry`` and :meth:`_process` continues at
-    ``step``.  A hop whose channel is busy queues the run on the channel,
-    which enqueues it when it hands the channel over.  Every enqueue
-    happens at the instant, offset and priority a generator process
-    waiting on a resource request would use (bootstrap urgent at
-    injection, the grant at the release instant, one enqueue per hop
-    crossing and one for the tail), so same-instant order is unchanged.
+    The run is its own queue entry: each timed step pushes it onto the
+    kernel's heap and :meth:`_process` continues at ``step``.  A hop whose
+    channel is busy queues the run on the channel, which enqueues it when
+    it hands the channel over.  Every enqueue happens at the instant,
+    offset and priority a generator process waiting on a resource request
+    would use (bootstrap urgent at injection, the grant at the release
+    instant, one enqueue per hop crossing and one for the tail), so
+    same-instant order is unchanged.
+
+    The final step (deliver, drop or orphan) is enqueued ``length`` after
+    the last crossing when the trip ends at that crossing; ``tail`` then
+    holds the channel just crossed, and the final step releases it first
+    thing.  That channel's tail release would have come due at the same
+    instant, the same float ``now + length``, directly before the final
+    step: nothing is enqueued for that instant in between, and its
+    release hands the channel over behind the final step's key.  A run
+    cut when granted a dead channel has no ``tail``: the tail releases of
+    its crossed channels are already queued.
 
     ``channels`` is ``None`` when the worm has no route (a dead endpoint):
     it orphans straight from the bootstrap.
     """
 
     __slots__ = (
-        "net", "sim", "transfer", "channels", "hop", "drop_after", "step",
+        "net", "sim", "queue", "next_eid", "transfer", "channels", "hop",
+        "drop_after", "step", "tail",
     )
 
     def __init__(
@@ -218,25 +296,25 @@ class _WormRun:
         forced_drop: bool,
     ) -> None:
         self.net = net
-        self.sim = net.sim
+        self.sim = sim = net.sim
+        self.queue = net._queue
+        self.next_eid = net._next_eid
         self.transfer = transfer
         self.channels = channels
         self.hop = 0
         #: Hop count after which the worm is flushed (None: never).
         self.drop_after: Optional[int] = 1 if forced_drop else None
         self.step = _START
-        self.sim.schedule_entry(self, 0.0, URGENT)
+        #: The channel the final step releases (see the class docstring).
+        self.tail: Optional[Channel] = None
+        heappush(self.queue, (sim.now, self.next_eid() - URGENT_KEY, self))
 
     def _process(self) -> None:
         step = self.step
         if step == _CROSSED:
             self._crossed()
         elif step == _GRANTED:
-            # A channel this run queued for was handed over.
-            transfer = self.transfer
-            transfer.blocked_time += self.sim.now - transfer._blocked_since
-            transfer._blocked_since = None
-            self._granted()
+            self._handed_over()
         elif step == _START:
             self._start()
         else:
@@ -246,59 +324,84 @@ class _WormRun:
     def _start(self) -> None:
         channels = self.channels
         if channels is None:
-            self._orphan()
+            self._flush(_ORPHANED)
             return
         net = self.net
         if self.drop_after is None and net.loss_rate:
             stream = net._loss_stream
             if stream.bernoulli(net.loss_rate):
                 self.drop_after = stream.randint(1, len(channels))
-        self._acquire()
-
-    def _acquire(self) -> None:
-        ch = self.channels[self.hop]
+        ch = channels[0]
         if ch.failed:
-            self._orphan()
-            return
-        if ch.acquire(self):
-            self._granted()
-            return
+            self._flush(_ORPHANED)
+        elif ch.holder is None:
+            ch.holder = self
+            self._cross(ch)
+        else:
+            self._wait(ch)
+
+    def _wait(self, ch: Channel) -> None:
+        """Queue for busy channel ``ch``; its release hands it over."""
+        ch.waiters.append(self)
         transfer = self.transfer
         transfer.blocked_hops += 1
         transfer._blocked_since = self.sim.now
         self.step = _GRANTED
 
-    def _granted(self) -> None:
-        sim = self.sim
+    def _handed_over(self) -> None:
+        """A channel this run queued for was handed over."""
+        now = self.sim.now
+        transfer = self.transfer
+        transfer.blocked_time += now - transfer._blocked_since
+        transfer._blocked_since = None
         ch = self.channels[self.hop]
-        ch.on_granted(sim.now)
         if ch.failed:
-            # The link died while we held or awaited it: the worm is cut.
-            ch.release(sim.now)
-            self._orphan()
-            return
+            # The link died while we awaited it: the worm is cut.
+            ch.acquisitions += 1
+            ch._busy_since = now
+            ch.release(now)
+            self._flush(_ORPHANED)
+        else:
+            self._cross(ch)
+
+    def _cross(self, ch: Channel) -> None:
+        """The run holds ``ch``: its head is across one hop delay later."""
+        now = self.sim.now
+        ch.acquisitions += 1
+        ch._busy_since = now
         self.step = _CROSSED
-        sim.schedule_entry(self, self.net.switch_latency + ch.prop_delay)
+        heappush(
+            self.queue,
+            (now + (self.net.switch_latency + ch.prop_delay), self.next_eid(), self),
+        )
 
     def _crossed(self) -> None:
-        sim = self.sim
-        transfer = self.transfer
-        # The tail passes this channel ``length`` byte-times after the head
-        # crossed it, plus any stream stall the head suffers while blocked
-        # downstream (tracked in transfer.blocked_time).
-        _TailRelease(sim, transfer, self.channels[self.hop], sim.now)
+        channels = self.channels
+        ch = channels[self.hop]
         self.hop = hop = self.hop + 1
         if hop == self.drop_after:
-            # The worm is flushed out of the network here: the sender still
-            # transmits its tail (it learns nothing), but no receiver ever
-            # sees the worm.
-            transfer.dropped = True
-            self.step = _DROPPED
-            sim.schedule_entry(self, transfer.worm.length)
-        elif hop < len(self.channels):
-            self._acquire()
-        else:
+            self.tail = ch
+            self._flush(_DROPPED)
+            return
+        if hop == len(channels):
+            self.tail = ch
             self._arrive()
+            return
+        nxt = channels[hop]
+        if nxt.failed:
+            self.tail = ch
+            self._flush(_ORPHANED)
+            return
+        # ``ch`` lets go once the tail has passed it (Channel._process).
+        transfer = self.transfer
+        ch.due = due = self.sim.now + transfer.worm.length
+        ch.stall = transfer.blocked_time
+        heappush(self.queue, (due, self.next_eid(), ch))
+        if nxt.holder is None:
+            nxt.holder = self
+            self._cross(nxt)
+        else:
+            self._wait(nxt)
 
     def _arrive(self) -> None:
         net = self.net
@@ -312,35 +415,43 @@ class _WormRun:
                 del net._recv_faults[dest]
             else:
                 net._recv_faults[dest] = pending - 1
-            self._orphan()
+            self._flush(_ORPHANED)
             return
         if not net.topology.node_alive(dest):
             # The destination host crashed: nobody is listening.
-            self._orphan()
+            self._flush(_ORPHANED)
             return
         now = self.sim.now
         transfer.head_time = now
         if net.obs is not None:
             net.obs.worm_head(now, worm.wid, dest)
         watcher = net._head_watchers.get(dest)
-        transfer.head_arrived.succeed()
+        if transfer._head_arrived is not None:
+            transfer._head_arrived.succeed()
         if watcher is not None:
             watcher(worm, transfer)
         self.step = _DELIVERED
-        self.sim.schedule_entry(self, worm.length)
+        heappush(self.queue, (now + worm.length, self.next_eid(), self))
 
-    def _orphan(self) -> None:
-        """Flush a worm that hit a failed component: the sender still
-        transmits the tail (it learns nothing at the network level), but no
-        receiver ever sees the worm."""
-        self.transfer.dropped = True
-        self.step = _ORPHANED
-        self.sim.schedule_entry(self, self.transfer.worm.length)
+    def _flush(self, step: int) -> None:
+        """Flush the worm out of the network here: dropped by loss
+        injection (``_DROPPED``) or orphaned by a failed component
+        (``_ORPHANED``).  The sender still transmits the tail (it learns
+        nothing at the network level), but no receiver ever sees the
+        worm."""
+        transfer = self.transfer
+        transfer.dropped = True
+        self.step = step
+        heappush(
+            self.queue, (self.sim.now + transfer.worm.length, self.next_eid(), self)
+        )
 
     def _finish(self, step: int) -> None:
         """The tail has drained: deliver, or account the lost worm."""
         net = self.net
         now = self.sim.now
+        if self.tail is not None:
+            self.tail.release(now)
         transfer = self.transfer
         worm = transfer.worm
         transfer.finish_time = now
@@ -355,7 +466,8 @@ class _WormRun:
                     now, worm.wid, transfer.latency,
                     transfer.blocked_time, worm.length,
                 )
-            transfer.completed.succeed()
+            if transfer._completed is not None:
+                transfer._completed.succeed()
             receiver = net._receivers.get(worm.dest)
             if receiver is not None:
                 receiver(worm, transfer)
@@ -368,43 +480,8 @@ class _WormRun:
             reason = "orphaned"
         if obs is not None:
             obs.worm_dropped(now, worm.wid, reason)
-        transfer.completed.succeed()
-
-
-class _TailRelease:
-    """Releases a channel once the worm's tail has passed it.
-
-    Base deadline is ``cross + length`` (continuous streaming); every
-    byte-time the head later spends blocked stalls the stream, so on each
-    firing the deadline is re-evaluated against the transfer's accumulated
-    block time, and the entry re-enqueues itself until it is stable.
-    """
-
-    __slots__ = ("sim", "transfer", "channel", "cross", "stall")
-
-    def __init__(
-        self, sim: Simulator, transfer: Transfer, channel: Channel, cross: float
-    ) -> None:
-        self.sim = sim
-        self.transfer = transfer
-        self.channel = channel
-        self.cross = cross
-        #: Block time already accrued when the head crossed the channel.
-        self.stall = transfer.blocked_time
-        sim.schedule_entry(self, transfer.worm.length)
-
-    def _process(self) -> None:
-        sim = self.sim
-        now = sim.now
-        transfer = self.transfer
-        stall = transfer.blocked_time
-        if transfer._blocked_since is not None:
-            stall += now - transfer._blocked_since
-        target = self.cross + transfer.worm.length + (stall - self.stall)
-        if now >= target - 1e-9:
-            self.channel.release(now)
-        else:
-            sim.schedule_entry(self, target - now)
+        if transfer._completed is not None:
+            transfer._completed.succeed()
 
 
 class WormholeNetwork:
@@ -448,7 +525,14 @@ class WormholeNetwork:
         self.routing = routing or UpDownRouting(topology)
         if self.routing.topology is not topology:
             raise ValueError("routing was computed for a different topology")
+        if not (switch_latency >= 0 and math.isfinite(switch_latency)):
+            raise ValueError(
+                f"switch_latency must be a finite number >= 0, got {switch_latency!r}"
+            )
         self.switch_latency = switch_latency
+        #: The kernel's heap and eid source: worm runs, tail releases and
+        #: hand-overs push their entries directly (see the module docstring).
+        self._queue, self._next_eid = sim.entry_queue()
         self.restrict_to_tree = restrict_to_tree
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss rate outside [0, 1): {loss_rate}")
@@ -579,7 +663,8 @@ class WormholeNetwork:
                 src_host, self.topology.live_hosts(), self.restrict_to_tree
             )
         hops = self.routing.route_shared(src_host, dst_host, self.restrict_to_tree)
-        channels = tuple(self.channel(a, b) for a, b, _ in hops)
+        table = self._channels
+        channels = tuple([table[a, b] for a, b, _ in hops])
         self._route_channel_cache[key] = channels
         return channels
 

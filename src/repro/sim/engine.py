@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import count
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout
+from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout, bad_delay
 from repro.sim.process import Process
 from repro.sim.trace import SimTrace
 
@@ -16,7 +17,7 @@ Infinity = float("inf")
 #: by this constant, so a single int comparison replaces the old
 #: (priority, eid) tuple comparison while preserving urgent-before-normal
 #: ordering at equal timestamps — and the common case pays no arithmetic.
-_URGENT_KEY = 1 << 62
+URGENT_KEY = 1 << 62
 
 
 class EmptySchedule(Exception):
@@ -86,7 +87,9 @@ class Simulator:
             trace = obs.kernel
         self.now = float(start_time)
         self._queue: List[Tuple[float, int, Any]] = []
-        self._eid = 0
+        #: Source of the heap keys' eids: one draw per enqueued entry, so
+        #: entries of one instant run in the order they were enqueued.
+        self._eids = count(1)
         self._active_process: Optional[Process] = None
         #: Processes whose generator has not finished, in creation order
         #: (a dict used as an ordered set): what :meth:`close` closes.
@@ -139,16 +142,29 @@ class Simulator:
         before every normal entry of its instant, where a process bootstrap
         lands.
         """
-        if delay < 0:
+        if not delay >= 0:
             # Timeout and schedule_call validate their own delays, but a
             # buggy internal caller could otherwise schedule into the past
-            # and silently break clock monotonicity.
-            raise ValueError(f"negative delay {delay}")
-        self._eid += 1
+            # (or at NaN, which never compares) and break the clock.
+            raise bad_delay(delay)
+        eid = next(self._eids)
         heappush(
             self._queue,
-            (self.now + delay, self._eid if priority else self._eid - _URGENT_KEY, entry),
+            (self.now + delay, eid if priority else eid - URGENT_KEY, entry),
         )
+
+    def entry_queue(self) -> Tuple[List[Tuple[float, int, Any]], Callable[[], int]]:
+        """The heap and the eid source behind :meth:`schedule_entry`.
+
+        A component whose entries enqueue themselves on every step takes
+        both once and pushes ``(self.now + delay, next_eid(), entry)``
+        itself (``next_eid() - URGENT_KEY`` for an urgent entry): the same
+        instant and key :meth:`schedule_entry` would give, without the
+        call.  It must guarantee ``delay >= 0`` on its own, as
+        :mod:`repro.net.wormnet` does by checking its delays when the
+        network is built.
+        """
+        return self._queue, self._eids.__next__
 
     def _post(self, event: Any) -> None:
         """Enqueue an *already triggered* event at the current instant.
@@ -157,8 +173,7 @@ class Simulator:
         the event is pending and set its value, so the state checks of
         :meth:`~repro.sim.events.Event.succeed` would be redundant.
         """
-        self._eid += 1
-        heappush(self._queue, (self.now, self._eid, event))
+        heappush(self._queue, (self.now, next(self._eids), event))
 
     def schedule_call(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at ``now + delay`` without allocating an Event.
@@ -166,12 +181,11 @@ class Simulator:
         The callback cannot be waited on or cancelled; use :meth:`timeout`
         when a process needs to yield on the delay.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self._eid += 1
+        if not delay >= 0:
+            raise bad_delay(delay)
         heappush(
             self._queue,
-            (self.now + delay, self._eid, _DeferredCall(fn)),
+            (self.now + delay, next(self._eids), _DeferredCall(fn)),
         )
 
     def peek(self) -> float:
@@ -213,8 +227,8 @@ class Simulator:
                     event._process()
             return
         until = float(until)
-        if until < self.now:
-            raise ValueError(f"until ({until}) is in the past (now={self.now})")
+        if not until >= self.now:
+            raise ValueError(f"until ({until}) is before now ({self.now}) or NaN")
         if trace is None:
             while queue and queue[0][0] <= until:
                 when, _, event = heappop(queue)

@@ -23,6 +23,13 @@ URGENT = 0
 NORMAL = 1
 
 
+def bad_delay(delay: Any) -> ValueError:
+    """The error for a delay that is not a number >= 0 (NaN included)."""
+    if delay < 0:
+        return ValueError(f"negative delay {delay}")
+    return ValueError(f"delay is not a number >= 0: {delay!r}")
+
+
 class Event:
     """A one-shot occurrence that processes can wait for.
 
@@ -139,8 +146,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise bad_delay(delay)
         # Flattened Event.__init__: timeouts are the single most allocated
         # event type, so the super() dispatch is folded into slot writes.
         self.sim = sim

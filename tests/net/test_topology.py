@@ -1,5 +1,7 @@
 """Tests for topology construction and the paper's test networks."""
 
+import math
+
 import pytest
 
 from repro.net import (
@@ -203,3 +205,19 @@ def test_disconnected_graph_detected():
     topo.add_switch()
     topo.add_switch()
     assert not topo.is_connected()
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+def test_prop_delay_must_be_finite_and_nonnegative(bad):
+    # A NaN delay was accepted and stalled the worm level for ever; a
+    # negative one failed only mid-run, at the first crossing.
+    with pytest.raises(ValueError, match="prop_delay"):
+        torus(2, 2, prop_delay=bad)
+    topo = Topology()
+    s0, s1 = topo.add_switch(), topo.add_switch()
+    with pytest.raises(ValueError, match="prop_delay"):
+        topo.add_link(s0, s1, bad)
+    with pytest.raises(ValueError, match="prop_delay"):
+        topo.add_host(s0, prop_delay=bad)
+    # Nothing half-built is left behind.
+    assert topo.links == [] and topo.hosts == []

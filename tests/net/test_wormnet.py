@@ -1,9 +1,11 @@
 """Tests for the worm-level wormhole transfer engine."""
 
+import math
+
 import pytest
 
 from repro.net import Topology, UpDownRouting, Worm, WormholeNetwork, line, torus
-from repro.sim import Simulator
+from repro.sim import Simulator, SimTrace
 
 
 def _small_net(prop_delay=0.0, switch_latency=1.0, n=3):
@@ -224,3 +226,64 @@ def test_torus_many_transfers_complete():
     sim.run()
     assert all(t.finish_time is not None for t in transfers)
     assert all(not ch.busy for ch in net.channels)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+def test_switch_latency_must_be_finite_and_nonnegative(bad):
+    # With NaN the worm never finished and sim.run() never returned.
+    with pytest.raises(ValueError, match="switch_latency"):
+        WormholeNetwork(Simulator(), torus(2, 2), switch_latency=bad)
+
+
+def test_unsubscribed_transfers_enqueue_no_event():
+    """A unicast run nobody waits on processes no Event entry: a
+    transfer's events exist only once asked for."""
+    trace = SimTrace()
+    sim = Simulator(trace=trace)
+    topo = torus(3, 3)
+    net = WormholeNetwork(sim, topo)
+    hosts = topo.hosts
+    transfers = [
+        net.send(Worm(source=hosts[i], dest=hosts[(i * 4 + 1) % 9], length=50))
+        for i in range(9)
+        if i != (i * 4 + 1) % 9
+    ]
+    sim.run()
+    assert all(t.finish_time is not None for t in transfers)
+    assert "Event" not in trace.by_type
+    assert trace.by_type["_WormRun"] > 0
+
+
+def test_events_asked_for_after_the_fact_are_processed():
+    sim, topo, net, hosts = _small_net()
+    transfer = net.send(Worm(source=hosts[0], dest=hosts[2], length=40))
+    sim.run(until=transfer.start_time + 5)
+    assert transfer.head_time is not None and transfer.finish_time is None
+    assert transfer.head_arrived.processed
+    assert not transfer.completed.triggered
+    sim.run()
+    assert transfer.completed.processed
+    # A process that yields them resumes at once, without a queue entry.
+    resumed = []
+
+    def waiter():
+        yield transfer.head_arrived
+        yield transfer.completed
+        resumed.append(sim.now)
+
+    sim.process(waiter())
+    now = sim.now
+    sim.run()
+    assert resumed == [now]
+
+
+def test_dropped_worm_completes_but_its_head_never_arrives():
+    sim, topo, net, hosts = _small_net()
+    net.drop_filter = lambda worm: True
+    transfer = net.send(Worm(source=hosts[0], dest=hosts[2], length=40))
+    fired = []
+    transfer.completed.callbacks.append(lambda ev: fired.append("done"))
+    sim.run()
+    assert transfer.dropped and fired == ["done"]
+    assert transfer.completed.processed
+    assert not transfer.head_arrived.triggered

@@ -9,6 +9,18 @@ an adapter receive fault, a destination that dies mid-flight, a link that
 fails while one worm holds it and another waits for it, a failed channel
 met on the way, and a send with no route at all.
 
+A tailgating scenario sends worms one behind another along one path
+behind a blocker whose channels come free at staggered times, so channel
+releases and acquisitions tie at the same instant.  Each scenario's run
+also pins the order in which the kernel processes the worm runs' steps
+(:class:`_StepLog`): same-instant order is what byte-identical records
+rest on, and some reorderings change no timeline or counter here (the
+``loss`` scenario's order moves, its records do not, if a tail release
+stops re-checking while its worm is blocked).  The queue entries per
+class are pinned too, so an entry that changes nothing cannot creep back
+in unnoticed; a change that only removes such entries re-pins those
+counts and nothing else.
+
 The sweep pins hash whole records of the paper's grids (one Fig-10 point
 per scheme, a Fig-11 point, a fault and a repair campaign point) and the
 ROADMAP reference point.  A change to the engine must keep all of them:
@@ -28,7 +40,8 @@ import random
 import pytest
 
 from repro.net import Topology, Worm, WormholeNetwork, torus
-from repro.sim import Simulator
+from repro.net.wormnet import _WormRun
+from repro.sim import Simulator, SimTrace
 
 
 def _digest(obj) -> str:
@@ -54,6 +67,37 @@ class _ObsLog:
 
     def worm_dropped(self, now, wid, reason):
         self.log.append([now, "obs." + reason, self.tags[wid]])
+
+
+class _StepLog(SimTrace):
+    """A kernel trace that also logs every worm-run step it processes.
+
+    Passed as ``Simulator(trace=...)``, it sees each queue entry just
+    before the kernel processes it; for a worm run it logs ``[now, worm
+    tag, step, hop]``, so :attr:`steps` is the kernel's processing order
+    of the runs' steps.
+    """
+
+    __slots__ = ("sim", "steps")
+
+    def __init__(self):
+        super().__init__()
+        self.sim = None
+        self.steps = []
+
+    def _record(self, entry):
+        SimTrace._record(self, entry)
+        if type(entry) is _WormRun:
+            self.steps.append(
+                [self.sim.now, entry.transfer.worm.payload, entry.step, entry.hop]
+            )
+
+
+def _simulator():
+    trace = _StepLog()
+    sim = Simulator(trace=trace)
+    trace.sim = sim
+    return sim
 
 
 class _Harness:
@@ -127,13 +171,21 @@ class _Harness:
             "counters": self.counters(),
         }
 
+    def steps(self):
+        """The worm-run steps in kernel processing order."""
+        return self.sim.trace.steps
+
+    def by_type(self):
+        """Processed queue entries per class."""
+        return dict(sorted(self.sim.trace.by_type.items()))
+
 
 # -- scenarios ------------------------------------------------------------------
 
 def _torus_traffic(loss_rate=0.0, drop_filter=False):
     """120 worms between random host pairs of a 4x4 torus, injected on a
     coarse time grid so many land on the same instant and contend."""
-    sim = Simulator()
+    sim = _simulator()
     h = _Harness(sim, torus(4, 4), loss_rate=loss_rate, loss_seed=7)
     if drop_filter:
         h.net.drop_filter = lambda worm: worm.payload % 7 == 3
@@ -143,11 +195,11 @@ def _torus_traffic(loss_rate=0.0, drop_filter=False):
         src, dst = rng.sample(hosts, 2)
         h.send_at(rng.randrange(0, 6000, 50), src, dst, rng.choice([8, 64, 400, 900]))
     sim.run()
-    return h.result()
+    return h
 
 
 def _line(n=3, prop_delay=0.0):
-    sim = Simulator()
+    sim = _simulator()
     topo = Topology()
     switches = [topo.add_switch() for _ in range(n)]
     for a, b in zip(switches, switches[1:]):
@@ -196,13 +248,38 @@ def _dead_destination():
     h.send_at(50, h0, h2, 70)
     h.send_at(50, h1, h0, 70)
     h.sim.run()
-    return h.result()
+    return h
 
 
 def _fault_run():
     h = _faults()
     h.sim.run()
-    return h.result()
+    return h
+
+
+def _tailgate():
+    """Worms tailgate each other along one path behind a blocker.
+
+    On a four-switch line a blocker h2 -> h3 holds s2->s3 and s3->h3; its
+    tail frees its channels at staggered times (44, 45, 46).  Worm A
+    (h0 -> h3) waits for s2->s3 from 4 to 45 while holding h0->s0, s0->s1
+    and s1->s2, so their tail releases re-check the stall as it grows; C
+    and D queue behind A on h0->s0.  B is injected so that its head
+    reaches s1->s2 at 65, the instant A's tail leaves it: a release and
+    an acquisition tie.  E follows D: it waits for s1->s2 until D's tail
+    leaves it at 120 and reaches s2->h2 at 121, the instant D's tail
+    drains into h2.
+    """
+    h, switches, hosts = _line(4)
+    h0, h1, h2, h3 = hosts
+    h.send(h2, h3, 43)  # the blocker
+    h.send_at(1, h0, h3, 20)  # A
+    h.send_at(2, h0, h3, 30)  # C
+    h.send_at(3, h0, h2, 12)  # D
+    h.send_at(64, h1, h3, 10)  # B
+    h.send_at(116, h1, h2, 8)  # E
+    h.sim.run()
+    return h
 
 
 SCENARIOS = {
@@ -211,6 +288,7 @@ SCENARIOS = {
     "drop_filter": lambda: _torus_traffic(drop_filter=True),
     "faults": _fault_run,
     "dead_destination": _dead_destination,
+    "tailgate": _tailgate,
 }
 
 #: sha256 of each scenario's full result (timeline + callback log + counters).
@@ -220,6 +298,7 @@ GOLDEN_DIGESTS = {
     "drop_filter": "ff2a71538dca8bc6139ab561df6ba4ae564895b03675f2cb28a079c4b54e2af7",
     "faults": "f477aeafd74054cf984e6509ad164e224344eb1cc92e16aef28fd1d454ea0d8d",
     "dead_destination": "e6840b5419417e4bc1e13bf8834267104b5512d9016c88681aff4b73bd8fd51b",
+    "tailgate": "05ad73ac048e7b59c4fe5255eff8826cf8c83658423085dd43f6446c1141e0ed",
 }
 
 #: Network counters per scenario (also inside the digests; spelled out so a
@@ -253,6 +332,12 @@ GOLDEN_COUNTERS = {
         "hop_latency": [2, 48.0], "block_time": [2, 0.0],
         "utilization": 0.6330645161290323, "now": 124.0, "busy": 0,
     },
+    "tailgate": {
+        "delivered": 6, "bytes": 123.0, "dropped": 0, "orphaned": 0,
+        "hop_latency": [6, 60.833333333333336],
+        "block_time": [6, 36.333333333333336],
+        "utilization": 0.44871794871794873, "now": 130.0, "busy": 0,
+    },
 }
 
 #: The hand-timed scenarios' transfer timelines, spelled out.
@@ -271,38 +356,82 @@ GOLDEN_TIMELINES = {
         [50.0, None, 120.0, 0.0, 0, True],  # no route to the dead host
         [50.0, 53.0, 123.0, 0.0, 0, False],
     ],
+    "tailgate": [
+        [0.0, 3.0, 46.0, 0.0, 0, False],  # the blocker
+        [1.0, 47.0, 67.0, 41.0, 1, False],  # A
+        [2.0, 79.0, 109.0, 72.0, 2, False],  # C
+        [3.0, 109.0, 121.0, 102.0, 1, False],  # D
+        [64.0, 68.0, 78.0, 0.0, 1, False],  # B: queued and granted at 65
+        [116.0, 122.0, 130.0, 3.0, 1, False],  # E
+    ],
+}
+
+#: sha256 of each scenario's worm-run steps in kernel processing order
+#: (:class:`_StepLog`).  Recorded before the queue diet that dropped the
+#: no-op entries: the steps that remain keep their instants and order.
+GOLDEN_ORDER = {
+    "contended": "29074f8d60d17307b51f1ffad3f491465b6f5bf20b7c86d0d56b6015537f3702",
+    "loss": "a70e151935a193da3d3bcb87186f3b102e27026d6d5bd59cb457449e34ae7dd7",
+    "drop_filter": "984c2d29b5e7f25c57f3225248a89e86711c4b64edbed112d2120851eaf68aba",
+    "faults": "6204880844475ccc7a4d186d364b7d09e4e60a17ded13be5e5c87293b5f0b642",
+    "dead_destination": "1372e551d17a5a8d9766a6b37121013b6ff3cf1de2031a00d4d435488bcc182d",
+    "tailgate": "114834514a92581f294442bd19b795532413064848cac9166437b575b3851443",
+}
+
+#: Queue entries each scenario's kernel processes, per class (a
+#: ``Channel`` entry is a tail release).  Every entry changes model state:
+#: no tail release for the last channel a worm crosses (its final step
+#: releases it), and a transfer's events only because the harness
+#: subscribes to them.  A no-op entry added back shows up here.
+GOLDEN_BY_TYPE = {
+    "contended": {"Channel": 2278, "Event": 240, "_DeferredCall": 120, "_WormRun": 866},
+    "loss": {"Channel": 1835, "Event": 215, "_DeferredCall": 120, "_WormRun": 828},
+    "drop_filter": {"Channel": 1705, "Event": 223, "_DeferredCall": 120, "_WormRun": 792},
+    "faults": {"Channel": 29, "Event": 9, "_DeferredCall": 6, "_WormRun": 31},
+    "dead_destination": {"Channel": 9, "Event": 6, "_DeferredCall": 3, "_WormRun": 19},
+    "tailgate": {"Channel": 30, "Event": 12, "_DeferredCall": 5, "_WormRun": 42},
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_counters(name):
-    assert SCENARIOS[name]()["counters"] == GOLDEN_COUNTERS[name]
+    assert SCENARIOS[name]().result()["counters"] == GOLDEN_COUNTERS[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TIMELINES))
 def test_scenario_timeline(name):
-    assert SCENARIOS[name]()["timeline"] == GOLDEN_TIMELINES[name]
+    assert SCENARIOS[name]().timeline() == GOLDEN_TIMELINES[name]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_digest(name):
-    assert _digest(SCENARIOS[name]()) == GOLDEN_DIGESTS[name]
+    assert _digest(SCENARIOS[name]().result()) == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_step_order(name):
+    assert _digest(SCENARIOS[name]().steps()) == GOLDEN_ORDER[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_entries_by_type(name):
+    assert SCENARIOS[name]().by_type() == GOLDEN_BY_TYPE[name]
 
 
 def test_scenarios_cover_every_branch():
     """Each branch of a worm's trip is taken somewhere above."""
-    contended = SCENARIOS["contended"]()
+    contended = SCENARIOS["contended"]().result()
     assert any(row[4] > 0 for row in contended["timeline"])  # queued grants
     assert any(row[4] == 0 for row in contended["timeline"])  # uncontended
-    assert SCENARIOS["loss"]()["counters"]["dropped"] > 0
-    assert SCENARIOS["drop_filter"]()["counters"]["dropped"] > 0
-    faults = SCENARIOS["faults"]()
+    assert SCENARIOS["loss"]().result()["counters"]["dropped"] > 0
+    assert SCENARIOS["drop_filter"]().result()["counters"]["dropped"] > 0
+    faults = SCENARIOS["faults"]().result()
     kinds = {entry[1] for entry in faults["log"]}
     assert "obs.orphaned" in kinds and "obs.delivered" in kinds
     # receive fault, cut-on-grant, dead channel on the way: three orphans.
     assert faults["counters"]["orphaned"] == 3
     # arrival at the dead host, and a send with no route to it.
-    dead = SCENARIOS["dead_destination"]()
+    dead = SCENARIOS["dead_destination"]().result()
     assert dead["counters"]["orphaned"] == 2
 
 
@@ -364,9 +493,12 @@ def test_roadmap_reference_point():
 
 
 if __name__ == "__main__":
-    print("GOLDEN_DIGESTS =", {n: _digest(f()) for n, f in SCENARIOS.items()})
-    print("GOLDEN_COUNTERS =", {n: f()["counters"] for n, f in SCENARIOS.items()})
+    runs = {n: f() for n, f in SCENARIOS.items()}
+    print("GOLDEN_DIGESTS =", {n: _digest(h.result()) for n, h in runs.items()})
+    print("GOLDEN_COUNTERS =", {n: h.result()["counters"] for n, h in runs.items()})
     print("GOLDEN_TIMELINES =", {
-        n: SCENARIOS[n]()["timeline"] for n in ("faults", "dead_destination")
+        n: runs[n].timeline() for n in ("faults", "dead_destination", "tailgate")
     })
+    print("GOLDEN_ORDER =", {n: _digest(h.steps()) for n, h in runs.items()})
+    print("GOLDEN_BY_TYPE =", {n: h.by_type() for n, h in runs.items()})
     print("GOLDEN_RECORDS =", {n: _record_digest(p) for n, p in _sweep_points().items()})

@@ -1,11 +1,12 @@
 """Tests for the DES engine and process model."""
 
 import math
+from heapq import heappush
 
 import pytest
 
 from repro.sim import Interrupt, Simulator
-from repro.sim.engine import EmptySchedule, Infinity
+from repro.sim.engine import URGENT_KEY, EmptySchedule, Infinity
 from repro.sim.events import URGENT
 
 
@@ -525,3 +526,49 @@ def test_schedule_entry_order():
         ("a", 2.0), ("a", 2.5),
     ]
     assert sim.now == 2.5
+
+
+def test_kernel_delay_checks_reject_nan():
+    # NaN compares false against everything, so `delay < 0` let it through
+    # and the entry landed at a NaN instant; every check is `not delay >= 0`.
+    sim = Simulator()
+    with pytest.raises(ValueError, match="delay"):
+        sim.schedule_entry(sim.event(), math.nan)
+    with pytest.raises(ValueError, match="delay"):
+        sim.schedule_call(math.nan, lambda: None)
+    with pytest.raises(ValueError, match="delay"):
+        sim.timeout(math.nan)
+    assert sim.peek() == Infinity
+
+
+def test_run_until_nan_rejected():
+    sim = Simulator()
+    sim.schedule_call(1.0, lambda: None)
+    with pytest.raises(ValueError):
+        sim.run(until=math.nan)
+    assert sim.now == 0.0
+
+
+def test_entry_queue_pushes_keep_schedule_entry_order():
+    """Entries pushed through entry_queue() interleave with scheduled ones
+    in the order they were enqueued, urgent ones first at their instant."""
+    sim = Simulator()
+    queue, next_eid = sim.entry_queue()
+    log = []
+
+    class Entry:
+        def __init__(self, tag):
+            self.tag = tag
+
+        def _process(self):
+            log.append((sim.now, self.tag))
+
+    sim.schedule_entry(Entry("a"), 1.0)
+    heappush(queue, (sim.now + 1.0, next_eid(), Entry("b")))
+    sim.schedule_entry(Entry("c"), 1.0)
+    heappush(queue, (sim.now + 1.0, next_eid() - URGENT_KEY, Entry("urgent")))
+    heappush(queue, (sim.now + 0.5, next_eid(), Entry("early")))
+    sim.run()
+    assert log == [
+        (0.5, "early"), (1.0, "urgent"), (1.0, "a"), (1.0, "b"), (1.0, "c"),
+    ]
