@@ -17,6 +17,16 @@ a route is the same whatever order routes are requested in, and whether
 they come one pair at a time (:meth:`UpDownRouting.route_shared`), all at
 once (:meth:`UpDownRouting.routes_from`) or as a multicast tree
 (:meth:`UpDownRouting.multi_route`).
+
+The search walks a state table that :meth:`UpDownRouting.rebuild` derives
+from the live topology.  State ``2 * node + phase`` lists its moves as
+``(next_state, hop)`` entries in that neighbor id order: an UP state has
+one entry per live edge, and a DOWN state only the down hops, so the one
+illegal move (down, then up) is absent rather than tested.  Walking the
+table discovers the same states in the same order as expanding (node,
+phase) pairs and testing each edge, so it finds the same routes.  Each
+``hop`` is one ``(node, peer, link)`` tuple per directed live edge, shared
+by every memoized route that crosses that edge.
 """
 
 from __future__ import annotations
@@ -31,6 +41,9 @@ _UP, _DOWN = 0, 1
 
 #: A directed hop: (from-node, to-node, link).
 Hop = Tuple[int, int, Link]
+
+#: One search state's moves: ``(next_state, hop)`` in peer id order.
+Moves = Tuple[Tuple[int, Hop], ...]
 
 
 class UpDownRouting:
@@ -61,13 +74,21 @@ class UpDownRouting:
         self.rebuild()
 
     def rebuild(self) -> None:
-        """(Re)compute the spanning tree, levels and search adjacency over
+        """(Re)compute the spanning tree, levels and search state table over
         the topology's *live* subgraph, discarding all memoized routes.
 
         This is the reconfiguration primitive: after a link/switch failure
         or repair the up/down tree is recomputed exactly as Autonet does.
         On a fully-alive topology the result is byte-identical to the
         original construction (the live subgraph *is* the graph).
+
+        The state table (see the module docstring) has two entries per
+        node id, ``2 * node + phase``.  Both list the node's live edges in
+        peer id order, the DOWN state only its down hops.  Nodes severed
+        from the root's component have empty entries: routes to and from
+        them fail until a repair reconnects them.  The table without
+        crosslinks, for ``restrict_to_tree`` searches, is filtered from
+        this one on first use.
         """
         topology = self.topology
         live_switches = [
@@ -82,31 +103,37 @@ class UpDownRouting:
         self.level: Dict[int, int] = {}
         self.parent: Dict[int, Optional[int]] = {}
         self._tree_links: Set[int] = set()
-        # Sorted adjacency, computed once per rebuild: the route BFS visits
-        # every node's neighbor list in deterministic id order, and
-        # re-sorting a freshly built list per visit dominated
-        # route-computation time.
-        self._sorted_neighbors: Dict[int, List[Tuple[int, Link]]] = {
+        # Live adjacency in peer id order: the tree BFS and the state table
+        # both follow it.
+        sorted_neighbors: Dict[int, List[Tuple[int, Link]]] = {
             node.id: sorted(
                 topology.live_neighbors(node.id), key=lambda pair: pair[0]
             )
             for node in topology.nodes
             if topology.node_alive(node.id)
         }
-        self._build_tree()
-        # Per-edge search metadata: (peer, link, up_hop, crosslink), in
-        # deterministic id order.  Folding is_up/is_crosslink into the
-        # adjacency list keeps the BFS inner loop free of dict lookups.
-        # Nodes severed from the root's component carry no search entries:
-        # routes to them fail until a repair reconnects them.
-        self._search_adj: Dict[int, List[Tuple[int, Link, bool, bool]]] = {
-            nid: [
-                (peer, link, self.is_up(nid, peer), link.id not in self._tree_links)
-                for peer, link in pairs
-            ]
-            for nid, pairs in self._sorted_neighbors.items()
-            if nid in self.level
-        }
+        self._build_tree(sorted_neighbors)
+        # Node ids are dense (0 .. n-1), so states index a list.  Each
+        # node's adjacency is dropped once its moves are built.
+        table: List[Moves] = [()] * (2 * len(topology.nodes))
+        while sorted_neighbors:
+            nid, pairs = sorted_neighbors.popitem()
+            if nid not in self.level:
+                continue
+            moves: List[Tuple[int, Hop]] = []
+            down_moves: List[Tuple[int, Hop]] = []
+            for peer, link in pairs:
+                hop = (nid, peer, link)
+                if self.is_up(nid, peer):
+                    moves.append((2 * peer + _UP, hop))
+                else:
+                    move = (2 * peer + _DOWN, hop)
+                    moves.append(move)
+                    down_moves.append(move)
+            table[2 * nid + _UP] = tuple(moves)
+            table[2 * nid + _DOWN] = tuple(down_moves)
+        self._table = table
+        self._tree_table: Optional[List[Moves]] = None
         self._route_cache: Dict[Tuple[int, int, bool], Tuple[Hop, ...]] = {}
         self._topo_version = topology.version
         self.rebuilds += 1
@@ -122,14 +149,16 @@ class UpDownRouting:
             self.rebuild()
 
     # -- spanning tree --------------------------------------------------------
-    def _build_tree(self) -> None:
+    def _build_tree(
+        self, sorted_neighbors: Dict[int, List[Tuple[int, Link]]]
+    ) -> None:
         """BFS spanning tree from the root; deterministic neighbor order."""
         self.level[self.root] = 0
         self.parent[self.root] = None
         frontier = deque([self.root])
         while frontier:
             nid = frontier.popleft()
-            for peer, link in self._sorted_neighbors[nid]:
+            for peer, link in sorted_neighbors[nid]:
                 if peer in self.level:
                     continue
                 self.level[peer] = self.level[nid] + 1
@@ -205,6 +234,21 @@ class UpDownRouting:
         BFS per pair.  Destinations without a legal route are left out
         (:meth:`route_shared` raises for them).
         """
+        self.warm_routes(src, dsts, restrict_to_tree)
+        cache = self._route_cache
+        routes: Dict[int, Tuple[Hop, ...]] = {}
+        for dst in dsts:
+            hops = () if dst == src else cache.get((src, dst, restrict_to_tree))
+            if hops is not None:
+                routes[dst] = hops
+        return routes
+
+    def warm_routes(
+        self, src: int, dsts: Sequence[int], restrict_to_tree: bool = False
+    ) -> None:
+        """Memoize the routes from ``src`` to each of ``dsts`` as
+        :meth:`routes_from` does (one BFS for all misses), without
+        collecting them."""
         self._refresh_if_stale()
         cache = self._route_cache
         misses = {
@@ -215,58 +259,78 @@ class UpDownRouting:
         if misses:
             for dst, hops in self._bfs(src, misses, restrict_to_tree).items():
                 cache[(src, dst, restrict_to_tree)] = tuple(hops)
-        routes: Dict[int, Tuple[Hop, ...]] = {}
-        for dst in dsts:
-            hops = () if dst == src else cache.get((src, dst, restrict_to_tree))
-            if hops is not None:
-                routes[dst] = hops
-        return routes
 
     def _bfs(
         self, src: int, targets: Set[int], restrict_to_tree: bool
     ) -> Dict[int, List[Hop]]:
-        """The route search: BFS over (node, phase) states from ``src``;
-        phase flips irreversibly to DOWN.
+        """The route search: BFS over the state table from ``src``'s UP
+        state; the phase flips irreversibly to DOWN.
 
         Stops once every node of ``targets`` (which must not contain
         ``src``) is discovered.  Returns each reachable target's route to
-        its first-discovered state, keyed in discovery order.  No search
-        state outlives the call.
+        its first-discovered state, keyed in discovery order.  Each state's
+        moves are tried in the table's order, which is the neighbor id
+        order of the routing rule, and a DOWN state offers no up move, so
+        the states are discovered in the order the rule's (node, phase)
+        BFS discovers them and every route is the rule's.  Seen states and
+        wanted ones (both phases of a target, until either is found) are
+        ``bytearray`` flags; each discovered state's parent state and hop
+        go into two lists.  No search state outlives the call.
         """
-        start = (src, _UP)
-        prev: Dict[Tuple[int, int], Tuple[Tuple[int, int], Hop]] = {}
-        seen = {start}
-        frontier = deque([start])
-        remaining = set(targets)
-        found: Dict[int, Tuple[int, int]] = {}
-        search_adj = self._search_adj
-        while frontier and remaining:
-            node, phase = frontier.popleft()
-            for peer, link, up_hop, crosslink in search_adj.get(node, ()):
-                if restrict_to_tree and crosslink:
+        table = self._tree_only() if restrict_to_tree else self._table
+        n_states = len(table)
+        start = 2 * src + _UP
+        if not 0 <= start < n_states:
+            return {}
+        wanted = bytearray(n_states)
+        remaining = 0
+        for node in targets:
+            if 0 <= 2 * node < n_states:
+                wanted[2 * node + _UP] = wanted[2 * node + _DOWN] = 1
+                remaining += 1
+        seen = bytearray(n_states)
+        seen[start] = 1
+        parent = [start] * n_states
+        via: List[Optional[Hop]] = [None] * n_states
+        found: Dict[int, int] = {}
+        frontier = [start]
+        # The loop reaches the states appended to ``frontier`` as it runs:
+        # a FIFO queue in one list.
+        for state in frontier:
+            if not remaining:
+                break
+            for nxt, hop in table[state]:
+                if seen[nxt]:
                     continue
-                if phase == _DOWN and up_hop:
-                    continue  # down -> up transitions are illegal
-                state = (peer, _UP if up_hop else _DOWN)
-                if state in seen:
-                    continue
-                seen.add(state)
-                prev[state] = ((node, phase), (node, peer, link))
-                if peer in remaining:
-                    remaining.discard(peer)
-                    found[peer] = state
+                seen[nxt] = 1
+                parent[nxt] = state
+                via[nxt] = hop
+                if wanted[nxt]:
+                    wanted[nxt] = wanted[nxt ^ 1] = 0
+                    found[hop[1]] = nxt
+                    remaining -= 1
                     if not remaining:
                         break
-                frontier.append(state)
+                frontier.append(nxt)
         routes: Dict[int, List[Hop]] = {}
         for dst, state in found.items():
             hops: List[Hop] = []
             while state != start:
-                state, hop = prev[state]
-                hops.append(hop)
+                hops.append(via[state])
+                state = parent[state]
             hops.reverse()
             routes[dst] = hops
         return routes
+
+    def _tree_only(self) -> List[Moves]:
+        """The state table without crosslink moves, built on first use."""
+        if self._tree_table is None:
+            tree = self._tree_links
+            self._tree_table = [
+                tuple(move for move in moves if move[1][2].id in tree)
+                for moves in self._table
+            ]
+        return self._tree_table
 
     def multi_route(
         self, src: int, dsts: Sequence[int], restrict_to_tree: bool = False
@@ -313,11 +377,12 @@ class UpDownRouting:
         host_switch = {d: topology.host_switch(d) for d in remaining}
         adapter_hop: Dict[int, Hop] = {}
         for d in remaining:
-            sw = host_switch[d]
-            link = next(
-                link for peer, link in topology.neighbors(sw) if peer == d
-            )
-            adapter_hop[d] = (sw, d, link)
+            link = topology.host_link(d)
+            if topology.link_usable(link):
+                adapter_hop[d] = (host_switch[d], d, link)
+        missing = remaining - set(adapter_hop)
+        if missing:
+            raise ValueError(f"no legal route from {src} to {sorted(missing)}")
         routes: Dict[int, List[Hop]] = {}
         trunk: List[Hop] = []
         cursor = src  # the host first, then the last visited switch
@@ -387,6 +452,9 @@ def check_deadlock_free(
     [DS87].  ``pairs`` defaults to all ordered pairs of live hosts.  Pairs
     are grouped by source, so each source costs one route BFS.  Raises
     ``ValueError`` if some pair has no legal route (a partition).
+
+    Each channel is numbered the first time a route crosses it, and Kahn's
+    algorithm runs on those numbers.
     """
     if pairs is None:
         hosts = routing.topology.live_hosts()
@@ -394,30 +462,32 @@ def check_deadlock_free(
     dsts_by_src: Dict[int, List[int]] = {}
     for src, dst in pairs:
         dsts_by_src.setdefault(src, []).append(dst)
-    edges: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}
+    number: Dict[Tuple[int, int], int] = {}
+    deps: List[Set[int]] = []
     for src, dsts in dsts_by_src.items():
         routes = routing.routes_from(src, dsts)
         for dst in dsts:
             hops = routes.get(dst)
             if hops is None:
                 raise ValueError(f"no legal up/down route from {src} to {dst}")
-            channels = [(a, b) for a, b, _ in hops]
-            for first, second in zip(channels, channels[1:]):
-                edges.setdefault(first, set()).add(second)
-            for channel in channels:
-                edges.setdefault(channel, set())
+            last = None
+            for a, b, _ in hops:
+                channel = number.get((a, b))
+                if channel is None:
+                    channel = number[(a, b)] = len(deps)
+                    deps.append(set())
+                if last is not None:
+                    deps[last].add(channel)
+                last = channel
     # Kahn's algorithm.
-    indegree = {node: 0 for node in edges}
-    for deps in edges.values():
-        for dep in deps:
-            indegree[dep] += 1
-    ready = deque(node for node, deg in indegree.items() if deg == 0)
-    visited = 0
-    while ready:
-        node = ready.popleft()
-        visited += 1
-        for dep in edges[node]:
-            indegree[dep] -= 1
-            if indegree[dep] == 0:
-                ready.append(dep)
-    return visited == len(edges)
+    indegree = [0] * len(deps)
+    for successors in deps:
+        for channel in successors:
+            indegree[channel] += 1
+    ready = [channel for channel, degree in enumerate(indegree) if not degree]
+    for channel in ready:  # grows as channels become ready
+        for successor in deps[channel]:
+            indegree[successor] -= 1
+            if not indegree[successor]:
+                ready.append(successor)
+    return len(ready) == len(deps)

@@ -565,6 +565,9 @@ class WormholeNetwork:
         #: Hosts whose routes to every live host the routing has computed
         #: (one BFS each) since the last refresh.
         self._warmed_sources: Set[int] = set()
+        #: The live hosts as of the last refresh: every source warms its
+        #: routes to these.
+        self._live_hosts: List[int] = topology.live_hosts()
         self._receivers: Dict[int, ReceiverFn] = {}
         self._head_watchers: Dict[int, ReceiverFn] = {}
         #: Topology version the channel tables were built against; a
@@ -597,8 +600,8 @@ class WormholeNetwork:
 
         Creates channels for newly added links, re-marks every channel's
         ``failed`` flag from component liveness, rebuilds the cached channel
-        list views and invalidates the memoized per-pair route channels
-        (which may now run over dead or new links).
+        list views and the live-host list, and invalidates the memoized
+        per-pair route channels (which may now run over dead or new links).
         """
         topology = self.topology
         for link in topology.links:
@@ -619,6 +622,7 @@ class WormholeNetwork:
         ]
         self._route_channel_cache.clear()
         self._warmed_sources.clear()
+        self._live_hosts = topology.live_hosts()
         self._topo_version = topology.version
 
     def _refresh_if_stale(self) -> None:
@@ -648,7 +652,7 @@ class WormholeNetwork:
         """The directed channels of the legal route between two hosts.
 
         Memoized per (src, dst): the returned tuple is shared across calls.
-        A host's first miss since the last refresh has the routing compute
+        A host's first miss since the last refresh has the routing memoize
         its routes to every live host out of one BFS; the channel tuples
         are still built per pair, on demand.
         """
@@ -659,8 +663,8 @@ class WormholeNetwork:
             return cached
         if src_host not in self._warmed_sources:
             self._warmed_sources.add(src_host)
-            self.routing.routes_from(
-                src_host, self.topology.live_hosts(), self.restrict_to_tree
+            self.routing.warm_routes(
+                src_host, self._live_hosts, self.restrict_to_tree
             )
         hops = self.routing.route_shared(src_host, dst_host, self.restrict_to_tree)
         table = self._channels

@@ -267,6 +267,43 @@ def test_deadlock_free_default_skips_unreachable_host():
     assert check_deadlock_free(routing)
 
 
+class _ClockwiseRing:
+    """A routing that sends every worm clockwise round ``ring(4)``: the four
+    ring channels can wait on one another in a cycle."""
+
+    def __init__(self):
+        self.topology = ring(4)
+
+    def routes_from(self, src, dsts, restrict_to_tree=False):
+        topo = self.topology
+        switches = topo.switches
+
+        def hop(a, b):
+            return (a, b, next(link for peer, link in topo.neighbors(a) if peer == b))
+
+        routes = {}
+        for dst in dsts:
+            at, end = topo.host_switch(src), topo.host_switch(dst)
+            hops = [hop(src, at)]
+            while at != end:
+                nxt = switches[(switches.index(at) + 1) % len(switches)]
+                hops.append(hop(at, nxt))
+                at = nxt
+            hops.append(hop(end, dst))
+            routes[dst] = tuple(hops)
+        return routes
+
+
+def test_deadlock_check_finds_cycle():
+    routing = _ClockwiseRing()
+    hosts = routing.topology.hosts
+    assert check_deadlock_free(routing) is False
+    neighbours = [(hosts[i], hosts[(i + 1) % 4]) for i in range(4)]
+    assert check_deadlock_free(routing, neighbours) is True
+    two_hops = [(hosts[i], hosts[(i + 2) % 4]) for i in range(3)]
+    assert check_deadlock_free(routing, two_hops) is True
+
+
 def test_deadlock_free_explicit_unroutable_pair_raises():
     topo = torus(3, 3)
     routing = _routing(topo)
@@ -425,6 +462,92 @@ def test_property_routes_match_per_pair_reference(n, extra, seed, victim):
         links = topo.links
         topo.fail_link(links[victim % len(links)].id)
         _assert_routes_match_reference(topo, restrict_to_tree, seed + 1)
+
+
+def test_campaign_sequence_routes_match_per_pair_reference():
+    """The 2-failure fault campaign's case: a warm routing on the 8x8 torus
+    sees a crosslink cut, a tree-link cut and the first link's repair.
+    After each step its routes match the reference on a seeded sample of
+    host pairs, however they are asked for."""
+    topo = torus(8, 8)
+    hosts = topo.hosts
+    warm = UpDownRouting(topo)
+
+    def warm_all():
+        for restrict_to_tree in (False, True):
+            for src in hosts:
+                warm.routes_from(src, hosts, restrict_to_tree)
+
+    warm_all()
+    routes = [warm.route_shared(a, b) for a in hosts for b in hosts if a != b]
+    assert len(routes) == 4032
+    hop_ids = {id(hop) for route in routes for hop in route}
+    channels = {(a, b) for route in routes for a, b, _ in route}
+    # One shared hop tuple per directed live edge (384 here).
+    assert len(hop_ids) == len(channels) <= 2 * len(topo.links) == 384
+
+    rng = random.Random(24)
+    fabric = [
+        l.id
+        for l in topo.links
+        if topo.node(l.a).is_switch and topo.node(l.b).is_switch
+    ]
+    tree = warm.tree_links
+    crosslink = rng.choice([l for l in fabric if l not in tree])
+    tree_link = rng.choice([l for l in fabric if l in tree])
+    pairs = rng.sample([(a, b) for a in hosts for b in hosts if a != b], 300)
+    dsts_by_src = {}
+    for src, dst in pairs:
+        dsts_by_src.setdefault(src, []).append(dst)
+    steps = [
+        lambda: topo.fail_link(crosslink),
+        lambda: topo.fail_link(tree_link),
+        lambda: topo.repair_link(crosslink),
+    ]
+    for step in steps:
+        step()
+        ref_routing = UpDownRouting(topo)
+        for restrict_to_tree in (False, True):
+            reference = {
+                pair: _reference_route(ref_routing, *pair, restrict_to_tree)
+                for pair in pairs
+            }
+            for (src, dst), (hops, _) in reference.items():
+                assert warm.route_shared(src, dst, restrict_to_tree) == hops
+            for src, dsts in dsts_by_src.items():
+                expected = {d: reference[(src, d)][0] for d in dsts}
+                got = warm.routes_from(src, dsts, restrict_to_tree)
+                assert got == expected and list(got) == dsts
+                tree_routes = warm.multi_route(src, dsts, restrict_to_tree)
+                assert {d: tuple(h) for d, h in tree_routes.items()} == expected
+                assert list(tree_routes) == sorted(
+                    dsts, key=lambda d: reference[(src, d)][1]
+                )
+        assert check_deadlock_free(warm)
+        warm_all()
+    assert warm.rebuilds == 3
+
+
+def _fail_access_link(topo, host):
+    topo.fail_link(_access_link(topo, host).id)
+
+
+@pytest.mark.parametrize("fail", [_fail_access_link, Topology.fail_node])
+def test_multi_route_path_rejects_unreachable_host(fail):
+    """A path multicast to a host behind a dead access link (or to a dead
+    host) fails as the tree multicast does, instead of ending its route on
+    the dead link."""
+    topo = torus(3, 3)
+    routing = _routing(topo)
+    src, live, dead = topo.hosts[0], topo.hosts[1], topo.hosts[4]
+    fail(topo, dead)
+    message = rf"no legal route from {src} to \[{dead}\]"
+    with pytest.raises(ValueError, match=message):
+        routing.multi_route(src, [live, dead])
+    with pytest.raises(ValueError, match=message):
+        routing.multi_route_path(src, [live, dead])
+    routes = routing.multi_route_path(src, [live])
+    assert all(topo.link_usable(link) for _, _, link in routes[live])
 
 
 def test_routes_from_includes_source_as_empty_route():
