@@ -2,9 +2,8 @@
 """Record a perf-trajectory snapshot in ``BENCH_sweep.json``.
 
 Runs the kernel events/sec microbenchmarks, the flit-engine comparison
-(dense / active), the virtual-channel lane ladder, the
-partitioned-runner scaling run and two reduced sweeps, appending one
-machine-readable entry per workload so the repo carries its own
+(dense / active), the virtual-channel lane ladder and two reduced
+sweeps, appending one machine-readable entry per workload so the repo carries its own
 performance history from commit to commit::
 
     PYTHONPATH=src python scripts/bench_trajectory.py [--scale 0.5] [--label msg]
@@ -16,7 +15,7 @@ any of the globs; a section none of whose labels match is not run at all.
 Entries land in ``{"entries": [...]}`` (see
 :func:`repro.sweep.runner.append_trajectory`); each has a timestamp, the
 workload label, the interpreter version, the flit engine it
-measured (flit and par entries), and either ``events_per_second`` or the
+measured (flit entries), and either ``events_per_second`` or the
 wall-time footprint.
 Re-running at the same code fingerprint with the same label *replaces*
 the matching entries instead of duplicating them.
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
-import os
 import platform
 import statistics
 import sys
@@ -43,7 +41,6 @@ from bench_kernel_events import (  # noqa: E402
     _uncontended_grants,
 )
 from bench_flit_engine import run_suite as _flit_suite  # noqa: E402
-from bench_par_engine import run_par_suite  # noqa: E402
 from bench_vc_lanes import LANE_COUNTS, run_vc_suite  # noqa: E402
 
 from repro.sweep import append_trajectory, run_sweep  # noqa: E402
@@ -88,22 +85,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--only", action="append", metavar="GLOB",
         help="run only workloads whose entry label matches this glob "
-             "(repeatable, e.g. 'kernel_*' or 'par_*'); sections with no "
+             "(repeatable, e.g. 'kernel_*' or 'flit_*'); sections with no "
              "matching label are skipped entirely",
-    )
-    parser.add_argument(
-        "--shards", type=lambda s: [int(x) for x in s.split(",")],
-        default=[2, 4], metavar="N,M,...",
-        help="partition counts for the par section (default 2,4)",
-    )
-    parser.add_argument(
-        "--par-scenario", default="saturated_torus_32",
-        help="repro.par scenario the par section measures",
-    )
-    parser.add_argument(
-        "--par-engine", default="active",
-        choices=("dense", "active"),
-        help="engine each shard runs in the par section",
     )
     args = parser.parse_args(argv)
 
@@ -181,65 +164,6 @@ def main(argv=None) -> int:
                 f"{name}: {rec['events_per_second']:,} ticks/s "
                 f"(final tick {rec['final_tick']})"
             )
-
-    scenario = args.par_scenario
-    seq_labels = {
-        engine: f"par_{scenario}_seq_{engine}"
-        for engine in ("dense", "active")
-    }
-    shard_labels = {k: f"par_{scenario}_k{k}" for k in args.shards}
-    shards = [k for k, lab in shard_labels.items() if wanted(lab)]
-    engines = tuple(e for e, lab in seq_labels.items() if wanted(lab))
-    if shards and args.par_engine not in engines:
-        # The suite needs the shard engine's sequential digest as the
-        # identity baseline.
-        engines += (args.par_engine,)
-    if shards:
-        suite = run_par_suite(
-            scenario, shards=shards, engines=engines,
-            par_engine=args.par_engine, repeats=2,
-        )
-        common = {
-            "timestamp": stamp,
-            "kind": "par_microbench",
-            "scenario": scenario,
-            "host_cores": os.cpu_count(),
-            "code": code,
-            **env,
-        }
-        if args.label:
-            common["note"] = args.label
-        for engine, rec in suite["sequential"].items():
-            if not wanted(seq_labels[engine]):
-                continue
-            append_trajectory(args.out, {
-                **common,
-                "label": seq_labels[engine],
-                "engine": engine,
-                "timing": "wall",
-                **{key: rec[key] for key in
-                   ("status", "now", "events", "run_seconds",
-                    "events_per_second", "digest")},
-            }, dedup_on=_DEDUP)
-            print(f"{seq_labels[engine]}: "
-                  f"{rec['events_per_second']:,.0f} events/s")
-        for k, rec in suite["partitioned"].items():
-            append_trajectory(args.out, {
-                **common,
-                "label": shard_labels[int(k)],
-                "engine": rec["engine"],
-                "timing": "critical_path",
-                **{key: rec[key] for key in
-                   ("backend", "scheme", "cut_links", "window",
-                    "windows_run", "status", "now", "events",
-                    "flits_exchanged", "wall_seconds",
-                    "critical_path_seconds", "events_per_second",
-                    "speedup_vs_best_sequential", "digest")},
-            }, dedup_on=_DEDUP)
-            print(f"{shard_labels[int(k)]}: "
-                  f"{rec['events_per_second']:,.0f} events/s "
-                  f"({rec['speedup_vs_best_sequential']:.2f}x vs best "
-                  f"sequential, critical path)")
 
     if wanted("vc_lanes_sweep"):
         spec = vc_lanes_spec(scale=args.scale)

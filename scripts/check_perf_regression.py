@@ -17,7 +17,7 @@ integer factors, not 30%.  Regenerate the baseline with::
 Workloads present in the current run but missing from the baseline are
 reported and added on ``--update-baseline``; workloads in the baseline
 but missing from the run are *skipped with a warning* (the run may be a
-reduced smoke subset -- e.g. ``--only 'par_*'`` -- but a silently
+reduced smoke subset -- e.g. ``--only 'kernel_*'`` -- but a silently
 vanished label would otherwise mask a benchmark that stopped running).
 """
 

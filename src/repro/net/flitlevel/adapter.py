@@ -80,11 +80,11 @@ class FlitAdapter:
         self.network._wake_host(self)
 
     def tick_output(self, now: int) -> bool:
-        """Inject the next byte of the head worm.  Applies
-        :meth:`Wire.can_push` and then :meth:`Wire.stop_at_sender` in
-        place.  ``FlitNetwork._skip_span`` advances a source injecting
-        payload over a steady streaming span in bulk: a change here is
-        made there too."""
+        """Inject the next byte of the head worm, under the sender's rule
+        ``OutputPort.ready`` states: one flit per tick, none while STOP
+        is in effect.  ``FlitNetwork._skip_span`` advances a source
+        injecting payload over a steady streaming span in bulk: a change
+        here is made there too."""
         tx = self._tx
         wire = self.wire_out
         if not tx or wire is None:
@@ -115,10 +115,10 @@ class FlitAdapter:
 
     # -- receiving ------------------------------------------------------------
     def tick_input(self, now: int) -> bool:
-        """Sink the arriving byte, if any.  Applies :meth:`Wire.deliver`
-        in place.  ``FlitNetwork._skip_span`` counts the payload a sink
-        receives over a steady streaming span in bulk: a change here is
-        made there too."""
+        """Sink the arriving byte, if any: the head flit of the receive
+        wire, once it is due.  ``FlitNetwork._skip_span`` counts the
+        payload a sink receives over a steady streaming span in bulk: a
+        change here is made there too."""
         wire = self.wire_in
         if wire is None:
             return False

@@ -38,7 +38,6 @@ __all__ = [
     "worm_timeline",
     "timeline_digest",
     "crosscheck",
-    "crosscheck_partitioned",
     "CrosscheckReport",
 ]
 
@@ -104,7 +103,6 @@ def timeline_digest(timeline: Dict[str, Any]) -> str:
     """A stable content hash of a canonical timeline.
 
     Two runs are byte-identical iff their digests match; the digest is
-    what the determinism test suite compares across partition counts and
     what bench artifacts record so a reviewer can line runs up without
     shipping whole timelines."""
     blob = json.dumps(timeline, sort_keys=True, default=str)
@@ -203,38 +201,6 @@ def crosscheck(
         dense_ticks=base_net.ticks_executed,
         active_ticks=cand_net.ticks_executed,
         engines=engines,
-    )
-
-
-def crosscheck_partitioned(
-    scenario_name: str,
-    partitions: int,
-    engine: str = "active",
-    backend: str = "inline",
-) -> CrosscheckReport:
-    """Sequential vs K-way-partitioned run of one registered
-    :mod:`repro.par` scenario, compared on the same canonical timeline.
-
-    The baseline is :func:`repro.par.runner.run_sequential` (one engine,
-    driver-level fault barriers); the candidate is
-    :func:`repro.par.runner.run_partitioned` with ``partitions`` shards.
-    The partitioned run's merged timeline must match the sequential one
-    *byte for byte* -- the conservative windows make parallelism an
-    implementation detail, not an approximation.
-    """
-    from repro.par import run_partitioned, run_sequential
-
-    net, status = run_sequential(scenario_name, engine)
-    baseline = worm_timeline(net, status)
-    result = run_partitioned(
-        scenario_name, partitions, engine=engine, backend=backend
-    )
-    return CrosscheckReport(
-        baseline,
-        result.timeline,
-        dense_ticks=net.ticks_executed,
-        active_ticks=result.ticks_executed,
-        engines=(f"{engine}/seq", f"{engine}/K={partitions}"),
     )
 
 
@@ -369,20 +335,6 @@ def main(argv=None) -> int:
         choices=("first_free", "round_robin"),
         help="lane-allocation policy for multi-lane runs",
     )
-    parser.add_argument(
-        "--partitions", type=int, metavar="K", default=None,
-        help="also crosscheck sequential vs K-way-partitioned runs of "
-             "every repro.par scenario (engine = the candidate engine)",
-    )
-    parser.add_argument(
-        "--scenario", action="append", default=None, metavar="NAME",
-        help="with --partitions: restrict to these repro.par scenarios "
-             "(repeatable; default: all registered)",
-    )
-    parser.add_argument(
-        "--backend", default="inline", choices=("inline", "process"),
-        help="with --partitions: shard execution backend",
-    )
     args = parser.parse_args(argv)
     engines = tuple(args.engines)
     failed = False
@@ -392,19 +344,6 @@ def main(argv=None) -> int:
             report = crosscheck(scenario, engines=engines)
             tag = f"{name}[lanes={lanes}]" if lanes != 1 else name
             print(("OK   " if report.ok else "FAIL ") + f"{tag}: "
-                  + report.describe().splitlines()[0])
-            failed |= not report.ok
-    if args.partitions is not None:
-        from repro.par import SCENARIOS
-
-        names = args.scenario or sorted(SCENARIOS)
-        for name in names:
-            report = crosscheck_partitioned(
-                name, args.partitions, engine=engines[1],
-                backend=args.backend,
-            )
-            print(("OK   " if report.ok else "FAIL ")
-                  + f"{name} [K={args.partitions}]: "
                   + report.describe().splitlines()[0])
             failed |= not report.ok
     return 1 if failed else 0

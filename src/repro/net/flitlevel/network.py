@@ -230,14 +230,6 @@ class FlitNetwork:
         Optional :class:`~repro.obs.Observability` bundle; worm-lifecycle
         hooks cost one pointer test each when ``None`` and are purely
         passive when set (results stay byte-identical either way).
-    shard:
-        Optional iterable of switch ids restricting which components this
-        instance builds and ticks: a shard is a replica that only advances
-        its local partition and never builds a switch outside it.  Every
-        host adapter and worm record exists in every replica; remote
-        traffic arrives through cut wires driven by :mod:`repro.par`.
-        Hosts follow their switch.  ``None`` (the default) ticks
-        everything.
     """
 
     def __init__(
@@ -255,7 +247,6 @@ class FlitNetwork:
         seed: int = 1,
         engine: str = "active",
         obs=None,
-        shard=None,
     ) -> None:
         if engine not in ENGINES:
             known = ", ".join(ENGINES)
@@ -308,11 +299,6 @@ class FlitNetwork:
 
         self.slack_capacity = slack_capacity
         self.wire_delay = wire_delay
-        self.shard = frozenset(shard) if shard is not None else None
-        if self.shard is not None:
-            unknown = self.shard - set(topology.switches)
-            if unknown:
-                raise ValueError(f"shard names non-switches: {sorted(unknown)}")
 
         self.adapters: Dict[int, FlitAdapter] = {
             hid: FlitAdapter(self, hid) for hid in topology.hosts
@@ -344,8 +330,7 @@ class FlitNetwork:
 
         self._links = topology.links
         #: Built components: switches by id and each link's wires
-        #: (``[a->b, b->a]`` per lane, so lane l occupies slots 2l, 2l+1;
-        #: repro.par keys cut-wire batches by this ordering).
+        #: (``[a->b, b->a]`` per lane, so lane l occupies slots 2l, 2l+1).
         self._built_switches: Dict[int, CrossbarSwitch] = {}
         self._built_links: Dict[int, List[Wire]] = {}
         #: Links this network failed and has not repaired: their wires,
@@ -362,35 +347,14 @@ class FlitNetwork:
         )
 
         # -- active-set / progress bookkeeping --------------------------------
-        # A shard keeps only its local components in these lists, so
-        # _wake_all and dense iteration restrict with them.
-        #: Built local switches, in build order (topology order under the
-        #: dense engine, which builds them all below).
+        #: Built switches, in build order (topology order under the dense
+        #: engine, which builds them all below).
         self._switch_list: List[CrossbarSwitch] = []
-        self._adapter_list = [
-            a for hid, a in self.adapters.items()
-            if self._local(topology.host_switch(hid))
-        ]
-        if self.shard is not None:
-            # Non-local components must never enter the active set.  Only
-            # local ports get wire wake hooks, but any adapter can be
-            # handed a worm (enqueue wakes it): marking non-local adapters
-            # permanently "active" makes that wake a no-op (they are not in
-            # _adapter_list, so they are never ticked and never settle back
-            # out).
-            local_adapters = set(self._adapter_list)
-            for a in self.adapters.values():
-                if a not in local_adapters:
-                    a._active = True
+        self._adapter_list = list(self.adapters.values())
         #: Monotonic count of observable progress events (payload flits
         #: delivered, worms injected, deliveries recorded, records churned).
         #: Replaces the per-tick _progress_signature tuple: O(1) per event.
         self._progress_events = 0
-        #: Latest tick on which a progress event fired, maintained by
-        #: run_window() so a window-driven coordinator (repro.par) can
-        #: reconstruct run()'s stall-detection clock across shards.
-        self._last_progress_tick = 0
-        self._last_progress_events = 0
         self.worms_injected = 0
         self.worm_deliveries = 0
         #: Ticks actually executed (fast-forwarded quiescent and steady
@@ -427,8 +391,7 @@ class FlitNetwork:
         self._refresh_down_ports()
         if not self._engine_active:
             for sid in topology.switches:
-                if self._local(sid):
-                    self._build_switch(sid)
+                self._build_switch(sid)
 
     # -- construction on first touch ------------------------------------------
     def _lanes_of(self, link) -> int:
@@ -436,9 +399,6 @@ class FlitNetwork:
         if link.a in self.adapters or link.b in self.adapters:
             return 1
         return self.lanes
-
-    def _local(self, sid: int) -> bool:
-        return self.shard is None or sid in self.shard
 
     def _build_link(self, link_id: int) -> List[Wire]:
         """The wires of link ``link_id``, created on first use -- by the
@@ -463,15 +423,13 @@ class FlitNetwork:
                     adapter = adapters[receiver]
                     adapter.wire_in = wire
                     wire.receiver = adapter
-                    if self._local(sender):
-                        wire.notify = self._wake_hook
+                    wire.notify = self._wake_hook
                 else:
                     if sender in adapters:
                         adapters[sender].wire_out = wire
                     base = self._port_of[(receiver, link_id)]
                     wire.receiver = (receiver, base + lane)
-                    if self._local(receiver):
-                        wire.notify = self._touch_hook
+                    wire.notify = self._touch_hook
                 wires.append(wire)
         self._built_links[link_id] = wires
         return wires
@@ -484,8 +442,7 @@ class FlitNetwork:
         when it is built never changes the byte timeline."""
         switch = CrossbarSwitch(self, sid, slack_capacity=self.slack_capacity)
         self._built_switches[sid] = switch
-        local = self._local(sid)
-        wake = self._wake_hook if local else None
+        wake = self._wake_hook
         seq = self._seq_base[sid]
         for link in self.topology.adjacent(sid):
             wires = self._build_link(link.id)
@@ -503,8 +460,7 @@ class FlitNetwork:
             if len(ports) > 1:
                 switch.register_lane_group(ports)
         switch.down_ports = self._down_ports(sid)
-        if local:
-            self._switch_list.append(switch)
+        self._switch_list.append(switch)
         return switch
 
     def _touch(self, end: Tuple[int, int]) -> None:
@@ -514,12 +470,10 @@ class FlitNetwork:
         self._wake_component(self._build_switch(sid).inputs[index])
 
     def _wake_host(self, adapter: FlitAdapter) -> None:
-        """An adapter was handed a worm: the first time, build its switch
-        (unless a shard does not own it), then wake it."""
+        """An adapter was handed a worm: the first time, build its switch,
+        then wake it."""
         if adapter.wire_out is None:
-            sid = self.topology.host_switch(adapter.host_id)
-            if self._local(sid):
-                self._build_switch(sid)
+            self._build_switch(self.topology.host_switch(adapter.host_id))
         self._wake_component(adapter)
 
     def wire_counts(self, link_id: int) -> List[Tuple[int, int]]:
@@ -1258,33 +1212,3 @@ class FlitNetwork:
                     raise DeadlockDetected(last_progress, self.pending_worms())
                 return "deadlock"
         return "timeout"
-
-    def run_window(self, until: int) -> int:
-        """Advance the clock to exactly ``until`` with no early exit.
-
-        The window-synchronized parallel runner (:mod:`repro.par`) drives
-        each shard in lockstep barrier windows: every shard must land on
-        the same tick regardless of delivery or stalls, so none of
-        :meth:`run`'s termination conditions apply here.  Status
-        (delivered / deadlock / timeout) is reconstructed by the
-        coordinator from ``_last_progress_tick``, ``_undelivered`` and the
-        scheduled-action horizon.
-
-        The active-set engine's quiescence fast-forward is preserved but
-        bounded by the window edge; externally injected cut flits keep
-        their receiving input ports active (``quiescent()`` inspects the
-        input wire), so the jump never skips cross-shard traffic.
-
-        Returns the number of progress events observed inside the window.
-        """
-        events_before = self._progress_events
-        while self.now < until:
-            if self._engine_active and not self._n_active:
-                nxt = self._actions[0][0] if self._actions else until
-                if nxt > self.now + 1:
-                    self.now = min(nxt, until) - 1
-            self.tick()
-            if self._progress_events != self._last_progress_events:
-                self._last_progress_events = self._progress_events
-                self._last_progress_tick = self.now
-        return self._progress_events - events_before

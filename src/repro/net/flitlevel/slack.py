@@ -18,6 +18,13 @@ from repro.net.flitlevel.flits import Flit
 class SlackBuffer:
     """A bounded FIFO of flits with STOP/GO threshold signalling.
 
+    ``InputPort.absorb`` applies the buffer's rules on this state once per
+    byte.  A flit arriving at a full buffer is an *overflow*: the STOP
+    round trip was undersized, so the flit is dropped and counted in
+    ``overflows`` (reliable configurations never see one); ``peak`` is
+    the highest occupancy reached.  STOP is asserted once occupancy
+    reaches Ks and held until it falls to Kg (Figure 1's hysteresis).
+
     Parameters
     ----------
     capacity:
@@ -49,46 +56,14 @@ class SlackBuffer:
         return len(self._flits)
 
     @property
-    def full(self) -> bool:
-        return len(self._flits) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return not self._flits
-
-    @property
     def stopping(self) -> bool:
-        """The current STOP/GO hysteresis state, without re-evaluating it.
-
-        :meth:`desired_stop` mutates the hysteresis latch; quiescence checks
-        (the active-set engine's settle pass) need a read-only view.
-        """
+        """The STOP/GO hysteresis latch as the last absorb left it, read
+        without re-evaluating it (the active-set engine's quiescence
+        check)."""
         return self._stopping
-
-    def push(self, flit: Flit) -> None:
-        """Accept a flit from the wire.
-
-        A push onto a full buffer is an *overflow*: it means the STOP
-        round-trip slack was undersized.  The flit is dropped and counted
-        (reliable configurations must never see this).
-
-        ``InputPort.absorb`` applies this rule (with :attr:`full`) and
-        :meth:`desired_stop` in place, once per byte.
-        """
-        if self.full:
-            self.overflows += 1
-            return
-        self._flits.append(flit)
-        if len(self._flits) > self.peak:
-            self.peak = len(self._flits)
 
     def front(self) -> Optional[Flit]:
         return self._flits[0] if self._flits else None
-
-    def peek(self, index: int) -> Optional[Flit]:
-        if index < len(self._flits):
-            return self._flits[index]
-        return None
 
     def pop(self) -> Flit:
         return self._flits.popleft()
@@ -99,19 +74,3 @@ class SlackBuffer:
         dropped = len(self._flits) - len(kept)
         self._flits = deque(kept)
         return dropped
-
-    def desired_stop(self) -> bool:
-        """The STOP/GO level this buffer wants its upstream to observe.
-
-        Hysteresis per Figure 1: assert STOP at/above Ks, keep it asserted
-        until occupancy falls to/below Kg.  Applied in place by
-        ``InputPort.absorb``.
-        """
-        occupancy = len(self._flits)
-        if self._stopping:
-            if occupancy <= self.go_mark:
-                self._stopping = False
-        else:
-            if occupancy >= self.stop_mark:
-                self._stopping = True
-        return self._stopping

@@ -128,11 +128,15 @@ class InputPort:
         """Pull the arriving flit (if any) into slack; returns True on
         activity.
 
-        The per-byte hot path: it applies :meth:`Wire.deliver`,
-        :meth:`SlackBuffer.push` and :meth:`SlackBuffer.desired_stop` in
-        place (same rules, no calls).  Its bulk counterpart, for the
-        ticks of a steady streaming span, is
-        ``FlitNetwork._skip_span``: a change here is made there too."""
+        The per-byte hot path.  The head flit of the input wire arrives
+        once it is due, ``delay`` ticks after its push.  It joins the
+        slack buffer, or, when the buffer is full, is dropped and counted
+        as an overflow; ``peak`` tracks the highest occupancy.  Then the
+        Figure 1 hysteresis: STOP is asserted once occupancy reaches Ks
+        and held until it falls to Kg, and a change is signalled
+        upstream.  Its bulk counterpart, for the ticks of a steady
+        streaming span, is ``FlitNetwork._skip_span``: a change here is
+        made there too."""
         wire = self.wire
         slack = self.slack
         flits = slack._flits
@@ -242,8 +246,10 @@ class OutputPort:
         return self.holder == input_index
 
     def ready(self, now: int) -> bool:
-        """Can this port emit a flit this tick?  :meth:`Wire.can_push`
-        and then :meth:`Wire.stop_at_sender`, applied in place."""
+        """Can this port emit a flit this tick?  Not if its wire already
+        carried one this tick, nor while the last STOP/GO symbol due at
+        this end (``delay`` ticks after the receiver sent it) reads
+        STOP."""
         wire = self.wire
         if wire._last_push_tick == now:
             return False

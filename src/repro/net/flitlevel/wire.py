@@ -12,7 +12,16 @@ class Wire:
     """A point-to-point link carrying one flit per tick, with ``delay``
     ticks of propagation; STOP/GO symbols travel the reverse direction with
     the same delay (Myrinet interleaves control symbols on the return
-    link)."""
+    link).
+
+    The per-byte steps apply the link rules on this state themselves.
+    The receiver (``InputPort.absorb``, ``FlitAdapter.tick_input``) takes
+    the head of ``_forward`` once its due tick, ``delay`` after the push,
+    has come.  The sender (``OutputPort.ready``, the one-branch step of
+    ``CrossbarSwitch._stream``, ``FlitAdapter.tick_output``) pushes at
+    most one flit per tick, and none while the last STOP/GO symbol due
+    at it, latched in ``_stop_at_sender``, reads STOP.
+    """
 
     def __init__(self, delay: int = 1) -> None:
         if delay < 1:
@@ -79,20 +88,6 @@ class Wire:
         if flit.kind is FlitKind.IDLE:
             self.idles += 1
 
-    def can_push(self, now: int) -> bool:
-        """Sender-side: no flit pushed yet this tick.  The per-byte
-        senders apply this rule and :meth:`stop_at_sender` in place:
-        ``OutputPort.ready``, the one-branch step of
-        ``CrossbarSwitch._stream`` and ``FlitAdapter.tick_output``."""
-        return now != self._last_push_tick
-
-    def deliver(self, now: int) -> Optional[Flit]:
-        """The flit arriving at the receiver this tick, if any.  Applied
-        in place by ``InputPort.absorb`` and ``FlitAdapter.tick_input``."""
-        if self._forward and self._forward[0][0] <= now:
-            return self._forward.popleft()[1]
-        return None
-
     def drop_worm(self, wid: int) -> int:
         """Remove in-flight flits of a flushed worm (backward reset)."""
         kept = deque((due, f) for due, f in self._forward if f.wid != wid)
@@ -107,14 +102,3 @@ class Wire:
         Callers only signal on changes; redundant signals are harmless.
         """
         self._reverse.append((now + self.delay, stop))
-
-    def stop_at_sender(self, now: int) -> bool:
-        """Sender-side: the STOP/GO state currently in effect.  Applied in
-        place where :meth:`can_push` is."""
-        while self._reverse and self._reverse[0][0] <= now:
-            self._stop_at_sender = self._reverse.popleft()[1]
-        return self._stop_at_sender
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._forward)

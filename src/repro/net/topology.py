@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 SWITCH = "switch"
@@ -470,9 +470,9 @@ def clos(
     spine, hosts attach to the leaves.
 
     Switches are named ``s{stage},{row}`` (stage 0 = spines, stage 1 =
-    leaves) so the stage-cut partitioner applies.  A spine's degree is
-    ``leaves`` and a leaf's is ``spines + hosts_per_leaf``, so both are
-    bounded by the route-byte port limit -- large fabrics should grow via
+    leaves).  A spine's degree is ``leaves`` and a leaf's is
+    ``spines + hosts_per_leaf``, so both are bounded by the route-byte
+    port limit -- large fabrics should grow via
     :func:`butterfly` / :func:`benes` stages rather than flat radix.
     """
     if spines < 1 or leaves < 2:
@@ -506,9 +506,9 @@ def butterfly(
     row that differs from ``r`` only in base-k digit ``n-2-s`` (most
     significant digit first), the classic destination-tag wiring.  Inner
     switches have degree ``2k``.  Hosts attach to the first and last
-    stages (the terminal rows).  Switches are named ``s{stage},{row}``,
-    so the stage-cut partitioner applies; ``butterfly(4, 6)`` is a
-    6144-switch instance for the 1000+-switch scenarios.
+    stages (the terminal rows).  Switches are named ``s{stage},{row}``;
+    ``butterfly(4, 6)`` is a 6144-switch instance for the 1000+-switch
+    scenarios.
     """
     if k < 2 or n < 2:
         raise ValueError("butterfly needs k >= 2 and n >= 2")
@@ -548,8 +548,8 @@ def benes(
     Between stages ``s`` and ``s+1`` row ``r`` links straight to ``r``
     and crossed to ``r ^ (1 << b)`` with ``b = m-2-s`` in the first half
     and its mirror ``b = s-(m-1)`` in the second.  Hosts attach to the
-    first and last stages; switches are named ``s{stage},{row}`` for the
-    stage-cut partitioner.  ``benes(256)`` is a 1920-switch instance.
+    first and last stages; switches are named ``s{stage},{row}``.
+    ``benes(256)`` is a 1920-switch instance.
     """
     if terminals < 4 or terminals & (terminals - 1):
         raise ValueError("benes needs terminals = a power of two >= 4")
@@ -703,230 +703,6 @@ def complete_switches(n_switches: int, hosts_per_switch: int = 1) -> Topology:
         for _ in range(hosts_per_switch):
             topo.add_host(sid)
     return topo
-
-
-# ---------------------------------------------------------------------------
-# Partitioning (conservative parallel simulation, see :mod:`repro.par`)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TopologyPartition:
-    """A deterministic K-way partition of a topology's *switches*.
-
-    Hosts are not listed: they always follow the switch they attach to, so
-    adapter links are never cut (every cut link is switch-to-switch).
-
-    ``cut_links`` is the boundary metadata a conservative parallel runner
-    needs: the ids of links whose endpoints live in different shards, in
-    increasing link-id order.  The per-cut *lookahead* is a property of the
-    network built on top (wire delay = ``max(1, wire_delay + prop_delay)``),
-    so only the raw ``prop_delay`` floor is exposed here via
-    :meth:`min_cut_prop_delay`.
-    """
-
-    scheme: str
-    shards: Tuple[Tuple[int, ...], ...]
-    cut_links: Tuple[int, ...]
-    #: switch id -> shard index (derived from ``shards`` at construction).
-    shard_of: Dict[int, int] = field(default_factory=dict, compare=False)
-
-    @property
-    def k(self) -> int:
-        return len(self.shards)
-
-    def shard_hosts(self, topo: Topology) -> Tuple[Tuple[int, ...], ...]:
-        """Host ids per shard: each host lands with its switch."""
-        hosts: List[List[int]] = [[] for _ in self.shards]
-        for hid in topo.hosts:
-            hosts[self.shard_of[topo.host_switch(hid)]].append(hid)
-        return tuple(tuple(h) for h in hosts)
-
-    def min_cut_prop_delay(self, topo: Topology) -> float:
-        """Smallest propagation delay over the cut links (inf if none)."""
-        if not self.cut_links:
-            return float("inf")
-        links = {l.id: l for l in topo.links}
-        return min(links[lid].prop_delay for lid in self.cut_links)
-
-    def describe(self) -> str:
-        sizes = "/".join(str(len(s)) for s in self.shards)
-        return (
-            f"{self.scheme} partition: k={self.k} sizes={sizes} "
-            f"cuts={len(self.cut_links)}"
-        )
-
-
-def _partition_from_shards(
-    topo: Topology, scheme: str, shards: List[List[int]]
-) -> TopologyPartition:
-    shard_of = {
-        sid: index for index, members in enumerate(shards) for sid in members
-    }
-    missing = set(topo.switches) - set(shard_of)
-    if missing:
-        raise ValueError(f"partition misses switches: {sorted(missing)}")
-    cut = tuple(
-        link.id
-        for link in topo.links
-        if topo.node(link.a).is_switch
-        and topo.node(link.b).is_switch
-        and shard_of[link.a] != shard_of[link.b]
-    )
-    return TopologyPartition(
-        scheme=scheme,
-        shards=tuple(tuple(members) for members in shards),
-        cut_links=cut,
-        shard_of=shard_of,
-    )
-
-
-def _grid_coords(topo: Topology) -> Optional[Dict[int, Tuple[int, int]]]:
-    """Parse ``s{i},{j}`` switch names (torus/mesh/shufflenet builders) into
-    per-switch grid coordinates; None when any name does not match."""
-    coords: Dict[int, Tuple[int, int]] = {}
-    for sid in topo.switches:
-        name = topo.node(sid).name
-        if not name.startswith("s") or "," not in name:
-            return None
-        try:
-            i, j = name[1:].split(",", 1)
-            coords[sid] = (int(i), int(j))
-        except ValueError:
-            return None
-    return coords
-
-
-def _balanced_chunks(items: List[int], k: int) -> List[List[int]]:
-    """Split ``items`` into ``k`` contiguous chunks with sizes differing by
-    at most one (the first ``len % k`` chunks take the extra element)."""
-    n = len(items)
-    base, extra = divmod(n, k)
-    chunks: List[List[int]] = []
-    start = 0
-    for index in range(k):
-        size = base + (1 if index < extra else 0)
-        chunks.append(items[start : start + size])
-        start += size
-    return chunks
-
-
-def partition_torus_rows(topo: Topology, k: int) -> TopologyPartition:
-    """Block-cut a torus/mesh into ``k`` contiguous row bands.
-
-    Cuts only the vertical (row-crossing) links -- ``2 * cols`` per band
-    boundary on a torus -- which is the minimum-boundary axis-aligned cut.
-    """
-    coords = _grid_coords(topo)
-    if coords is None:
-        raise ValueError(f"{topo.name!r} has no s<row>,<col> grid names")
-    rows = sorted({r for r, _ in coords.values()})
-    if k > len(rows):
-        raise ValueError(f"cannot cut {len(rows)} rows into {k} bands")
-    band_of = {
-        row: index
-        for index, band in enumerate(_balanced_chunks(rows, k))
-        for row in band
-    }
-    shards: List[List[int]] = [[] for _ in range(k)]
-    for sid in topo.switches:  # creation order within each band
-        shards[band_of[coords[sid][0]]].append(sid)
-    return _partition_from_shards(topo, "torus-rows", shards)
-
-
-def partition_shufflenet_stages(topo: Topology, k: int) -> TopologyPartition:
-    """Cut a staged topology into groups of whole columns (pipeline
-    stages).
-
-    Shufflenet links only join adjacent stages (mod k), so grouping whole
-    stages keeps every intra-stage boundary internal.  The multistage
-    interconnect builders (:func:`clos`, :func:`benes`,
-    :func:`butterfly`) share the ``s{stage},{row}`` naming and the
-    adjacent-stages-only property, so the same cutter gives them
-    minimum-boundary stage cuts.
-    """
-    coords = _grid_coords(topo)
-    if coords is None:
-        raise ValueError(f"{topo.name!r} has no s<stage>,<row> grid names")
-    stages = sorted({c for c, _ in coords.values()})
-    if k > len(stages):
-        raise ValueError(f"cannot cut {len(stages)} stages into {k} groups")
-    group_of = {
-        stage: index
-        for index, group in enumerate(_balanced_chunks(stages, k))
-        for stage in group
-    }
-    shards: List[List[int]] = [[] for _ in range(k)]
-    for sid in topo.switches:
-        shards[group_of[coords[sid][0]]].append(sid)
-    return _partition_from_shards(topo, "shufflenet-stages", shards)
-
-
-def partition_bfs(topo: Topology, k: int) -> TopologyPartition:
-    """Generic fallback: chunk a deterministic BFS order into ``k``
-    balanced contiguous pieces.
-
-    BFS from the smallest switch id with sorted neighbor expansion keeps
-    each chunk roughly connected, so cuts stay near a frontier instead of
-    scattering.  Disconnected leftovers are appended in id order.
-    """
-    switches = sorted(topo.switches)
-    if k > len(switches):
-        raise ValueError(f"cannot cut {len(switches)} switches {k} ways")
-    switch_set = set(switches)
-    order: List[int] = []
-    seen: Set[int] = set()
-    for root in switches:
-        if root in seen:
-            continue
-        queue = [root]
-        seen.add(root)
-        while queue:
-            sid = queue.pop(0)
-            order.append(sid)
-            peers = sorted(
-                peer
-                for peer, _link in topo.neighbors(sid)
-                if peer in switch_set and peer not in seen
-            )
-            seen.update(peers)
-            queue.extend(peers)
-    return _partition_from_shards(topo, "bfs", _balanced_chunks(order, k))
-
-
-def partition_topology(
-    topo: Topology, k: int, scheme: str = "auto"
-) -> TopologyPartition:
-    """Deterministically partition ``topo``'s switches into ``k`` shards.
-
-    ``scheme``: ``"torus-rows"``, ``"shufflenet-stages"``, ``"bfs"``, or
-    ``"auto"`` (pick by topology family, falling back to BFS when the
-    specialized cutter cannot produce ``k`` shards -- e.g. more shards
-    than shufflenet stages).
-    """
-    if k < 1:
-        raise ValueError("need at least one shard")
-    if k == 1:
-        return _partition_from_shards(topo, "single", [list(topo.switches)])
-    if scheme == "torus-rows":
-        return partition_torus_rows(topo, k)
-    if scheme == "shufflenet-stages":
-        return partition_shufflenet_stages(topo, k)
-    if scheme == "bfs":
-        return partition_bfs(topo, k)
-    if scheme != "auto":
-        raise ValueError(f"unknown partition scheme {scheme!r}")
-    name = topo.name
-    try:
-        if name.startswith(("torus-", "mesh-")):
-            return partition_torus_rows(topo, k)
-        if name.startswith(
-            ("bshufflenet-", "clos-", "benes-", "butterfly-")
-        ):
-            return partition_shufflenet_stages(topo, k)
-    except ValueError:
-        pass  # fall through to the generic cutter
-    return partition_bfs(topo, k)
 
 
 def fig3_topology() -> Topology:

@@ -114,17 +114,22 @@ class UpDownRouting:
         }
         self._build_tree(sorted_neighbors)
         # Node ids are dense (0 .. n-1), so states index a list.  Each
-        # node's adjacency is dropped once its moves are built.
+        # node's adjacency is dropped once its moves are built.  Hops are
+        # oriented as in :meth:`is_up`, compared here directly: the build
+        # is not stamped current yet, so ``is_up`` would rebuild again.
+        level = self.level
         table: List[Moves] = [()] * (2 * len(topology.nodes))
         while sorted_neighbors:
             nid, pairs = sorted_neighbors.popitem()
-            if nid not in self.level:
+            if nid not in level:
                 continue
             moves: List[Tuple[int, Hop]] = []
             down_moves: List[Tuple[int, Hop]] = []
+            own = level[nid]
             for peer, link in pairs:
                 hop = (nid, peer, link)
-                if self.is_up(nid, peer):
+                theirs = level[peer]
+                if theirs < own or (theirs == own and peer < nid):
                     moves.append((2 * peer + _UP, hop))
                 else:
                     move = (2 * peer + _DOWN, hop)
@@ -185,6 +190,7 @@ class UpDownRouting:
         levels are ordered by node id (lower id is 'higher', i.e. closer to
         the root).
         """
+        self._refresh_if_stale()
         ls, ld = self.level[src], self.level[dst]
         if ld != ls:
             return ld < ls
@@ -419,10 +425,12 @@ class UpDownRouting:
         return len(self.route_shared(src, dst))
 
     def is_legal(self, nodes: Sequence[int]) -> bool:
-        """Check that a node path obeys the up*/down* rule and uses real links."""
+        """Check that a node path obeys the up*/down* rule and uses live
+        links."""
+        live_neighbors = self.topology.live_neighbors
         phase = _UP
         for a, b in zip(nodes, nodes[1:]):
-            if not any(peer == b for peer, _ in self.topology.neighbors(a)):
+            if not any(peer == b for peer, _ in live_neighbors(a)):
                 return False
             if self.is_up(a, b):
                 if phase == _DOWN:

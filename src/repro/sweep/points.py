@@ -17,8 +17,6 @@ hashable for the on-disk result cache.  The registered kinds:
 * ``vc_lanes`` -- one (topology family, lanes, scheme) flit-level run of
   the virtual-channel fabric, recording completion and per-lane
   occupancy (the lanes-vs-scheme grid).
-* ``partitioned_run`` -- one K-way partitioned run of a :mod:`repro.par`
-  scenario.
 * ``stress_search`` -- one shard of a :mod:`repro.stress` search.
 * ``nap`` -- a sleep-then-echo plumbing exerciser for the serving layer.
 
@@ -420,57 +418,6 @@ def _vc_lanes(params: Dict[str, Any]) -> Dict[str, Any]:
             "lane_idles": lane_idles,
         }
     )
-
-
-@point_kind("partitioned_run")
-def _partitioned_run(params: Dict[str, Any]) -> Dict[str, Any]:
-    """One K-way-partitioned run of a registered :mod:`repro.par` scenario.
-
-    Required params: ``scenario``.  Optional: ``partitions`` (default 2),
-    ``engine`` (default ``"active"``), ``backend`` (``"inline"`` /
-    ``"process"``), ``verify`` (default True: also run the sequential
-    reference and record whether the merged timeline matched it byte for
-    byte), ``timing`` (default False: include wall-clock fields, which
-    makes the record non-deterministic and therefore cache-unfriendly).
-    The sweep layer's injected top-level ``seed`` is ignored -- a
-    scenario's seed is part of its registered definition.
-    """
-    from repro.net.flitlevel.crosscheck import timeline_digest, worm_timeline
-    from repro.par import run_partitioned, run_sequential
-
-    name = params["scenario"]
-    k = int(params.get("partitions", 2))
-    engine = str(params.get("engine", "active"))
-    result = run_partitioned(
-        name, k, engine=engine, backend=str(params.get("backend", "inline"))
-    )
-    record = {
-        "scenario": name,
-        "partitions": k,
-        "engine": engine,
-        "backend": result.backend,
-        "scheme": result.scheme,
-        "cut_links": result.cut_links,
-        "window": result.window,
-        "windows_run": result.windows_run,
-        "status": result.status,
-        "now": result.now,
-        "events": result.events,
-        "flits_exchanged": result.flits_exchanged,
-        "worm_deliveries": result.timeline["worm_deliveries"],
-        "worms_lost": result.timeline["worms_lost"],
-        "digest": timeline_digest(result.timeline),
-    }
-    if params.get("verify", True):
-        net, status = run_sequential(name, engine)
-        record["sequential_digest"] = timeline_digest(
-            worm_timeline(net, status)
-        )
-        record["match"] = record["digest"] == record["sequential_digest"]
-    if params.get("timing"):
-        record["wall_seconds"] = result.wall_seconds
-        record["critical_path_seconds"] = result.critical_path_seconds
-    return sanitize_record(record)
 
 
 @point_kind("stress_search")

@@ -1,8 +1,8 @@
 """Golden records of the flit-level engines.
 
-Both engines share every per-port method: ``InputPort.absorb`` (which
-applies ``Wire.deliver``, ``SlackBuffer.push`` and the STOP/GO
-hysteresis in place), ``CrossbarSwitch._advance`` and ``_stream``,
+Both engines share every per-port method: ``InputPort.absorb`` (wire
+delivery, the slack push and the STOP/GO hysteresis),
+``CrossbarSwitch._advance`` and ``_stream``,
 ``OutputPort.ready``/``emit``, ``FlitAdapter.tick_input``/``tick_output``
 and ``Wire.push``.  So the engine crosscheck (dense vs active) cannot see
 a change to that shared code: both sides of the comparison move

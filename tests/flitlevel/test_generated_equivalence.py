@@ -9,7 +9,11 @@ clock, the same timeline digest and the same fabric counters (the
 stall detector's clock), and neither may raise.  Undersized slack on
 long wires drops flits, so the draw includes corrupted headers and worms
 that never finish; long worms on quiet fabrics take the active engine's
-steady-streaming fast-forward.
+steady-streaming fast-forward.  Each scenario's two networks are closed
+once compared, and must then leave no reference cycle for the cyclic
+collector, the guard ``tests/sweep/test_point_teardown.py`` keeps for
+sweep points: flushes, slack overflows and lost worms free themselves
+too.
 
 The two corrupt-header reproducers raised on both engines before a
 switch validated its route bytes.
@@ -17,6 +21,7 @@ switch validated its route bytes.
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -97,19 +102,29 @@ def test_generated_scenarios_agree(monkeypatch):
     monkeypatch.setattr(FlitNetwork, "_skip_span", counting_skip_span)
     rng = random.Random(SEED)
     overflowed = jumped = 0
-    for index in range(COUNT):
-        scenario = _draw(rng)
-        dense = _run(scenario, "dense")
-        del spans[:]
-        active = _run(scenario, "active")
-        assert _pins(*dense) == _pins(*active), (index, scenario)
-        assert dense[0]._progress_events == active[0]._progress_events
-        jumped += bool(spans)
-        net = dense[0]
-        overflowed += any(
-            port.slack.overflows
-            for switch in net.switches.values() for port in switch.inputs
-        )
+    gc.collect()
+    gc.disable()
+    try:
+        for index in range(COUNT):
+            scenario = _draw(rng)
+            dense = _run(scenario, "dense")
+            del spans[:]
+            active = _run(scenario, "active")
+            assert _pins(*dense) == _pins(*active), (index, scenario)
+            assert dense[0]._progress_events == active[0]._progress_events
+            jumped += bool(spans)
+            net = dense[0]
+            overflowed += any(
+                port.slack.overflows
+                for switch in net.switches.values() for port in switch.inputs
+            )
+            net.close()
+            active[0].close()
+            del dense, active, net
+            leaked = gc.collect()
+            assert leaked == 0, (index, scenario, leaked)
+    finally:
+        gc.enable()
     # The draw covers both edges: slack overflows and streaming spans.
     assert overflowed >= 5 and jumped >= 20, (overflowed, jumped)
 

@@ -116,15 +116,3 @@ def test_wire_counts_match_the_dense_build():
     )
     assert active.wire_counts(unbuilt) == [(0, 0)] * 4  # two lanes
     assert unbuilt not in active._built_links
-
-
-def test_shard_replica_never_builds_a_remote_switch():
-    topo = butterfly(k=2, n=5)
-    local = frozenset(topo.switches[:32])  # stages 0 and 1
-    net = FlitNetwork(topo, shard=local)
-    hosts = topo.hosts
-    for i, src in enumerate(hosts):
-        net.send_unicast(src, hosts[-1 - i], payload_bytes=40)
-    net.run_window(200)
-    assert net._built_switches
-    assert set(net._built_switches) <= local

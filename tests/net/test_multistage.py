@@ -1,10 +1,9 @@
 """Multistage interconnect builders: Clos, Benes, butterfly.
 
 Structural invariants (stage/row naming, connectivity, expected counts),
-deadlock-free up/down routing, stage-cut partitionability, the
-1000+-switch scale points the VC experiments run on, and the degenerate
-size / scale-limit guards (satellite regression tests: the builders must
-*raise*, not silently wrap route-byte port numbers).
+deadlock-free up/down routing, the 1000+-switch scale points the VC
+experiments run on, and the degenerate size / scale-limit guards (the
+builders must *raise*, not silently wrap route-byte port numbers).
 """
 
 import pytest
@@ -18,12 +17,7 @@ from repro.net import (
     clos,
     torus,
 )
-from repro.net.topology import (
-    MAX_SWITCHES,
-    ROUTE_PORT_LIMIT,
-    partition_shufflenet_stages,
-    partition_topology,
-)
+from repro.net.topology import MAX_SWITCHES, ROUTE_PORT_LIMIT
 
 
 def _stage_of(topo, sid):
@@ -94,44 +88,6 @@ def test_multistage_updown_deadlock_free(build):
     topo = build()
     routing = UpDownRouting(topo)
     assert check_deadlock_free(routing)
-
-
-# -- stage-cut partitioning --------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "build, k",
-    [
-        (lambda: clos(spines=2, leaves=4), 2),
-        (lambda: butterfly(k=2, n=4), 2),
-        (lambda: butterfly(k=2, n=4), 4),
-        (lambda: benes(terminals=16), 5),
-    ],
-)
-def test_stage_cuts_partition_by_stage(build, k):
-    topo = build()
-    part = partition_topology(topo, k)  # auto scheme picks stage cuts
-    assert len(part.shards) == k
-    covered = set()
-    for shard in part.shards:
-        stages = {_stage_of(topo, sid) for sid in shard}
-        # A shard is a contiguous band of whole stages.
-        assert stages == set(range(min(stages), max(stages) + 1))
-        covered |= set(shard)
-    assert covered == set(topo.switches)
-    # Cut links cross shard boundaries only.
-    shard_of = {
-        sid: i for i, shard in enumerate(part.shards) for sid in shard
-    }
-    for lid in part.cut_links:
-        link = topo.links[lid]
-        assert shard_of[link.a] != shard_of[link.b]
-
-
-def test_stage_cuts_reject_too_many_bands():
-    topo = clos(spines=2, leaves=4)
-    with pytest.raises(ValueError):
-        partition_shufflenet_stages(topo, 3)  # only two stages exist
 
 
 # -- 1000+-switch scale ------------------------------------------------------

@@ -60,6 +60,31 @@ def test_is_up_by_level_and_id():
     assert routing.is_up(s[1], s[0])
 
 
+def test_is_up_reads_the_levels_after_a_cut():
+    topo = torus(3, 3)
+    routing = _routing(topo)
+    topo.fail_link(min(routing.tree_links))
+    fresh = _routing(topo)
+    # The first call after the cut: nothing else has rebuilt the routing.
+    assert all(
+        routing.is_up(a, b) == fresh.is_up(a, b)
+        for a in topo.switches
+        for b in topo.switches
+        if a != b
+    )
+
+
+def test_is_legal_rejects_a_route_over_a_dead_link():
+    topo = torus(3, 3)
+    routing = _routing(topo)
+    src, dst = topo.hosts[0], topo.hosts[4]
+    nodes = routing.route_nodes(src, dst)
+    assert routing.is_legal(nodes)
+    first_fabric_hop = routing.route(src, dst)[1]
+    topo.fail_link(first_fabric_hop[2].id)
+    assert not routing.is_legal(nodes)
+
+
 def test_route_same_node_empty():
     topo = line(2)
     routing = _routing(topo)
