@@ -36,7 +36,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional
 
 from repro.core.buffers import BufferClaim, BufferClasses
-from repro.core.credit import CreditConfig, CreditController
+from repro.core.credit import CreditController
 from repro.core.groups import GroupTable, MulticastGroup
 from repro.core.hamiltonian import HamiltonianCircuit
 from repro.core.tree import RootedTree

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 from repro.net.worm import CONTROL_WORM_BYTES, Worm, WormKind
 from repro.sim.monitor import TallyStat

@@ -11,7 +11,7 @@ groups sharing the low byte, and receivers filter at the IP layer.
 from __future__ import annotations
 
 import ipaddress
-from typing import Dict, Iterable, List, Set, Union
+from typing import Dict, List, Set, Union
 
 from repro.core.groups import BROADCAST_GROUP_ID
 

@@ -16,7 +16,7 @@ greedy weighted shape is provided for the topology-aware extension.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.core.groups import MulticastGroup
 from repro.core.hamiltonian import host_connectivity_graph

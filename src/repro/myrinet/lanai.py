@@ -9,18 +9,41 @@ host, and retransmitted to the next hop entirely within the NIC,
 store-and-forward, stopping at the previous node in the circuit.  There is
 no backpressure from the adapter into the network: a packet arriving to a
 full input buffer is dropped and counted (Figure 13's loss).
+
+Each card's work runs as small callback state machines, :class:`_LanaiJob`,
+each its own event-queue entry: one per sending card (the greedy send
+loop) and one per admitted packet (drain into SRAM, host copy, optional
+store-and-forward).  A card's link, LANai and host CPU are each a
+:class:`_Unit`: a holder plus a first-come-first-served queue of jobs.  A
+packet crossing the switch path is a :class:`_HandOff` entry.  Every entry
+lands where a process-per-packet model's event would, with the same
+instant and key, so same-instant order and every result are that model's:
+
+* process bootstrap: the job, enqueued urgent at the current instant;
+* a timed wait of ``d``: the job, enqueued at ``now + d``;
+* a unit taken while free: nothing, the job goes on in place;
+* a unit taken while busy: nothing until the holder releases it; the
+  release hands the unit to the first waiter and enqueues that job at the
+  release instant;
+* the path latency to the successor: one :class:`_HandOff` entry at
+  ``now + path_latency_us``.
+
+A finished job enqueues nothing (a finished process would enqueue an entry
+nobody waits on).  The jobs push onto the kernel's heap themselves
+(:meth:`Simulator.entry_queue`), so :class:`MyrinetAdapter` checks every
+delay its configuration can produce when it is built.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+import math
+from collections import deque
+from dataclasses import dataclass
+from heapq import heappush
+from typing import Callable, Deque, Optional
 
-from repro.sim.engine import Simulator
-from repro.sim.resources import Container, Resource
-
-_packet_ids = itertools.count(1)
+from repro.sim.engine import URGENT_KEY, Simulator
+from repro.sim.resources import Container
 
 
 @dataclass
@@ -68,6 +91,32 @@ class LanaiConfig:
         return self.host_recv_overhead_us + self.host_recv_us_per_byte * size_bytes
 
 
+#: The configuration's delays: each must be a finite number >= 0.
+_DELAY_FIELDS = (
+    "host_send_overhead_us",
+    "host_copy_us_per_byte",
+    "nic_forward_overhead_us",
+    "nic_rx_overhead_us",
+    "path_latency_us",
+    "host_recv_overhead_us",
+    "host_recv_us_per_byte",
+)
+
+
+def _check_config(config: LanaiConfig) -> None:
+    """Reject a configuration that could schedule a negative, NaN or
+    infinite delay: with it and a packet size >= 0, every delay a job
+    enqueues is a finite number >= 0."""
+    for name in _DELAY_FIELDS:
+        value = getattr(config, name)
+        if not (value >= 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    if not (config.link_mbps > 0 and math.isfinite(config.link_mbps)):
+        raise ValueError(
+            f"link_mbps must be a finite number > 0, got {config.link_mbps!r}"
+        )
+
+
 @dataclass
 class Packet:
     """One multicast packet on the testbed."""
@@ -76,7 +125,6 @@ class Packet:
     size: int
     hop_count: int
     created_us: float
-    pid: int = field(default_factory=lambda: next(_packet_ids))
 
 
 class AdapterStats:
@@ -104,23 +152,258 @@ class AdapterStats:
         return self.drops / self.arrivals if self.arrivals else 0.0
 
 
+class _Unit:
+    """One of a card's single-server units: its link, LANai or host CPU.
+
+    ``holder`` is the job using it (None while idle); jobs that find it
+    busy queue in ``waiters``, first come first served, and the release
+    hands it to the first of them (:meth:`_LanaiJob._release`).
+    """
+
+    __slots__ = ("holder", "waiters")
+
+    def __init__(self) -> None:
+        self.holder: Optional[_LanaiJob] = None
+        self.waiters: Deque[_LanaiJob] = deque()
+
+
+class _HandOff:
+    """A packet crossing the switch path: hands it to the next card."""
+
+    __slots__ = ("card", "packet")
+
+    def __init__(self, card: "MyrinetAdapter", packet: Packet) -> None:
+        self.card = card
+        self.packet = packet
+
+    def _process(self) -> None:
+        self.card.receive(self.packet)
+
+
+class _LanaiJob:
+    """One card's greedy send loop, or one admitted packet, as a callback
+    state machine that is its own queue entry.
+
+    ``step`` is the function :meth:`_process` runs next.  A timed wait
+    (:meth:`_after`) sets it and pushes the job at ``now + delay``; a unit
+    taken while busy (:meth:`_acquire`) sets it and queues the job on the
+    unit, whose release pushes the job at the release instant.  The steps
+    run in the order of the model's timeline:
+
+    * send loop: take the host CPU, hand the packet to the NIC
+      (``host_send_us``), release the host CPU, transmit, count it
+      ``originated``, loop;
+    * admitted packet: drain it into SRAM (``nic_rx_overhead_us``, plus
+      the wire time on the LANai when ``cpu_bound_rx``), copy it to the
+      host on the host CPU when that costs anything, count it received,
+      and, while hops remain, wait ``nic_forward_overhead_us``, transmit a
+      copy and count it ``forwarded``; finally return its input-buffer
+      bytes;
+    * transmit: take the LANai (when ``cpu_bound_rx``), then the link, hold
+      both for the wire time, release the link and then the LANai, and
+      enqueue the :class:`_HandOff` to the successor.
+    """
+
+    __slots__ = (
+        "card", "config", "sim", "queue", "next_eid", "sending", "packet",
+        "size", "hop_count", "step",
+    )
+
+    def __init__(
+        self,
+        card: "MyrinetAdapter",
+        packet: Optional[Packet] = None,
+        size: int = 0,
+        hop_count: int = 0,
+    ) -> None:
+        self.card = card
+        self.config = card.config
+        self.sim = sim = card.sim
+        self.queue = card._queue
+        self.next_eid = card._next_eid
+        #: True for the send loop, False for an admitted packet.
+        self.sending = sending = packet is None
+        #: The packet the job carries: the admitted one, then its forwarded
+        #: copy; for the send loop, the one it last handed to the NIC.
+        self.packet = packet
+        #: Send loop only: what each originated packet looks like.
+        self.size = size
+        self.hop_count = hop_count
+        self.step = _LanaiJob._send if sending else _LanaiJob._drain
+        heappush(self.queue, (sim.now, self.next_eid() - URGENT_KEY, self))
+
+    def _process(self) -> None:
+        self.step(self)
+
+    # -- scheduling ------------------------------------------------------------
+    def _after(self, delay: float, step: Callable[["_LanaiJob"], None]) -> None:
+        """Go on at ``step`` once ``delay`` has passed."""
+        self.step = step
+        heappush(self.queue, (self.sim.now + delay, self.next_eid(), self))
+
+    def _acquire(self, unit: _Unit, step: Callable[["_LanaiJob"], None]) -> None:
+        """Take ``unit`` and go on at ``step``: in place if it is free,
+        else once its holder hands it over."""
+        if unit.holder is None:
+            unit.holder = self
+            step(self)
+        else:
+            self.step = step
+            unit.waiters.append(self)
+
+    def _release(self, unit: _Unit) -> None:
+        """Let go of ``unit``: its first waiter takes it and is enqueued at
+        this instant, behind the entries already due."""
+        waiters = unit.waiters
+        if waiters:
+            unit.holder = nxt = waiters.popleft()
+            heappush(self.queue, (self.sim.now, self.next_eid(), nxt))
+        else:
+            unit.holder = None
+
+    # -- the greedy send loop --------------------------------------------------
+    def _send(self) -> None:
+        # Host-side per-packet work (app -> driver -> NIC SRAM); the host
+        # CPU is shared with the receive path.
+        self._acquire(self.card.host_cpu, _LanaiJob._host_send)
+
+    def _host_send(self) -> None:
+        self._after(self.config.host_send_us(self.size), _LanaiJob._handed_to_nic)
+
+    def _handed_to_nic(self) -> None:
+        card = self.card
+        self._release(card.host_cpu)
+        self.packet = Packet(
+            origin=card.host_id,
+            size=self.size,
+            hop_count=self.hop_count,
+            created_us=self.sim.now,
+        )
+        self._transmit()
+
+    # -- an admitted packet ----------------------------------------------------
+    def _drain(self) -> None:
+        if self.config.cpu_bound_rx:
+            # Drain the packet from the input port into SRAM: the LANai
+            # moves the bytes itself, so the drain waits for the processor.
+            self._acquire(self.card.cpu, _LanaiJob._drain_on_lanai)
+        else:
+            self._after(self.config.nic_rx_overhead_us, _LanaiJob._drained)
+
+    def _drain_on_lanai(self) -> None:
+        config = self.config
+        self._after(
+            config.nic_rx_overhead_us + config.wire_time_us(self.packet.size),
+            _LanaiJob._drained,
+        )
+
+    def _drained(self) -> None:
+        config = self.config
+        if config.cpu_bound_rx:
+            self._release(self.card.cpu)
+        if config.host_recv_overhead_us or config.host_recv_us_per_byte:
+            self._acquire(self.card.host_cpu, _LanaiJob._host_copy)
+        else:
+            self._received()
+
+    def _host_copy(self) -> None:
+        self._after(
+            self.config.host_recv_us(self.packet.size), _LanaiJob._host_copied
+        )
+
+    def _host_copied(self) -> None:
+        self._release(self.card.host_cpu)
+        self._received()
+
+    def _received(self) -> None:
+        card = self.card
+        packet = self.packet
+        stats = card.stats
+        stats.received_packets += 1
+        stats.received_bytes += packet.size
+        if card.obs is not None:
+            now = self.sim.now
+            card.obs.myrinet_received(
+                now, card.host_id, packet.size, now - packet.created_us
+            )
+        if packet.hop_count > 1:
+            # Store-and-forward retransmission inside the NIC.
+            self._after(self.config.nic_forward_overhead_us, _LanaiJob._forward)
+        else:
+            card.input_buffer.put(packet.size)
+
+    def _forward(self) -> None:
+        packet = self.packet
+        self.packet = Packet(
+            origin=packet.origin,
+            size=packet.size,
+            hop_count=packet.hop_count - 1,
+            created_us=packet.created_us,
+        )
+        self._transmit()
+
+    # -- transmission ----------------------------------------------------------
+    def _transmit(self) -> None:
+        if self.config.cpu_bound_rx:
+            self._acquire(self.card.cpu, _LanaiJob._take_link)
+        else:
+            self._take_link()
+
+    def _take_link(self) -> None:
+        self._acquire(self.card.tx, _LanaiJob._on_wire)
+
+    def _on_wire(self) -> None:
+        self._after(
+            self.config.wire_time_us(self.packet.size), _LanaiJob._transmitted
+        )
+
+    def _transmitted(self) -> None:
+        card = self.card
+        self._release(card.tx)
+        if self.config.cpu_bound_rx:
+            self._release(card.cpu)
+        successor = card.successor
+        if successor is not None:
+            heappush(self.queue, (
+                self.sim.now + self.config.path_latency_us,
+                self.next_eid(),
+                _HandOff(successor, self.packet),
+            ))
+        if self.sending:
+            card.stats.originated += 1
+            self._send()
+        else:
+            card.stats.forwarded += 1
+            card.input_buffer.put(self.packet.size)
+
+
 class MyrinetAdapter:
-    """One host's LANai card on the measurement testbed."""
+    """One host's LANai card on the measurement testbed.
+
+    The card's link (``tx``), LANai (``cpu``) and host CPU (``host_cpu``)
+    are units (:class:`_Unit`) its jobs take in turn; the input buffer is a
+    :class:`~repro.sim.resources.Container` counted in bytes.  Building an
+    adapter checks ``config``'s delays (:func:`_check_config`), since its
+    jobs enqueue themselves without the kernel's check.
+    """
 
     def __init__(
         self, sim: Simulator, host_id: int, config: LanaiConfig, obs=None
     ) -> None:
+        _check_config(config)
         self.sim = sim
         self.host_id = host_id
         self.config = config
-        self.tx = Resource(sim, capacity=1)  # the single outgoing link
-        self.cpu = Resource(sim, capacity=1)  # the single LANai processor
-        self.host_cpu = Resource(sim, capacity=1)  # the SPARCstation CPU
+        self.tx = _Unit()  # the single outgoing link
+        self.cpu = _Unit()  # the single LANai processor
+        self.host_cpu = _Unit()  # the SPARCstation CPU
         self.input_buffer = Container(sim, capacity=config.input_buffer_bytes)
+        #: The kernel's heap and eid source: the jobs push their entries.
+        self._queue, self._next_eid = sim.entry_queue()
         self.successor: Optional["MyrinetAdapter"] = None
         self.stats = AdapterStats()
         self.obs = obs
-        self._greedy_proc = None
+        self._sending = False
         self._pending_buffer_faults = 0
 
     # -- fault injection -----------------------------------------------------
@@ -136,51 +419,18 @@ class MyrinetAdapter:
     def start_greedy_sender(self, size: int, hop_count: int) -> None:
         """'The application simply sent as many packets as possible out to
         the network' (Section 8.2)."""
-        if self._greedy_proc is not None:
+        if self._sending:
             raise RuntimeError("sender already running")
-        self._greedy_proc = self.sim.process(
-            self._greedy_sender(size, hop_count), name=f"sender-h{self.host_id}"
-        )
-
-    def _greedy_sender(self, size: int, hop_count: int):
-        config = self.config
-        while True:
-            # Host-side per-packet work (app -> driver -> NIC SRAM); the
-            # host CPU is shared with the receive path.
-            host_req = self.host_cpu.request()
-            yield host_req
-            yield self.sim.timeout(config.host_send_us(size))
-            self.host_cpu.release(host_req)
-            packet = Packet(
-                origin=self.host_id,
-                size=size,
-                hop_count=hop_count,
-                created_us=self.sim.now,
-            )
-            yield from self._transmit(packet)
-            self.stats.originated += 1
-
-    def _transmit(self, packet: Packet):
-        """Occupy the LANai and the outgoing link for the packet's wire
-        time, then hand it to the successor after the switch path latency."""
-        cpu_req = self.cpu.request() if self.config.cpu_bound_rx else None
-        if cpu_req is not None:
-            yield cpu_req
-        request = self.tx.request()
-        yield request
-        yield self.sim.timeout(self.config.wire_time_us(packet.size))
-        self.tx.release(request)
-        if cpu_req is not None:
-            self.cpu.release(cpu_req)
-        successor = self.successor
-        if successor is None:
-            return
-        delay = self.sim.timeout(self.config.path_latency_us)
-        delay.callbacks.append(lambda _ev: successor.receive(packet))
+        if not (size >= 0 and math.isfinite(size)):
+            raise ValueError(f"packet size must be a finite number >= 0, got {size!r}")
+        self._sending = True
+        _LanaiJob(self, size=size, hop_count=hop_count)
 
     # -- reception / forwarding -----------------------------------------------
     def receive(self, packet: Packet) -> None:
         """Packet fully arrived at the input port: admit or drop."""
+        if packet.size < 0:
+            raise ValueError(f"packet size must be >= 0, got {packet.size!r}")
         self.stats.arrivals += 1
         if self.obs is not None:
             self.obs.myrinet_arrival(self.sim.now, self.host_id)
@@ -196,56 +446,16 @@ class MyrinetAdapter:
             if self.obs is not None:
                 self.obs.myrinet_drop(self.sim.now, self.host_id, False)
             return
-        self.sim.process(
-            self._handle(packet), name=f"rx-h{self.host_id}-p{packet.pid}"
-        )
-
-    def _handle(self, packet: Packet):
-        config = self.config
-        if config.cpu_bound_rx:
-            # Drain the packet from the input port into SRAM: the LANai
-            # moves the bytes itself, so the drain waits for the processor.
-            cpu_req = self.cpu.request()
-            yield cpu_req
-            yield self.sim.timeout(
-                config.nic_rx_overhead_us + config.wire_time_us(packet.size)
-            )
-            self.cpu.release(cpu_req)
-        else:
-            yield self.sim.timeout(config.nic_rx_overhead_us)
-        if config.host_recv_overhead_us or config.host_recv_us_per_byte:
-            host_req = self.host_cpu.request()
-            yield host_req
-            yield self.sim.timeout(config.host_recv_us(packet.size))
-            self.host_cpu.release(host_req)
-        self.stats.received_packets += 1
-        self.stats.received_bytes += packet.size
-        if self.obs is not None:
-            self.obs.myrinet_received(
-                self.sim.now, self.host_id, packet.size,
-                self.sim.now - packet.created_us,
-            )
-        if packet.hop_count > 1:
-            # Store-and-forward retransmission inside the NIC.
-            yield self.sim.timeout(config.nic_forward_overhead_us)
-            forwarded = Packet(
-                origin=packet.origin,
-                size=packet.size,
-                hop_count=packet.hop_count - 1,
-                created_us=packet.created_us,
-            )
-            yield from self._transmit(forwarded)
-            self.stats.forwarded += 1
-        self.input_buffer.put(packet.size)
+        _LanaiJob(self, packet)
 
     def close(self) -> None:
-        """Unlink from the ring and drop the claims held or queued on this
-        card's resources once the run is over: each claim points back at
-        its resource, so a live one would keep the run a reference cycle."""
+        """Unlink from the ring and drop the jobs holding or queued on this
+        card's units once the run is over: each job points back at the
+        card, so a held one would keep the run a reference cycle."""
         self.successor = None
-        for resource in (self.tx, self.cpu, self.host_cpu):
-            resource.users.clear()
-            resource.queue.clear()
+        for unit in (self.tx, self.cpu, self.host_cpu):
+            unit.holder = None
+            unit.waiters.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<MyrinetAdapter h{self.host_id}>"

@@ -107,8 +107,8 @@ def run_throughput_experiment(
             obs=obs_snapshot,
         )
     finally:
-        # Free the run by reference counting: processes and queue first,
-        # then the adapter ring and the claims on each card's resources.
+        # Free the run by reference counting: the queue first, then the
+        # adapter ring and the jobs held or queued on each card's units.
         sim.close()
         for adapter in adapters:
             adapter.close()

@@ -426,10 +426,15 @@ class UpDownRouting:
 
     def is_legal(self, nodes: Sequence[int]) -> bool:
         """Check that a node path obeys the up*/down* rule and uses live
-        links."""
+        links.  A hop with an endpoint cut off from the root has no up/down
+        orientation, and no route crosses it: it is not legal."""
+        self._refresh_if_stale()
+        level = self.level
         live_neighbors = self.topology.live_neighbors
         phase = _UP
         for a, b in zip(nodes, nodes[1:]):
+            if a not in level or b not in level:
+                return False
             if not any(peer == b for peer, _ in live_neighbors(a)):
                 return False
             if self.is_up(a, b):

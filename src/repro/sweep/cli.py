@@ -28,7 +28,6 @@ from repro.sweep.cache import SweepCache, code_fingerprint
 from repro.sweep.figures import FIGURE_SPECS
 from repro.sweep.runner import (
     append_trajectory,
-    default_jobs,
     records_to_results,
     records_to_testbed_results,
     run_sweep,

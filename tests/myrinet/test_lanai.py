@@ -19,10 +19,38 @@ def test_host_costs_scale_with_size():
     assert config.host_recv_us(8192) > config.host_recv_us(1024)
 
 
-def test_packet_ids_unique():
-    a = Packet(origin=0, size=100, hop_count=3, created_us=0.0)
-    b = Packet(origin=0, size=100, hop_count=3, created_us=0.0)
-    assert a.pid != b.pid
+@pytest.mark.parametrize("field", [
+    "host_send_overhead_us", "host_copy_us_per_byte", "nic_forward_overhead_us",
+    "nic_rx_overhead_us", "path_latency_us", "host_recv_overhead_us",
+    "host_recv_us_per_byte",
+])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_bad_delay_rejected_when_the_adapter_is_built(field, value):
+    config = LanaiConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        MyrinetAdapter(Simulator(), 0, config)
+
+
+@pytest.mark.parametrize("value", [0.0, -640.0, float("nan"), float("inf")])
+def test_bad_link_rate_rejected_when_the_adapter_is_built(value):
+    with pytest.raises(ValueError, match="link_mbps"):
+        build_testbed(n_hosts=2, config=LanaiConfig(link_mbps=value))
+
+
+@pytest.mark.parametrize("size", [-1, float("nan"), float("inf")])
+def test_bad_sender_packet_size_rejected(size):
+    sim, adapters = build_testbed(n_hosts=2)
+    with pytest.raises(ValueError, match="packet size"):
+        adapters[0].start_greedy_sender(size=size, hop_count=1)
+
+
+def test_negative_packet_size_rejected_on_arrival():
+    sim = Simulator()
+    adapter = MyrinetAdapter(sim, 0, LanaiConfig())
+    with pytest.raises(ValueError, match="packet size"):
+        adapter.receive(Packet(origin=1, size=-4000, hop_count=1, created_us=0.0))
+    assert adapter.stats.arrivals == 0
+    assert adapter.input_buffer.level == adapter.input_buffer.capacity
 
 
 def test_single_hop_delivery():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.myrinet import run_loss_experiment, run_throughput_experiment
+from repro.obs import Observability
 
 #: Short measurement windows keep the suite fast; shapes already emerge.
 FAST = dict(warmup_us=20_000.0, measure_us=150_000.0)
@@ -98,3 +99,17 @@ def test_sent_rate_reported():
         result.throughput_mbps_per_host
         <= result.sent_mbps_per_sender * 1.05
     )
+
+
+def test_obs_snapshots_reproducible_within_one_process():
+    """Two identical runs in one process report the same snapshot, kernel
+    section included: nothing in it depends on what ran before."""
+    first, second = (
+        run_throughput_experiment(
+            1024, all_send=True, obs=Observability(),
+            warmup_us=5_000.0, measure_us=20_000.0,
+        ).obs
+        for _ in range(2)
+    )
+    assert first["kernel"]["events"] > 0
+    assert first == second

@@ -85,6 +85,19 @@ def test_is_legal_rejects_a_route_over_a_dead_link():
     assert not routing.is_legal(nodes)
 
 
+def test_is_legal_rejects_a_hop_cut_off_from_the_root():
+    topo = line(3)
+    routing = _routing(topo)
+    s0, s1, s2 = topo.switches
+    h0, _, h2 = topo.hosts
+    topo.fail_link(next(link.id for peer, link in topo.neighbors(s1) if peer == s2))
+    # Switch 2 and its host have no level now: no route reaches them.
+    assert not routing.is_legal([h2, s2])
+    assert not routing.is_legal([s2, h2])
+    assert not routing.is_legal([h0, s0, s1, s2, h2])
+    assert routing.is_legal([h0, s0])
+
+
 def test_route_same_node_empty():
     topo = line(2)
     routing = _routing(topo)
