@@ -1,63 +1,43 @@
-"""Dense vs active flit-engine benchmarks.
+"""Dense vs active flit engine: the active engine's two speed bars.
 
-Three scenarios bracket the active engine's envelope:
+Two scenarios bracket the active engine's envelope:
 
 * ``sparse_fig3`` -- the Figure 3 deadlock topology under S3 (idle-flush)
   with injection rounds spaced thousands of ticks apart.  The dense
   engine grinds through every idle tick; the active engine deregisters
-  quiescent input ports and fast-forwards the gaps, so it should win big
-  (the acceptance bar is >= 3x).
+  quiescent input ports and fast-forwards the gaps, so it must be at
+  least 3x faster.
 * ``saturated_shufflenet`` -- all 24 hosts of a (2,3) bidirectional
   shufflenet injecting back-to-back worms.  Every switch is busy, but
   most of its input ports are not: the active engine steps only the live
-  ones, so it still beats dense (bar: >= 0.85x).  In one run at
-  ``--scale 0.3`` on a 2-vCPU VM it read 1.43x over dense.
-* ``saturated_torus`` -- a 16x16 torus with every one of the 256 hosts
-  injecting at once.  The per-tick component count is ~10x the
-  shufflenet's.
+  ones, so it must keep at least 0.85x dense's speed.
 
-All scenarios assert that the engines return the same status and final
-clock -- a benchmark that drifted semantically would be measuring two
-different simulations.  (The full byte-identical timeline diff lives in
-``tests/flitlevel/test_engine_equivalence.py``.)
+Each bar runs both engines at two rounds, best of three, and first
+checks that they agree on status and final clock: a benchmark that
+drifted semantically would be measuring two different simulations.
+(The full byte-identical timeline diff lives in
+``tests/flitlevel/test_engine_equivalence.py``.)  CI's ``paper-shape``
+step runs them::
 
-Run standalone to emit JSON (this is what the CI smoke step and
-``scripts/bench_trajectory.py`` consume)::
-
-    python benchmarks/bench_flit_engine.py --scale 0.3 --out results/flit_bench.json
-
-or under pytest-benchmark for statistics::
-
-    python -m pytest benchmarks/bench_flit_engine.py
+    PYTHONPATH=src python -m pytest -q benchmarks/bench_flit_engine.py
 """
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
 
-_ROOT = Path(__file__).resolve().parent.parent
-for _sub in ("src", "benchmarks"):
-    _p = str(_ROOT / _sub)
-    if _p not in sys.path:
-        sys.path.insert(0, _p)
-
-from conftest import scaled  # noqa: E402
-
-from repro.core.switch_mcast import (  # noqa: E402
-    SwitchScheme,
-    build_switch_multicast_network,
-)
-from repro.net import bidirectional_shufflenet, torus  # noqa: E402
-from repro.net.flitlevel import FlitNetwork  # noqa: E402
-from repro.net.topology import fig3_topology  # noqa: E402
+from repro.core.switch_mcast import SwitchScheme, build_switch_multicast_network
+from repro.net import bidirectional_shufflenet
+from repro.net.flitlevel import FlitNetwork
+from repro.net.topology import fig3_topology
 
 #: Idle gap between injection rounds in the sparse scenario.  One fig3
 #: round resolves in under ~1500 ticks, so most of each gap is quiescent.
 #: Sized so idle ticks dominate dense wall time: a quiescent dense tick
 #: still costs ~1/3 of a busy one (it polls every port of every switch).
 _SPARSE_GAP = 25_000
+
+#: Injection rounds and best-of repeats for both bars.
+ROUNDS = 2
+REPEATS = 3
 
 
 def _sparse_fig3(engine: str, rounds: int):
@@ -81,7 +61,7 @@ def _sparse_fig3(engine: str, rounds: int):
         max_ticks=rounds * _SPARSE_GAP + 50_000, quiet_limit=3_000,
         raise_on_deadlock=False,
     )
-    return status, net.now, net.ticks_executed
+    return status, net.now
 
 
 def _saturated_shufflenet(engine: str, rounds: int):
@@ -93,137 +73,30 @@ def _saturated_shufflenet(engine: str, rounds: int):
         for i, src in enumerate(hosts):
             net.send_unicast(src, hosts[(i + 7) % len(hosts)], payload_bytes=120)
     status = net.run(max_ticks=400_000)
-    return status, net.now, net.ticks_executed
+    return status, net.now
 
 
-def _saturated_torus(engine: str, rounds: int):
-    """16x16 torus, all 256 hosts injecting ``rounds`` worms at once."""
-    topo = torus(16, 16)
-    net = FlitNetwork(topo, engine=engine, seed=11)
-    hosts = topo.hosts
-    k = len(hosts)
-    for _ in range(rounds):
-        for i, src in enumerate(hosts):
-            net.send_unicast(src, hosts[(i + 19) % k], payload_bytes=48)
-    status = net.run(max_ticks=400_000)
-    return status, net.now, net.ticks_executed
+def _speedup(scenario) -> float:
+    """Dense's best time over active's, once both reach the same end."""
+    best = {}
+    outcome = {}
+    for engine in ("dense", "active"):
+        best[engine] = float("inf")
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            outcome[engine] = scenario(engine, ROUNDS)
+            best[engine] = min(best[engine], time.perf_counter() - t0)
+    assert outcome["active"] == outcome["dense"], outcome
+    assert outcome["dense"][0] == "delivered", outcome
+    return best["dense"] / best["active"]
 
 
-#: name -> (scenario fn, base rounds at scale=1, minimum rounds).
-_SCENARIOS = {
-    "sparse_fig3": (_sparse_fig3, 8, 2),
-    "saturated_shufflenet": (_saturated_shufflenet, 4, 2),
-    "saturated_torus": (_saturated_torus, 1, 1),
-}
+def test_sparse_fig3_active_at_least_3x_dense():
+    speedup = _speedup(_sparse_fig3)
+    assert speedup >= 3.0, f"active {speedup:.2f}x dense"
 
 
-def _best_of(fn, args, repeats):
-    best = float("inf")
-    out = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best, out
-
-
-def run_suite(scale: float = 1.0, repeats: int = 3):
-    """Time both engines on every scenario; returns a JSON-ready dict."""
-    results = {}
-    for name, (fn, base_rounds, min_rounds) in _SCENARIOS.items():
-        rounds = max(min_rounds, int(base_rounds * scale))
-        timings = {}
-        outcomes = {}
-        for engine in ("dense", "active"):
-            timings[engine], outcomes[engine] = _best_of(
-                fn, (engine, rounds), repeats
-            )
-        if outcomes["active"][:2] != outcomes["dense"][:2]:
-            raise AssertionError(
-                f"{name}: engines diverged -- dense="
-                f"{outcomes['dense'][:2]} active={outcomes['active'][:2]}"
-            )
-        results[name] = {
-            "rounds": rounds,
-            "status": outcomes["dense"][0],
-            "final_tick": outcomes["dense"][1],
-            "dense_seconds": round(timings["dense"], 4),
-            "active_seconds": round(timings["active"], 4),
-            "dense_ticks_executed": outcomes["dense"][2],
-            "active_ticks_executed": outcomes["active"][2],
-            "speedup": round(timings["dense"] / timings["active"], 3),
-        }
-    return results
-
-
-# -- pytest-benchmark entry points ---------------------------------------
-
-def _report(benchmark, ticks: int) -> None:
-    if benchmark.stats is None:  # --benchmark-disable smoke runs
-        return
-    mean = benchmark.stats.stats.mean
-    benchmark.extra_info["ticks_executed"] = ticks
-    benchmark.extra_info["ticks_per_second"] = round(ticks / mean)
-
-
-def test_flit_sparse_dense(benchmark):
-    rounds = scaled(8, minimum=2)
-    status, _, ticks = benchmark(_sparse_fig3, "dense", rounds)
-    assert status == "delivered"
-    _report(benchmark, ticks)
-
-
-def test_flit_sparse_active(benchmark):
-    rounds = scaled(8, minimum=2)
-    status, _, ticks = benchmark(_sparse_fig3, "active", rounds)
-    assert status == "delivered"
-    _report(benchmark, ticks)
-
-
-def test_flit_saturated_dense(benchmark):
-    rounds = scaled(4, minimum=1)
-    status, _, ticks = benchmark(_saturated_shufflenet, "dense", rounds)
-    assert status == "delivered"
-    _report(benchmark, ticks)
-
-
-def test_flit_saturated_active(benchmark):
-    rounds = scaled(4, minimum=1)
-    status, _, ticks = benchmark(_saturated_shufflenet, "active", rounds)
-    assert status == "delivered"
-    _report(benchmark, ticks)
-
-
-def test_sparse_speedup_meets_bar():
-    # The acceptance bar is 3x; the measured margin is much larger, so a
-    # noisy CI box should still clear it comfortably.
-    results = run_suite(scale=0.5, repeats=2)
-    sparse = results["sparse_fig3"]
-    assert sparse["speedup"] >= 3.0, sparse
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="workload multiplier (CI smoke uses ~0.3)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="best-of-N timing repeats")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write the result dict to this JSON file")
-    args = parser.parse_args(argv)
-    results = run_suite(scale=args.scale, repeats=args.repeats)
-    for name, rec in results.items():
-        print(
-            f"{name:>22}: dense {rec['dense_seconds']:.3f}s "
-            f"({rec['dense_ticks_executed']} ticks) | active "
-            f"{rec['active_seconds']:.3f}s ({rec['speedup']:.2f}x)"
-        )
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def test_saturated_shufflenet_active_at_least_085x_dense():
+    # <= 5% slower locally, relaxed to 15% for noisy CI runners.
+    speedup = _speedup(_saturated_shufflenet)
+    assert speedup >= 0.85, f"active {speedup:.2f}x dense"

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -383,10 +384,10 @@ class ClusterGateway:
 
     async def _http_submit(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
         try:
-            spec = json.loads(body or b"{}")
-        except json.JSONDecodeError as exc:
-            raise _BadRequest(f"invalid JSON body: {exc}") from None
-        if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
+            spec = protocol.decode_message(body or b"{}")
+        except protocol.ProtocolError as exc:
+            raise _BadRequest(f"request body: {exc}") from None
+        if not isinstance(spec.get("kind"), str):
             raise _BadRequest("body must be a JSON object with a 'kind'")
         params = spec.get("params")
         if params is not None and not isinstance(params, dict):
@@ -417,9 +418,11 @@ class ClusterGateway:
             try:
                 timeout = float(query["timeout"])
             except ValueError:
+                timeout = math.nan
+            if not math.isfinite(timeout):
                 raise _BadRequest(
-                    f"bad timeout {query['timeout']!r}"
-                ) from None
+                    f"bad timeout {query['timeout']!r}: not a finite number"
+                )
         message: Dict[str, Any] = {"op": "result", "job": job}
         read_timeout: Optional[float] = CONNECT_TIMEOUT
         if wait:

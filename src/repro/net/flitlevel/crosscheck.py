@@ -312,8 +312,8 @@ def main(argv=None) -> int:
     """``python -m repro.net.flitlevel.crosscheck --engines dense active``
 
     Runs the smoke scenarios under the given engine pair and exits
-    non-zero on any timeline mismatch -- the assertion the CI perf-smoke
-    job runs before trusting a benchmark number.
+    non-zero on any timeline mismatch -- the assertion CI's vc-smoke job
+    runs at lanes 1, 2 and 4 under both lane allocation policies.
     """
     import argparse
 

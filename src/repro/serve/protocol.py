@@ -40,6 +40,7 @@ Error codes (``{"ok": false, "error": code, ...}``): ``bad_request``,
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Optional
 
 #: Bumped on incompatible message-shape changes.
@@ -62,6 +63,22 @@ class ProtocolError(ValueError):
     """A malformed message (bad JSON, wrong shape, oversized line)."""
 
 
+def _no_constant(name: str) -> Any:
+    raise ValueError(f"non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number {text[:32]} overflows a float")
+    return value
+
+
+#: Strict JSON: ``NaN``/``Infinity`` and overflowing floats are refused,
+#: since :func:`encode_message` could not send them back.
+_DECODER = json.JSONDecoder(parse_constant=_no_constant, parse_float=_finite_float)
+
+
 def encode_message(message: Dict[str, Any]) -> bytes:
     """One canonical NDJSON line for ``message`` (sorted keys, strict JSON)."""
     return (
@@ -71,12 +88,22 @@ def encode_message(message: Dict[str, Any]) -> bytes:
 
 
 def decode_message(line: bytes) -> Dict[str, Any]:
-    """Parse one received line into a message dict."""
+    """Parse one received line into a message dict.
+
+    Anything :func:`encode_message` could not send back raises
+    :class:`ProtocolError`: bytes that are not UTF-8, ``NaN``,
+    ``Infinity`` and numbers that overflow a float, an integer too long
+    to convert, nesting deeper than the interpreter's recursion limit,
+    and any value that is not an object.
+    """
     if len(line) > MAX_LINE_BYTES:
         raise ProtocolError(f"message exceeds {MAX_LINE_BYTES} bytes")
     try:
-        message = json.loads(line)
-    except json.JSONDecodeError as exc:
+        message = _DECODER.decode(line.decode())
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, the parse hooks' refusals and
+        # that of an integer beyond sys.get_int_max_str_digits() are all
+        # ValueErrors.
         raise ProtocolError(f"invalid JSON: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError(f"message must be a JSON object, got {type(message).__name__}")

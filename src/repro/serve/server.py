@@ -250,11 +250,13 @@ class ServeServer:
     async def _op_result(
         self, message: Dict[str, Any], peer_id: str
     ) -> Dict[str, Any]:
+        timeout = message.get("timeout")
+        if timeout is not None and not isinstance(timeout, (int, float)):
+            raise protocol.ProtocolError("'timeout' must be a number")
         job, error = self._job_or_error(self.scheduler, message)
         if error:
             return error
         if message.get("wait") and job.state not in (DONE, FAILED, CANCELLED):
-            timeout = message.get("timeout")
             wait_s = min(
                 float(timeout) if timeout is not None else MAX_WAIT_S, MAX_WAIT_S
             )

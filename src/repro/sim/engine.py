@@ -6,7 +6,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout, bad_delay
+from repro.sim.events import NORMAL, Event, Timeout, bad_delay
 from repro.sim.process import Process
 from repro.sim.trace import SimTrace
 
@@ -90,18 +90,12 @@ class Simulator:
         #: Source of the heap keys' eids: one draw per enqueued entry, so
         #: entries of one instant run in the order they were enqueued.
         self._eids = count(1)
-        self._active_process: Optional[Process] = None
         #: Processes whose generator has not finished, in creation order
         #: (a dict used as an ordered set): what :meth:`close` closes.
         self._processes: Dict[Process, None] = {}
         self._trace = trace
 
     # -- introspection -------------------------------------------------------
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
     @property
     def trace(self) -> Optional[SimTrace]:
         """The attached profiling trace, if any."""
@@ -119,14 +113,6 @@ class Simulator:
     def process(self, generator: Generator[Event, Any, Any], name: str = "") -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events) -> AllOf:
-        """Composite event triggering when all ``events`` have triggered."""
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Composite event triggering when any of ``events`` has triggered."""
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def schedule_entry(
@@ -165,15 +151,6 @@ class Simulator:
         network is built.
         """
         return self._queue, self._eids.__next__
-
-    def _post(self, event: Any) -> None:
-        """Enqueue an *already triggered* event at the current instant.
-
-        Used by the resource grant cascade: the caller has just verified
-        the event is pending and set its value, so the state checks of
-        :meth:`~repro.sim.events.Event.succeed` would be redundant.
-        """
-        heappush(self._queue, (self.now, next(self._eids), event))
 
     def schedule_call(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at ``now + delay`` without allocating an Event.

@@ -8,7 +8,7 @@ its callbacks.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.engine import Simulator
@@ -17,8 +17,8 @@ PENDING = 0
 TRIGGERED = 1
 PROCESSED = 2
 
-#: Scheduling priorities.  Urgent events (process bootstraps, interrupts) run
-#: before normal events scheduled at the same instant.
+#: Scheduling priorities.  Urgent events (process bootstraps) run before
+#: normal events scheduled at the same instant.
 URGENT = 0
 NORMAL = 1
 
@@ -101,8 +101,9 @@ class Event:
         created, empty callback list): there is no callback to run, so the
         queue round-trip of :meth:`succeed` buys nothing.  A process that
         later yields the event resumes synchronously (the processed-event
-        path in :meth:`Process._resume`).  Used for uncontended resource
-        grants, the dominant case on the worm hot path.
+        path in :meth:`Process._resume`).  Used by
+        :class:`~repro.net.wormnet.Transfer`'s ``head_arrived`` and
+        ``completed`` when they are first read after the fact.
         """
         if self._state != PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
@@ -113,14 +114,6 @@ class Event:
         self._state = PROCESSED
         self.callbacks = None
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event (chaining)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event._defused = True
-            self.fail(event._value)
 
     # -- engine hook -------------------------------------------------------
     def _process(self) -> None:
@@ -171,87 +164,3 @@ class Initialize(Event):
         self._ok = True
         self._state = TRIGGERED
         sim.schedule_entry(self, 0.0, URGENT)
-
-
-class Interrupt(Exception):
-    """Raised inside a process that has been interrupted.
-
-    The interrupt ``cause`` is available as :attr:`cause`.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
-
-
-class Interruption(Event):
-    """Internal urgent event delivering an :class:`Interrupt` to a process."""
-
-    __slots__ = ()
-
-    def __init__(self, process: Any, cause: Any) -> None:
-        super().__init__(process.sim)
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self._state = TRIGGERED
-        self.callbacks.append(process._resume_interrupt)
-        self.sim.schedule_entry(self, 0.0, URGENT)
-
-
-class Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf` composite events."""
-
-    __slots__ = ("_events", "_count")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self._events = list(events)
-        self._count = 0
-        for event in self._events:
-            if event.sim is not sim:
-                raise ValueError("cannot mix events from different simulators")
-        if not self._events:
-            self.succeed({})
-            return
-        for event in self._events:
-            if event._state == PROCESSED:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _evaluate(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self) -> dict:
-        # Only events whose callbacks have run count as "arrived": a Timeout
-        # is born triggered (it is pre-scheduled) but has not happened yet.
-        return {e: e._value for e in self._events if e._state == PROCESSED}
-
-    def _check(self, event: Event) -> None:
-        if self._state != PENDING:
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate():
-            self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Triggered when *all* component events have triggered."""
-
-    __slots__ = ()
-
-    def _evaluate(self) -> bool:
-        return self._count == len(self._events)
-
-
-class AnyOf(Condition):
-    """Triggered when *any* component event has triggered."""
-
-    __slots__ = ()
-
-    def _evaluate(self) -> bool:
-        return self._count >= 1

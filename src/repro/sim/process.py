@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
-from repro.sim.events import Event, Initialize, Interruption
+from repro.sim.events import Event, Initialize
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -20,7 +20,7 @@ class Process(Event):
     Use :meth:`~repro.sim.engine.Simulator.process` to create one.
     """
 
-    __slots__ = ("_gen", "_target", "name")
+    __slots__ = ("_gen", "name")
 
     def __init__(
         self, sim: "Simulator", generator: Generator[Event, Any, Any], name: str = ""
@@ -29,7 +29,6 @@ class Process(Event):
             raise TypeError(f"process body must be a generator, got {generator!r}")
         super().__init__(sim)
         self._gen = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         sim._processes[self] = None
         Initialize(sim, self)
@@ -39,21 +38,12 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._state == 0  # PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Deliver an :class:`~repro.sim.events.Interrupt` into the process."""
-        if not self.is_alive:
-            raise RuntimeError(f"cannot interrupt finished process {self.name!r}")
-        if self._target is None and self.sim.active_process is self:
-            raise RuntimeError("a process cannot interrupt itself")
-        Interruption(self, cause)
-
     # -- engine hooks ------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value (or exception) of ``event``."""
         trace = self.sim._trace
         if trace is not None:
             trace._wakeup(self.name)
-        self.sim._active_process = self
         while True:
             try:
                 if event._ok:
@@ -62,12 +52,10 @@ class Process(Event):
                     event._defused = True
                     target = self._gen.throw(event._value)
             except StopIteration as stop:
-                self.sim._active_process = None
                 self.sim._processes.pop(self, None)
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                self.sim._active_process = None
                 self.sim._processes.pop(self, None)
                 self.fail(exc)
                 return
@@ -88,34 +76,12 @@ class Process(Event):
                 event = target
                 continue
 
-            self._target = target
-            target.callbacks.append(self._waiter)
+            target.callbacks.append(self._resume)
             break
-        self.sim._active_process = None
-
-    def _waiter(self, event: Event) -> None:
-        self._target = None
-        self._resume(event)
-
-    def _resume_interrupt(self, event: Event) -> None:
-        """Deliver an interruption: detach from the current target first."""
-        if not self.is_alive:
-            # The process finished between scheduling and delivery of the
-            # interrupt; drop it silently (matches simpy behaviour).
-            event._defused = True
-            return
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._waiter)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            self._target = None
-        self._resume(event)
 
     def _close(self) -> None:
-        """Close the suspended generator (its ``finally`` blocks run) and
-        drop the event it waits on; see :meth:`Simulator.close`."""
-        self._target = None
+        """Close the suspended generator (its ``finally`` blocks run); see
+        :meth:`Simulator.close`."""
         self._gen.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -24,7 +24,8 @@ class SimTrace:
     def __init__(self) -> None:
         #: Total queue entries processed.
         self.events = 0
-        #: Processed-entry counts keyed by class name (Timeout, Request, ...).
+        #: Processed-entry counts keyed by class name (Timeout, _WormRun,
+        #: _LanaiJob, ...).
         self.by_type: Dict[str, int] = {}
         #: Generator resumptions keyed by process name.
         self.wakeups: Dict[str, int] = {}

@@ -14,8 +14,7 @@ a serial for-loop into a cached, parallel, deterministic subsystem:
   after a code change only simulate what the change could affect;
 * :mod:`~repro.sweep.figures` -- the figure grids (shared by benchmarks
   and the CLI);
-* ``python -m repro.sweep`` -- the command-line front end, which also
-  appends machine-readable entries to ``BENCH_*.json`` trajectory files.
+* ``python -m repro.sweep`` -- the command-line front end.
 """
 
 from repro.sweep.cache import SweepCache, code_fingerprint
@@ -23,7 +22,6 @@ from repro.sweep.figures import fig10_spec, fig11_spec, fig12_spec
 from repro.sweep.points import POINT_KINDS, execute_point, point_kind
 from repro.sweep.runner import (
     SweepOutcome,
-    append_trajectory,
     default_jobs,
     records_to_results,
     records_to_testbed_results,
@@ -37,7 +35,6 @@ __all__ = [
     "SweepOutcome",
     "SweepPoint",
     "SweepSpec",
-    "append_trajectory",
     "canonical_key",
     "code_fingerprint",
     "default_jobs",

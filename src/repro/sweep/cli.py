@@ -2,7 +2,7 @@
 
 Examples
 --------
-Run the full Figure 10 grid on all cores, save records + trajectory::
+Run the full Figure 10 grid on all cores and save the records::
 
     python -m repro.sweep --figure fig10 --out results/fig10.json
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -27,11 +28,23 @@ from typing import List, Optional
 from repro.sweep.cache import SweepCache, code_fingerprint
 from repro.sweep.figures import FIGURE_SPECS
 from repro.sweep.runner import (
-    append_trajectory,
     records_to_results,
     records_to_testbed_results,
     run_sweep,
 )
+
+
+def _scale(text: str) -> float:
+    """``--scale``: an effort multiplier, a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,9 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_scale,
         default=1.0,
-        help="REPRO_SCALE-style effort multiplier (default 1.0)",
+        help="REPRO_SCALE-style effort multiplier, a finite number > 0 "
+        "(default 1.0)",
     )
     parser.add_argument("--seed", type=int, default=1, help="master seed")
     parser.add_argument(
@@ -63,17 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="write result records to this JSON file",
-    )
-    parser.add_argument(
-        "--bench-out",
-        type=Path,
-        default=Path("BENCH_sweep.json"),
-        help="trajectory file to append a run entry to (default BENCH_sweep.json)",
-    )
-    parser.add_argument(
-        "--no-bench",
-        action="store_true",
-        help="skip writing the trajectory entry",
     )
     parser.add_argument(
         "--cache-dir",
@@ -199,13 +202,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             payload["obs"] = outcome.merged_obs()
         args.out.write_text(json.dumps(payload, indent=2, sort_keys=True))
         print(f"records written to {args.out}")
-
-    if not args.no_bench:
-        path = append_trajectory(
-            args.bench_out,
-            outcome.bench_entry(label=args.figure, scale=args.scale),
-        )
-        print(f"trajectory entry appended to {path}")
     return 0
 
 

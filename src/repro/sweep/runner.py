@@ -9,11 +9,9 @@ back in point order regardless of completion order.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sweep.cache import SweepCache
@@ -55,10 +53,6 @@ class SweepOutcome:
     workers: int = 1
     wall_time: float = 0.0
 
-    @property
-    def points_per_second(self) -> float:
-        return len(self.records) / self.wall_time if self.wall_time > 0 else 0.0
-
     def merged_obs(self) -> Optional[Dict[str, Any]]:
         """Merge the per-point ``"obs"`` snapshots, in record order.
 
@@ -75,22 +69,6 @@ class SweepOutcome:
         if not snapshots:
             return None
         return merge_snapshots(snapshots)
-
-    def bench_entry(self, label: str, **extra: Any) -> Dict[str, Any]:
-        """A machine-readable trajectory entry for ``BENCH_*.json`` files."""
-        entry = {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "label": label,
-            "kind": self.spec.kind,
-            "points": len(self.records),
-            "executed": self.executed,
-            "cached": self.cached,
-            "workers": self.workers,
-            "wall_time_s": round(self.wall_time, 3),
-            "points_per_s": round(self.points_per_second, 4),
-        }
-        entry.update(extra)
-        return entry
 
 
 def run_sweep(
@@ -198,34 +176,3 @@ def records_to_testbed_results(records: List[Dict[str, Any]]) -> list:
                 }
         results.append(TestbedResult(**fixed))
     return results
-
-
-def append_trajectory(
-    path: Path, entry: Dict[str, Any], dedup_on: tuple = ()
-) -> Path:
-    """Append ``entry`` to the trajectory file at ``path`` (created lazily).
-
-    The file holds ``{"entries": [...]}`` so PR-over-PR perf history stays
-    one ``json.load`` away.
-
-    ``dedup_on`` names keys (e.g. ``("code", "label", "note")``) on which
-    prior entries are considered duplicates of ``entry``: any existing
-    entry matching on *all* of them is replaced instead of accumulated, so
-    re-running the benchmarks on unchanged code refreshes the numbers
-    rather than bloating the history.
-    """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (FileNotFoundError, json.JSONDecodeError):
-        data = {"entries": []}
-    if dedup_on:
-        data["entries"] = [
-            old
-            for old in data["entries"]
-            if any(old.get(k) != entry.get(k) for k in dedup_on)
-        ]
-    data["entries"].append(entry)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True))
-    return path

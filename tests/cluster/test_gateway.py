@@ -166,10 +166,23 @@ def test_http_error_statuses(conn):
         conn, "POST", "/submit", {"kind": "nap", "params": "not-a-dict"}
     )
     assert status == 400 and body["error"] == "bad_request"
-    conn.request("POST", "/submit", body=b"{not json")
-    response = conn.getresponse()
-    assert response.status == 400
-    assert json.loads(response.read())["error"] == "bad_request"
+    bad_bodies = [
+        b"{not json",
+        b'{"kind":"nap","params":{"tag":"\xff"}}',
+        b'{"kind":"nap","params":{"duration":NaN}}',
+        b'{"kind":"nap","params":{"duration":1e999}}',
+        b"[" * 5000,
+    ]
+    for body in bad_bodies:
+        conn.request("POST", "/submit", body=body)
+        response = conn.getresponse()
+        assert response.status == 400, body[:40]
+        assert json.loads(response.read())["error"] == "bad_request", body[:40]
+    for timeout in ("nan", "inf", "-inf", "soon"):
+        status, body = request(
+            conn, "GET", f"/result/{'feedfeed' * 8}?wait=1&timeout={timeout}"
+        )
+        assert status == 400 and body["error"] == "bad_request", timeout
 
 
 def test_oversized_body_rejected(gateway):

@@ -191,6 +191,25 @@ def test_second_lane_breaks_fig3_deadlock(engine):
     assert freed.status == "delivered"
 
 
+def test_more_lanes_finish_the_saturated_shufflenet_no_later():
+    # The completion win is the point of the lanes: with every host of the
+    # (2,3) shufflenet sending two rounds of back-to-back worms, blocked
+    # worms slip onto free lanes, so four lanes finish no later than one.
+    finish = {}
+    for lanes in (1, 4):
+        topo = bidirectional_shufflenet(2, 3)
+        net = FlitNetwork(topo, engine="active", seed=21, lanes=lanes)
+        hosts = topo.hosts
+        for _ in range(2):
+            for i, src in enumerate(hosts):
+                net.send_unicast(
+                    src, hosts[(i + 7) % len(hosts)], payload_bytes=120
+                )
+        assert net.run(max_ticks=400_000) == "delivered"
+        finish[lanes] = net.now
+    assert finish[4] <= finish[1], finish
+
+
 # -- per-lane observability --------------------------------------------------
 
 

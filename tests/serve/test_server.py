@@ -9,6 +9,7 @@ directions, job life-cycle edges, priority ordering and crash recovery.
 import json
 import multiprocessing
 import os
+import socket
 import time
 from pathlib import Path
 
@@ -240,6 +241,31 @@ def test_oversized_line_rejected_and_connection_survives(client):
         "nap", {"duration": 0.0, "tag": "after-oversize"}, timeout=30.0
     )
     assert record["napped"] == 0.0
+
+
+def test_malformed_lines_answered_bad_request_and_connection_survives(server):
+    bad_lines = [
+        b'{"op":"health","seq":NaN}',
+        b'{"op":"health","x":"\xff"}',
+        b"[" * 5000,
+        b'{"op":"health","seq":1e999}',
+        b'{"op":"health","seq":' + b"1" * 5000 + b"}",
+        b'{"op":"result","job":"feedfeed","wait":true,"timeout":"soon"}',
+        b'{"op":"result","job":"feedfeed","wait":true,"timeout":[1]}',
+    ]
+    with socket.create_connection((server.host, server.port), timeout=30.0) as sock:
+        stream = sock.makefile("rwb")
+        assert json.loads(stream.readline())["serve"] == "repro"
+        for line in bad_lines:
+            stream.write(line + b"\n")
+            stream.flush()
+            response = json.loads(stream.readline())
+            assert response["ok"] is False, line[:40]
+            assert response["error"] == "bad_request", line[:40]
+        stream.write(b'{"op":"health","seq":1}\n')
+        stream.flush()
+        response = json.loads(stream.readline())
+        assert response["ok"] is True and response["seq"] == 1
 
 
 # -- finish-history bookkeeping ------------------------------------------------

@@ -5,7 +5,7 @@ from heapq import heappush
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 from repro.sim.engine import URGENT_KEY, EmptySchedule, Infinity
 from repro.sim.events import URGENT
 
@@ -171,58 +171,6 @@ def test_unhandled_process_exception_raises_from_run():
         sim.run()
 
 
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield sim.timeout(100)
-        except Interrupt as interrupt:
-            return ("interrupted", interrupt.cause, sim.now)
-
-    def interrupter(target):
-        yield sim.timeout(5)
-        target.interrupt(cause="wakeup")
-
-    victim = sim.process(sleeper())
-    sim.process(interrupter(victim))
-    sim.run()
-    assert victim.value == ("interrupted", "wakeup", 5.0)
-
-
-def test_interrupt_finished_process_raises():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1)
-
-    p = sim.process(quick())
-    sim.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
-
-
-def test_interrupted_process_can_continue():
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield sim.timeout(100)
-        except Interrupt:
-            pass
-        yield sim.timeout(10)
-        return sim.now
-
-    def interrupter(target):
-        yield sim.timeout(5)
-        target.interrupt()
-
-    victim = sim.process(sleeper())
-    sim.process(interrupter(victim))
-    sim.run()
-    assert victim.value == 15.0
-
-
 def test_yield_non_event_fails_process():
     sim = Simulator()
 
@@ -335,46 +283,6 @@ def test_yield_already_processed_event_continues_immediately():
     w = sim.process(late_waiter())
     sim.run()
     assert w.value == ("early", 5.0)
-
-
-def test_all_of_waits_for_all():
-    sim = Simulator()
-
-    def proc():
-        t1 = sim.timeout(3, value="a")
-        t2 = sim.timeout(7, value="b")
-        results = yield sim.all_of([t1, t2])
-        return (sorted(results.values()), sim.now)
-
-    p = sim.process(proc())
-    sim.run()
-    assert p.value == (["a", "b"], 7.0)
-
-
-def test_any_of_returns_on_first():
-    sim = Simulator()
-
-    def proc():
-        t1 = sim.timeout(3, value="fast")
-        t2 = sim.timeout(7, value="slow")
-        results = yield sim.any_of([t1, t2])
-        return (list(results.values()), sim.now)
-
-    p = sim.process(proc())
-    sim.run()
-    assert p.value == (["fast"], 3.0)
-
-
-def test_all_of_empty_is_immediate():
-    sim = Simulator()
-
-    def proc():
-        results = yield sim.all_of([])
-        return results
-
-    p = sim.process(proc())
-    sim.run()
-    assert p.value == {}
 
 
 def test_internal_schedule_rejects_negative_delay():

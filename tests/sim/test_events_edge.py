@@ -1,84 +1,8 @@
-"""Edge-case tests for condition events and failure propagation."""
+"""Edge-case tests for event failure propagation."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Simulator
-from repro.sim.events import Event
-
-
-def test_all_of_failure_propagates():
-    sim = Simulator()
-    gate = sim.event()
-
-    def waiter():
-        try:
-            yield sim.all_of([sim.timeout(5), gate])
-        except ValueError as exc:
-            return f"failed: {exc}"
-
-    def failer():
-        yield sim.timeout(2)
-        gate.fail(ValueError("broken"))
-
-    w = sim.process(waiter())
-    sim.process(failer())
-    sim.run()
-    assert w.value == "failed: broken"
-
-
-def test_any_of_failure_propagates():
-    sim = Simulator()
-    gate = sim.event()
-
-    def waiter():
-        try:
-            yield sim.any_of([sim.timeout(50), gate])
-        except KeyError:
-            return "caught"
-
-    def failer():
-        yield sim.timeout(2)
-        gate.fail(KeyError("x"))
-
-    w = sim.process(waiter())
-    sim.process(failer())
-    sim.run()
-    assert w.value == "caught"
-
-
-def test_condition_rejects_foreign_events():
-    sim_a, sim_b = Simulator(), Simulator()
-    with pytest.raises(ValueError):
-        AllOf(sim_a, [sim_a.event(), sim_b.event()])
-
-
-def test_all_of_with_already_processed_event():
-    sim = Simulator()
-    early = sim.event()
-    early.succeed("early")
-    sim.run()  # process it
-
-    def waiter():
-        results = yield sim.all_of([early, sim.timeout(3, value="late")])
-        return sorted(str(v) for v in results.values())
-
-    w = sim.process(waiter())
-    sim.run()
-    assert w.value == ["early", "late"]
-
-
-def test_any_of_returns_only_arrived_values():
-    sim = Simulator()
-
-    def waiter():
-        fast = sim.timeout(1, value="fast")
-        slow = sim.timeout(100, value="slow")
-        results = yield sim.any_of([fast, slow])
-        return list(results.values())
-
-    w = sim.process(waiter())
-    sim.run()
-    assert w.value == ["fast"]
+from repro.sim import Simulator
 
 
 def test_event_fail_requires_exception():
@@ -95,49 +19,3 @@ def test_unwaited_failed_event_raises_at_processing():
         sim.run()
 
 
-def test_trigger_chains_success_and_failure():
-    sim = Simulator()
-    source_ok = sim.event()
-    chained_ok = sim.event()
-    source_ok.succeed(42)
-    chained_ok.trigger(source_ok)
-    assert chained_ok.triggered and chained_ok.value == 42
-
-    source_bad = Event(sim)
-    chained_bad = sim.event()
-    source_bad._ok = False
-    source_bad._value = ValueError("nope")
-    source_bad._state = 1  # triggered
-    chained_bad.trigger(source_bad)
-    assert not chained_bad.ok
-
-    def waiter():
-        try:
-            yield chained_bad
-        except ValueError:
-            return "handled"
-
-    w = sim.process(waiter())
-    sim.run()
-    assert w.value == "handled"
-
-
-def test_interrupt_while_waiting_on_condition():
-    from repro.sim import Interrupt
-
-    sim = Simulator()
-
-    def waiter():
-        try:
-            yield sim.all_of([sim.timeout(1000), sim.timeout(2000)])
-        except Interrupt:
-            return sim.now
-
-    def interrupter(target):
-        yield sim.timeout(7)
-        target.interrupt()
-
-    w = sim.process(waiter())
-    sim.process(interrupter(w))
-    sim.run()
-    assert w.value == 7.0

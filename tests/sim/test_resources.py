@@ -1,161 +1,10 @@
-"""Tests for Resource, Store and Container."""
+"""Tests for Container."""
+
+import math
 
 import pytest
 
-from repro.sim import Container, Resource, Simulator, Store
-
-
-def test_resource_grants_up_to_capacity():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    r1 = res.request()
-    r2 = res.request()
-    r3 = res.request()
-    sim.run()
-    assert r1.triggered and r2.triggered
-    assert not r3.triggered
-    assert res.count == 2
-    assert len(res.queue) == 1
-
-
-def test_resource_release_grants_next_fifo():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def user(tag, hold):
-        req = res.request()
-        yield req
-        order.append((tag, sim.now))
-        yield sim.timeout(hold)
-        res.release(req)
-
-    sim.process(user("a", 5))
-    sim.process(user("b", 5))
-    sim.process(user("c", 5))
-    sim.run()
-    assert order == [("a", 0.0), ("b", 5.0), ("c", 10.0)]
-
-
-def test_resource_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
-
-
-def test_resource_release_unheld_raises():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    req = res.request()
-    sim.run()
-    res.release(req)
-    with pytest.raises(RuntimeError):
-        res.release(req)
-
-
-def test_resource_cancel_queued_request():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    holder = res.request()
-    waiting = res.request()
-    sim.run()
-    waiting.cancel()
-    assert len(res.queue) == 0
-    res.release(holder)
-    assert res.count == 0  # cancelled request not granted
-
-
-def test_resource_cancel_held_request_releases():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    holder = res.request()
-    waiter = res.request()
-    sim.run()
-    holder.cancel()
-    assert waiter in res.users
-
-
-def test_store_put_get_fifo():
-    sim = Simulator()
-    store = Store(sim)
-
-    def producer():
-        for i in range(3):
-            yield store.put(i)
-
-    def consumer():
-        got = []
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-        return got
-
-    sim.process(producer())
-    c = sim.process(consumer())
-    sim.run()
-    assert c.value == [0, 1, 2]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-
-    def consumer():
-        item = yield store.get()
-        return (item, sim.now)
-
-    def producer():
-        yield sim.timeout(8)
-        yield store.put("late")
-
-    c = sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert c.value == ("late", 8.0)
-
-
-def test_store_bounded_put_blocks():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-
-    def producer():
-        yield store.put("a")
-        yield store.put("b")  # must wait for a get
-        return sim.now
-
-    def consumer():
-        yield sim.timeout(6)
-        yield store.get()
-
-    p = sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert p.value == 6.0
-
-
-def test_store_filtered_get():
-    sim = Simulator()
-    store = Store(sim)
-
-    def producer():
-        yield store.put({"kind": "unicast"})
-        yield store.put({"kind": "multicast"})
-
-    def consumer():
-        item = yield store.get(filter=lambda w: w["kind"] == "multicast")
-        return item["kind"]
-
-    sim.process(producer())
-    c = sim.process(consumer())
-    sim.run()
-    assert c.value == "multicast"
-    assert store.items[0]["kind"] == "unicast"
-
-
-def test_store_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
+from repro.sim import Container, Simulator
 
 
 def test_container_get_put_levels():
@@ -254,11 +103,14 @@ def test_container_request_exceeding_capacity_rejected():
         pool.get(11)
 
 
-def test_container_cancel_waiter():
+@pytest.mark.parametrize("amount", [-5, -1e-9, math.nan])
+@pytest.mark.parametrize("op", ["get", "put", "try_get"])
+def test_container_rejects_negative_and_nan_amounts(op, amount):
+    # A negative take would lift the level above capacity, a NaN put would
+    # make the level NaN, and a NaN get would queue a waiter no put serves.
     sim = Simulator()
-    pool = Container(sim, capacity=10, init=0)
-    get = pool.get(5)
-    get.cancel()
-    pool.put(10)
-    assert pool.level == 10
-    assert not get.triggered
+    pool = Container(sim, capacity=10, init=5)
+    with pytest.raises(ValueError, match="amount must be non-negative"):
+        getattr(pool, op)(amount)
+    assert pool.level == 5
+    assert not pool._waiters

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Resource, SimTrace, Simulator
+from repro.sim import Container, SimTrace, Simulator
 from repro.sim.events import URGENT
 
 
@@ -58,15 +58,14 @@ def test_trace_reset():
 
 def test_trace_does_not_change_results():
     def workload(sim):
-        res = Resource(sim)
+        pool = Container(sim, capacity=1)
         log = []
 
         def proc(name):
-            req = res.request()
-            yield req
+            yield pool.get(1)
             log.append((name, sim.now))
             yield sim.timeout(2)
-            res.release(req)
+            pool.put(1)
 
         sim.process(proc("a"), name="a")
         sim.process(proc("b"), name="b")
@@ -75,7 +74,7 @@ def test_trace_does_not_change_results():
 
     plain = workload(Simulator())
     traced = workload(Simulator(trace=SimTrace()))
-    assert traced == plain
+    assert traced == plain == ([("a", 0.0), ("b", 2.0)], 4.0)
 
 
 # -- run_process starvation --------------------------------------------------
@@ -135,28 +134,7 @@ def test_schedule_call_interleaves_with_processes():
     assert order == ["call", "proc"]
 
 
-# -- uncontended grant fast path ---------------------------------------------
-
-def test_uncontended_request_completes_without_heap_traffic():
-    sim = Simulator()
-    res = Resource(sim)
-    req = res.request()
-    assert req.processed  # granted immediately, no scheduling round-trip
-    assert req.ok
-    assert len(sim._queue) == 0
-
-
-def test_contended_request_still_queues():
-    sim = Simulator()
-    res = Resource(sim)
-    first = res.request()
-    second = res.request()
-    assert first.processed
-    assert not second.processed
-    res.release(first)
-    sim.run()
-    assert second.processed
-
+# -- urgent ordering ---------------------------------------------------------
 
 def test_urgent_events_precede_normal_at_equal_time():
     # At t=1 the queue holds: succeeder's timeout, other's timeout (both

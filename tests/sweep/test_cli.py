@@ -24,9 +24,18 @@ def test_figure_is_required():
         build_parser().parse_args([])
 
 
-def test_end_to_end_writes_records_and_trajectory(tmp_path, capsys):
-    out = tmp_path / "fig12.json"
-    bench = tmp_path / "BENCH_cli.json"
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-1", "ten"])
+def test_scale_must_be_a_finite_positive_number(scale, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--figure", "fig10", f"--scale={scale}", "--dry-run"])
+    assert exc.value.code == 2
+    assert "finite number > 0" in capsys.readouterr().err
+
+
+def test_end_to_end_writes_only_the_records_file(tmp_path, monkeypatch):
+    # Run from an empty working directory: the records file named by
+    # --out is the only file the CLI leaves behind.
+    monkeypatch.chdir(tmp_path)
     rc = main(
         [
             "--figure",
@@ -36,15 +45,11 @@ def test_end_to_end_writes_records_and_trajectory(tmp_path, capsys):
             "--jobs",
             "2",
             "--out",
-            str(out),
-            "--bench-out",
-            str(bench),
+            "fig12.json",
         ]
     )
     assert rc == 0
-    payload = json.loads(out.read_text())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig12.json"]
+    payload = json.loads((tmp_path / "fig12.json").read_text())
     assert len(payload["results"]) == 10
     assert payload["meta"]["figure"] == "fig12"
-    trajectory = json.loads(bench.read_text())
-    assert trajectory["entries"][0]["label"] == "fig12"
-    assert trajectory["entries"][0]["points"] == 10

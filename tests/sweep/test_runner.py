@@ -1,4 +1,4 @@
-"""Runner tests: parallel determinism, record rehydration, trajectories."""
+"""Runner tests: parallel determinism and record rehydration."""
 
 import json
 import math
@@ -7,7 +7,6 @@ import pytest
 
 from repro.sweep import (
     SweepSpec,
-    append_trajectory,
     default_jobs,
     records_to_results,
     records_to_testbed_results,
@@ -117,21 +116,3 @@ def test_default_jobs_malformed_env_names_the_var(monkeypatch):
         default_jobs()
 
 
-def test_append_trajectory_accumulates(tmp_path):
-    path = tmp_path / "BENCH_test.json"
-    append_trajectory(path, {"label": "a", "wall_time_s": 1.0})
-    append_trajectory(path, {"label": "b", "wall_time_s": 2.0})
-    data = json.loads(path.read_text())
-    assert [e["label"] for e in data["entries"]] == ["a", "b"]
-
-
-def test_bench_entry_footprint():
-    spec = SweepSpec(**SMALL_TESTBED)
-    outcome = run_sweep(spec, jobs=1)
-    entry = outcome.bench_entry(label="smoke", scale=0.1)
-    assert entry["label"] == "smoke"
-    assert entry["points"] == 4
-    assert entry["executed"] == 4
-    assert entry["cached"] == 0
-    assert entry["wall_time_s"] > 0
-    assert entry["scale"] == 0.1
