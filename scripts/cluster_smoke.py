@@ -9,11 +9,13 @@ the HTTP gateway), then drives one scripted HTTP session against it:
    ``GET /result/{id}?wait=1``, assert the record is byte-identical to
    running the same point in-process;
 3. fan a small sweep out across the ring, then **kill one shard**
-   (a clean ``shutdown`` op straight to its TCP port) while results are
-   still being collected — every record must still come back
-   byte-identical, served by replicas re-executing the dead shard's
-   jobs;
-4. ``GET /health`` again — degraded, one shard down;
+   (a clean ``shutdown`` op straight to its TCP port), collect the
+   first record, and **kill a second shard** while the rest are still
+   being collected — every record must still come back byte-identical,
+   re-executed by the next live shard in each key's ring order (with
+   two of three shards dead, keys whose first two shards both died go
+   to the third);
+4. ``GET /health`` again — degraded, two shards down;
 5. ``GET /metrics`` — the fleet-merged snapshot, written to
    ``<out>/metrics.json`` for ``python -m repro.obs validate``;
 6. SIGTERM the supervisor and reap it.
@@ -40,6 +42,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.cluster.ring import HashRing  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
 from repro.sweep.points import execute_point  # noqa: E402
 
@@ -76,6 +79,12 @@ def canonical(record) -> str:
     return json.dumps(record, sort_keys=True, allow_nan=False)
 
 
+def shutdown_shard(shard: dict) -> None:
+    """A clean ``shutdown`` op straight to the shard's TCP port."""
+    with ServeClient(shard["host"], shard["port"], timeout=30.0) as doomed:
+        assert doomed.shutdown()["stopping"] is True
+
+
 def wait_for_ready(ready_file: Path, process, timeout: float = 120.0) -> dict:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -83,11 +92,8 @@ def wait_for_ready(ready_file: Path, process, timeout: float = 120.0) -> dict:
             raise RuntimeError(
                 f"cluster exited early with code {process.returncode}"
             )
-        if ready_file.is_file():
-            try:
-                return json.loads(ready_file.read_text())
-            except json.JSONDecodeError:
-                pass  # mid-write; retry
+        if ready_file.is_file():  # written atomically: whole once there
+            return json.loads(ready_file.read_text())
         time.sleep(0.1)
     raise RuntimeError("cluster did not become ready in time")
 
@@ -100,6 +106,8 @@ def main() -> int:
     )
     parser.add_argument("--shards", type=int, default=3)
     args = parser.parse_args()
+    if args.shards < 3:
+        parser.error("--shards must be at least 3: the session kills two")
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     ready_file = out / "ready.json"
@@ -164,21 +172,35 @@ def main() -> int:
         victim = submits[0]["shard"]
         step("sweep-submitted", jobs=len(submits), victim=victim)
 
-        # Kill the shard that accepted the first sweep job: a clean
-        # shutdown op straight to its TCP port, mid-collection.
-        with ServeClient(
-            shards[victim]["host"], shards[victim]["port"], timeout=30.0
-        ) as doomed:
-            assert doomed.shutdown()["stopping"] is True
+        # Kill the shard that accepted the first sweep job.
+        shutdown_shard(shards[victim])
         step("shard-killed", shard=victim)
 
-        records = []
-        for body in submits:
+        def fetch(body) -> dict:
             status, result = http_json(
                 base, "GET", f"/result/{body['job']}?wait=1&timeout=120"
             )
             assert status == 200, result
-            records.append(result["record"])
+            return result["record"]
+
+        records = [fetch(submits[0])]
+        # Mid-collection, kill the live shard that shares the front of the
+        # most uncollected keys' ring orders with the first victim: those
+        # keys must go to the third shard.
+        ring = HashRing(list(shards))
+        fronts = [set(ring.owners(body["job"], 2)) for body in submits[1:]]
+
+        def doubly_hit(candidate: str) -> int:
+            return fronts.count({victim, candidate})
+
+        second = max(sorted(set(shards) - {victim}), key=doubly_hit)
+        shutdown_shard(shards[second])
+        step(
+            "second-shard-killed",
+            shard=second,
+            keys_past_two_dead_shards=doubly_hit(second),
+        )
+        records += [fetch(body) for body in submits[1:]]
         for point, record in zip(SWEEP_POINTS, records):
             params = dict(point["params"])
             params["seed"] = point["seed"]
@@ -190,16 +212,18 @@ def main() -> int:
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
             status, health = http_json(base, "GET", "/health")
-            if health.get("shards_alive") == args.shards - 1:
+            if health.get("shards_alive") == args.shards - 2:
                 break
             time.sleep(0.5)
         assert status == 200 and health["status"] == "degraded", health
-        assert health["shards"][victim] == {"status": "down"}, health
+        assert health["shards_alive"] == args.shards - 2, health
+        for dead in (victim, second):
+            assert health["shards"][dead] == {"status": "down"}, health
         step("degraded-health", shards_alive=health["shards_alive"])
 
         status, metrics = http_json(base, "GET", "/metrics")
         assert status == 200, metrics
-        assert metrics["shards_merged"] == args.shards - 1, metrics
+        assert metrics["shards_merged"] == args.shards - 2, metrics
         (out / "metrics.json").write_text(
             json.dumps(
                 metrics["snapshot"], indent=2, sort_keys=True, allow_nan=False

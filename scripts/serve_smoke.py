@@ -55,11 +55,8 @@ def wait_for_ready(ready_file: Path, process, timeout: float = 60.0) -> dict:
             raise RuntimeError(
                 f"server exited early with code {process.returncode}"
             )
-        if ready_file.is_file():
-            try:
-                return json.loads(ready_file.read_text())
-            except json.JSONDecodeError:
-                pass  # mid-write; retry
+        if ready_file.is_file():  # written atomically: whole once there
+            return json.loads(ready_file.read_text())
         time.sleep(0.1)
     raise RuntimeError("server did not become ready in time")
 

@@ -1,21 +1,20 @@
 """A fleet of simulation servers: sharding, failover, HTTP front door.
 
 :mod:`repro.serve` made one instance answer many concurrent scenario
-queries; this package makes *N* instances answer internet-scale traffic
-as one service:
+queries; this package makes *N* instances answer as one service, with
+the HTTP gateway as the only way in:
 
 * :mod:`~repro.cluster.ring` — consistent hashing over the
   content-addressed job-id space (the ids are
-  :class:`~repro.sweep.cache.SweepCache` keys, so they are
+  :func:`~repro.sweep.cache.point_key` values, so they are
   location-independent by construction: any shard computes any job to
   the byte-identical record);
-* :mod:`~repro.cluster.client` — :class:`ClusterClient` fans submits
-  out by key, retries on replicas when a shard dies (health-probe driven
-  failover by deterministic *re-execution*, not state migration), and
-  merges ``health``/``metrics`` across the fleet;
 * :mod:`~repro.cluster.gateway` — a stdlib-only asyncio HTTP/1.1 JSON
   gateway translating ``POST /submit`` / ``GET /result/{id}`` / ... into
-  the NDJSON-TCP protocol so curl and browsers work;
+  the NDJSON-TCP protocol so curl and browsers work.  It routes by key,
+  walks the key's ring order when a shard dies (failover by
+  deterministic *re-execution*, not state migration), and merges
+  ``health``/``metrics`` across the fleet;
 * :mod:`~repro.cluster.fleet` — :class:`LocalFleet` launches and
   supervises ``python -m repro.serve`` shard processes;
 * :mod:`~repro.cluster.cli` — ``python -m repro.cluster`` stands the
@@ -26,23 +25,14 @@ through the cluster — shard deaths included — returns records
 byte-identical to :func:`repro.sweep.runner.run_sweep`.
 """
 
-from repro.cluster.client import (
-    ClusterClient,
-    ClusterDown,
-    ShardDown,
-    ShardSpec,
-)
-from repro.cluster.fleet import FleetError, LocalFleet
+from repro.cluster.fleet import FleetError, LocalFleet, ShardSpec
 from repro.cluster.gateway import ClusterGateway
 from repro.cluster.ring import HashRing
 
 __all__ = [
-    "ClusterClient",
-    "ClusterDown",
     "ClusterGateway",
     "FleetError",
     "HashRing",
     "LocalFleet",
-    "ShardDown",
     "ShardSpec",
 ]

@@ -16,16 +16,16 @@ Then, from any HTTP client::
 The ready file holds ``{"host", "port", "shards": [{id, host, port}...],
 "pid"}`` and is written only once every shard announced itself and the
 gateway socket is listening.  The supervisor loop watches the shard
-processes; a dead shard is reported (and served around via replica
-failover) but not respawned — restart policy belongs to real process
-managers, the gateway's job is to keep answering while degraded.
+processes; a dead shard is reported (and the gateway routes its keys to
+the next shard in ring order) but not respawned — restart policy belongs
+to real process managers, the gateway's job is to keep answering while
+degraded.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import os
 import signal
 from pathlib import Path
@@ -33,6 +33,7 @@ from typing import List, Optional
 
 from repro.cluster.fleet import LocalFleet
 from repro.cluster.gateway import ClusterGateway
+from repro.serve.cli import write_ready_file
 
 #: Seconds between shard-process liveness polls in the supervisor loop.
 SUPERVISE_INTERVAL = 1.0
@@ -49,10 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers", type=int, default=1,
         help="worker processes per shard",
-    )
-    parser.add_argument(
-        "--replicas", type=int, default=2,
-        help="length of each key's failover preference list",
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
@@ -86,9 +83,7 @@ async def _run(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
     )
     specs = await asyncio.get_running_loop().run_in_executor(None, fleet.start)
-    gateway = ClusterGateway(
-        specs, replicas=args.replicas, host=args.host, port=args.http_port
-    )
+    gateway = ClusterGateway(specs, host=args.host, port=args.http_port)
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -99,26 +94,23 @@ async def _run(args: argparse.Namespace) -> int:
     try:
         host, port = await gateway.start()
         if args.ready_file is not None:
-            args.ready_file.parent.mkdir(parents=True, exist_ok=True)
-            args.ready_file.write_text(
-                json.dumps(
-                    {
-                        "host": host,
-                        "port": port,
-                        "pid": os.getpid(),
-                        "shards": [
-                            {"id": s.id, "host": s.host, "port": s.port}
-                            for s in specs
-                        ],
-                    }
-                )
+            write_ready_file(
+                args.ready_file,
+                {
+                    "host": host,
+                    "port": port,
+                    "pid": os.getpid(),
+                    "shards": [
+                        {"id": s.id, "host": s.host, "port": s.port}
+                        for s in specs
+                    ],
+                },
             )
         if not args.quiet:
             shares = gateway.ring.shares(1024)
             print(
                 f"repro.cluster gateway on http://{host}:{port} "
-                f"({len(specs)} shards, replicas={args.replicas}, "
-                f"key shares "
+                f"({len(specs)} shards, key shares "
                 f"{'/'.join(f'{shares[s.id]:.2f}' for s in specs)})",
                 flush=True,
             )
@@ -141,7 +133,7 @@ async def _run(args: argparse.Namespace) -> int:
                     if not args.quiet:
                         print(
                             f"repro.cluster: {shard_id} exited; "
-                            f"serving degraded via replicas",
+                            f"serving degraded on the other shards",
                             flush=True,
                         )
                 gateway.mark_down(shard_id)

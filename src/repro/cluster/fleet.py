@@ -3,9 +3,8 @@
 Each shard is one ``python -m repro.serve`` OS process on an ephemeral
 port with a ``--ready-file`` (the same contract :mod:`scripts.serve_smoke`
 uses); :class:`LocalFleet` collects the announced addresses into
-:class:`~repro.cluster.client.ShardSpec` entries for the client/gateway,
-and exposes ``kill``/``poll`` so harnesses (and the chaos half of the
-cluster smoke test) can take shards down mid-run.
+:class:`ShardSpec` entries for the gateway, and exposes ``kill``/``poll``
+so harnesses can take shards down mid-run.
 
 Shards deliberately share one ``--cache-dir`` when given: the job-id
 space is content-addressed, so any shard's write-through is every
@@ -19,10 +18,18 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.cluster.client import ShardSpec
+
+@dataclass(frozen=True)
+class ShardSpec:
+    """Address of one ``repro.serve`` instance in the fleet."""
+
+    id: str
+    host: str
+    port: int
 
 
 class FleetError(RuntimeError):
@@ -39,8 +46,6 @@ class LocalFleet:
         run_dir: Optional[Path] = None,
         host: str = "127.0.0.1",
         cache_dir: Optional[Path] = None,
-        extra_args: Optional[List[str]] = None,
-        python: Optional[str] = None,
     ) -> None:
         if shards < 1:
             raise ValueError("a fleet needs at least one shard")
@@ -49,8 +54,6 @@ class LocalFleet:
         self.host = host
         self.run_dir = Path(run_dir) if run_dir else Path("results/cluster")
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.extra_args = list(extra_args or [])
-        self.python = python or sys.executable
         self.processes: Dict[str, subprocess.Popen] = {}
         self.specs: List[ShardSpec] = []
 
@@ -64,7 +67,7 @@ class LocalFleet:
         ready = shard_dir / "ready.json"
         ready.unlink(missing_ok=True)
         command = [
-            self.python, "-m", "repro.serve",
+            sys.executable, "-m", "repro.serve",
             "--host", self.host,
             "--port", "0",
             "--workers", str(self.workers),
@@ -74,7 +77,6 @@ class LocalFleet:
         ]
         if self.cache_dir is not None:
             command += ["--cache-dir", str(self.cache_dir)]
-        command += self.extra_args
         env = dict(os.environ)
         src = Path(__file__).resolve().parents[2]
         env["PYTHONPATH"] = (
@@ -85,7 +87,11 @@ class LocalFleet:
         return subprocess.Popen(command, env=env)
 
     def start(self, timeout: float = 60.0) -> List[ShardSpec]:
-        """Launch every shard and wait for all ready files."""
+        """Launch every shard and wait for all ready files.
+
+        A shard writes its ready file atomically, so a file that exists is
+        whole.
+        """
         for index in range(self.count):
             shard_id = self.shard_name(index)
             self.processes[shard_id] = self._spawn(shard_id)
@@ -103,11 +109,8 @@ class LocalFleet:
                         f"before announcing readiness"
                     )
                 if ready.is_file():
-                    try:
-                        address = json.loads(ready.read_text())
-                        break
-                    except json.JSONDecodeError:
-                        pass  # mid-write; retry
+                    address = json.loads(ready.read_text())
+                    break
                 if time.monotonic() > deadline:
                     self.stop()
                     raise FleetError(f"{shard_id} not ready within {timeout}s")

@@ -16,17 +16,18 @@ HTTP                                  NDJSON-TCP
 ``GET /metrics``                      fleet-merged ``{"op": "metrics"}``
 ====================================  =====================================
 
-Routing follows the same consistent-hash preference order as
-:class:`~repro.cluster.client.ClusterClient` (the gateway computes job
-keys with the shared keyer), with the same failover move: an unreachable
-shard is marked down and the next owner tried; a replica that never saw
-a job gets it resubmitted from the gateway's bounded spec memo, and
-determinism makes the re-execution byte-identical.
+The gateway is the fleet's only router.  It keys a submit with
+:func:`repro.sweep.cache.point_key`, the job id every shard computes too,
+and walks the key's whole consistent-hash ring order: an unreachable
+shard is marked down and the next one tried.  Any shard can compute any
+job, so the fleet answers as long as one shard lives.  A shard that
+never saw a job gets it resubmitted from the gateway's bounded spec memo,
+and determinism makes the re-execution byte-identical.
 
-Protocol error codes map onto HTTP status codes (`overloaded` → 503,
-``rate_limited`` → 429, ``unknown_job`` → 404, ...); every response body
-is the raw JSON the protocol layer produced, so an HTTP client sees
-exactly what a TCP client would.
+Protocol error codes map onto HTTP status codes (``overloaded`` → 503,
+``unknown_job`` → 404, ...); every response body is the raw JSON the
+protocol layer produced, so an HTTP client sees exactly what a TCP
+client would.
 """
 
 from __future__ import annotations
@@ -35,15 +36,18 @@ import asyncio
 import json
 import math
 import threading
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.cluster.client import MAX_SPEC_MEMO, ShardSpec
+from repro.cluster.fleet import ShardSpec
 from repro.cluster.ring import HashRing
 from repro.serve import protocol
 from repro.serve.jobs import make_point
-from repro.sweep.cache import SweepCache, code_fingerprint
+from repro.sweep.cache import point_key
+
+#: Submit specs remembered for resubmit-on-failover (bounded so a
+#: long-lived gateway cannot grow without limit).
+MAX_SPEC_MEMO = 65536
 
 #: Cap on one HTTP header line / body (reuses the NDJSON line budget).
 MAX_BODY_BYTES = protocol.MAX_LINE_BYTES
@@ -66,7 +70,6 @@ STATUS_FOR_ERROR = {
     "cancelled": 410,
     "timeout": 504,
     "overloaded": 503,
-    "rate_limited": 429,
     "cluster_down": 503,
 }
 
@@ -81,23 +84,16 @@ class ClusterGateway:
     def __init__(
         self,
         shards: Sequence[ShardSpec],
-        replicas: int = 2,
         host: str = "127.0.0.1",
         port: int = 0,
-        keyer: Optional[SweepCache] = None,
         wait_cap: float = 300.0,
     ) -> None:
+        # HashRing raises ValueError on duplicate shard ids.
+        self.ring = HashRing([spec.id for spec in shards])
         self.shards = {spec.id: spec for spec in shards}
-        if len(self.shards) != len(shards):
-            raise ValueError(f"duplicate shard ids: {[s.id for s in shards]}")
-        self.ring = HashRing(list(self.shards))
-        self.replicas = max(1, int(replicas))
         self.host = host
         self.port = port
         self.wait_cap = float(wait_cap)
-        self._keyer = keyer or SweepCache(
-            Path("."), code_hash=code_fingerprint()
-        )
         self._down: set = set()
         self._specs: Dict[str, Dict[str, Any]] = {}
         self._server: Optional[asyncio.base_events.Server] = None
@@ -165,19 +161,23 @@ class ClusterGateway:
         """Tell the router a shard is gone (e.g. its process exited)."""
         self._down.add(shard_id)
 
-    async def _probe(self, shard_id: str) -> bool:
+    async def _probe(self, shard_id: str) -> Optional[Dict[str, Any]]:
+        """One guarded ``health`` round trip.
+
+        Returns the shard's health response and marks it live, or returns
+        None and marks it down on a transport error or a refusal.
+        """
         try:
             response = await self._shard_call(
                 shard_id, {"op": "health"}, read_timeout=CONNECT_TIMEOUT
             )
         except (ConnectionError, OSError, asyncio.TimeoutError):
+            response = {}
+        if not response.get("ok"):
             self._down.add(shard_id)
-            return False
-        if response.get("ok"):
-            self._down.discard(shard_id)
-            return True
-        self._down.add(shard_id)
-        return False
+            return None
+        self._down.discard(shard_id)
+        return response
 
     async def _routed_call(
         self,
@@ -185,11 +185,11 @@ class ClusterGateway:
         message: Dict[str, Any],
         read_timeout: Optional[float],
     ) -> Dict[str, Any]:
-        """``_shard_call`` on the key's first reachable owner, with failover."""
-        owners = self.ring.owners(key, self.replicas)
-        live = [s for s in owners if s not in self._down]
+        """``_shard_call`` on the first reachable shard in the key's ring order."""
+        order = self.ring.owners(key, len(self.shards))
+        live = [s for s in order if s not in self._down]
         if not live:
-            live = [s for s in owners if await self._probe(s)]
+            live = [s for s in order if await self._probe(s) is not None]
         last: Optional[BaseException] = None
         for shard_id in live:
             try:
@@ -200,7 +200,7 @@ class ClusterGateway:
                     response.get("error") == "unknown_job"
                     and key in self._specs
                 ):
-                    # Failover landed on a replica that never saw the job:
+                    # Failover landed on a shard that never saw the job:
                     # pipeline a resubmit ahead of the original verb.  The
                     # content address is the same, the executor is
                     # deterministic, so the record is byte-identical.
@@ -216,13 +216,13 @@ class ClusterGateway:
                 last = exc
         return protocol.error_response(
             "cluster_down",
-            f"no live shard for key {key[:16]}... (owners {owners}): {last}",
+            f"no live shard for key {key[:16]}... (ring order {order}): {last}",
         )
 
     @staticmethod
     def _submit_message(spec: Dict[str, Any]) -> Dict[str, Any]:
         message = {"op": "submit", "kind": spec["kind"]}
-        for field in ("params", "seed", "priority", "client"):
+        for field in ("params", "seed"):
             if spec.get(field) is not None:
                 message[field] = spec[field]
         return message
@@ -395,14 +395,8 @@ class ClusterGateway:
         seed = spec.get("seed")
         if seed is not None and not isinstance(seed, int):
             raise _BadRequest("'seed' must be an integer")
-        memo = {
-            "kind": spec["kind"],
-            "params": params,
-            "seed": seed,
-            "priority": spec.get("priority"),
-            "client": spec.get("client"),
-        }
-        key = self._keyer.key(make_point(spec["kind"], params, seed))
+        memo = {"kind": spec["kind"], "params": params, "seed": seed}
+        key = point_key(make_point(spec["kind"], params, seed))
         self._memo(key, memo)
         response = await self._routed_call(
             key, self._submit_message(memo), read_timeout=CONNECT_TIMEOUT
@@ -439,14 +433,12 @@ class ClusterGateway:
     async def _http_health(self) -> Tuple[int, Dict[str, Any]]:
         shards: Dict[str, Any] = {}
         for shard_id in sorted(self.shards):
-            if await self._probe(shard_id):
-                response = await self._shard_call(
-                    shard_id, {"op": "health"}, read_timeout=CONNECT_TIMEOUT
-                )
-                response.pop("ok", None)
-                shards[shard_id] = response
-            else:
+            response = await self._probe(shard_id)
+            if response is None:
                 shards[shard_id] = {"status": "down"}
+            else:
+                response.pop("ok")
+                shards[shard_id] = response
         alive = sum(
             1 for body in shards.values() if body.get("status") == "ok"
         )
@@ -466,7 +458,7 @@ class ClusterGateway:
 
         snapshots: List[Dict[str, Any]] = []
         for shard_id in sorted(self.shards):
-            if shard_id in self._down and not await self._probe(shard_id):
+            if shard_id in self._down and await self._probe(shard_id) is None:
                 continue
             try:
                 response = await self._shard_call(
@@ -496,12 +488,10 @@ class GatewayThread:
     def __init__(
         self,
         shards: Sequence[ShardSpec],
-        replicas: int = 2,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self.shards = list(shards)
-        self.replicas = replicas
         self.host = host
         self.port = port
         self.gateway: Optional[ClusterGateway] = None
@@ -532,12 +522,7 @@ class GatewayThread:
             self._ready.set()
 
     async def _main(self) -> None:
-        self.gateway = ClusterGateway(
-            self.shards,
-            replicas=self.replicas,
-            host=self.host,
-            port=self.port,
-        )
+        self.gateway = ClusterGateway(self.shards, host=self.host, port=self.port)
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self.host, self.port = await self.gateway.start()

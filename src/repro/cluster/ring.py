@@ -1,16 +1,15 @@
 """Consistent-hash ring over the content-addressed job-id space.
 
-Job ids are already location-independent — they are the
-:class:`~repro.sweep.cache.SweepCache` keys, ``sha256(code | kind |
+Job ids are already location-independent — they are
+:func:`~repro.sweep.cache.point_key` values, ``sha256(code | kind |
 params | seed)`` — so *any* shard can compute any job and produce the
 byte-identical record.  The ring only decides which shard computes it
 *first*, to maximize dedup/coalescing and cache locality: identical
-submits from every gateway/client land on the same shard, and adding a
-shard remaps only ``~1/N`` of the key space (classic consistent hashing
-with virtual nodes).
+submits land on the same shard, and adding a shard remaps only ``~1/N``
+of the key space (classic consistent hashing with virtual nodes).
 
 Placement is derived purely from SHA-256 of shard ids and job keys, so
-every client process agrees on the mapping with no coordination and no
+every process agrees on the mapping with no coordination and no
 dependence on ``PYTHONHASHSEED``.
 """
 
@@ -57,9 +56,9 @@ class HashRing:
     def owners(self, key: str, count: int = 1) -> List[str]:
         """The first ``count`` distinct shards clockwise from ``key``.
 
-        ``owners(key, 1)[0]`` is the primary; the rest are the replica
-        preference order a client walks when shards die.  ``count`` is
-        clamped to the fleet size.
+        ``owners(key, 1)[0]`` is the primary; the rest are the order the
+        gateway walks when shards die.  ``count`` is clamped to the fleet
+        size.
         """
         count = max(1, min(int(count), len(self.shard_ids)))
         start = bisect.bisect_right(self._positions, _position(key))

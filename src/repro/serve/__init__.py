@@ -7,8 +7,8 @@ JSON TCP protocol.  The scheduler deduplicates identical specs
 (content-addressed by the same key the on-disk sweep cache uses),
 coalesces in-flight duplicates onto one computation, reads through /
 writes through :class:`~repro.sweep.cache.SweepCache`, applies admission
-control and per-client rate limits under load, batches compatible points
-per worker round trip, and survives crashed or hung workers.  A record
+control under load, batches compatible points per worker round trip, and
+survives crashed or hung workers.  A record
 obtained through the service is byte-identical to the same point run via
 ``repro.sweep`` — the service changes *when and where* a point runs,
 never its physics.
@@ -25,14 +25,7 @@ Pieces: :mod:`~repro.serve.protocol` (wire format),
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.jobs import Job, make_point
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.serve.scheduler import (
-    Overloaded,
-    RateLimited,
-    Scheduler,
-    ServeConfig,
-    TokenBucket,
-    UnknownKind,
-)
+from repro.serve.scheduler import Overloaded, Scheduler, ServeConfig, UnknownKind
 from repro.serve.server import ServeServer, ServerThread
 from repro.serve.workers import JobTimeout, WorkerCrashed, WorkerPool
 
@@ -42,14 +35,12 @@ __all__ = [
     "Overloaded",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RateLimited",
     "Scheduler",
     "ServeClient",
     "ServeConfig",
     "ServeError",
     "ServeServer",
     "ServerThread",
-    "TokenBucket",
     "UnknownKind",
     "WorkerCrashed",
     "WorkerPool",

@@ -23,9 +23,10 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
 import signal
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.serve.scheduler import Scheduler, ServeConfig
 from repro.serve.server import ServeServer
@@ -62,14 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max retry attempts after a worker crash",
     )
     parser.add_argument(
-        "--rate", type=float, default=None,
-        help="per-client submit rate limit (tokens/second; omit = unlimited)",
-    )
-    parser.add_argument(
-        "--burst", type=float, default=None,
-        help="per-client token-bucket capacity (with --rate)",
-    )
-    parser.add_argument(
         "--cache-dir", type=Path, default=None,
         help="SweepCache directory for read-through/write-through results",
     )
@@ -100,18 +93,25 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         config.job_timeout = args.job_timeout if args.job_timeout > 0 else None
     if args.retries is not None:
         config.max_retries = max(0, args.retries)
-    if args.rate is not None:
-        config.rate = args.rate
-    if args.burst is not None:
-        config.burst = args.burst
     if args.shard_id is not None:
         config.shard_id = args.shard_id
     return config
 
 
-async def _serve(args: argparse.Namespace) -> int:
-    import os
+def write_ready_file(path: Path, address: Dict[str, Any]) -> None:
+    """Announce ``address`` as JSON at ``path``, atomically.
 
+    The JSON goes to a temporary file in the same directory, which
+    ``os.replace`` then renames over ``path``: a reader that finds the file
+    finds all of it.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    staging = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    staging.write_text(json.dumps(address))
+    os.replace(staging, path)
+
+
+async def _serve(args: argparse.Namespace) -> int:
     cache = SweepCache(args.cache_dir) if args.cache_dir else None
     scheduler = Scheduler(config_from_args(args), cache=cache)
     server = ServeServer(scheduler, host=args.host, port=args.port)
@@ -125,11 +125,10 @@ async def _serve(args: argparse.Namespace) -> int:
         except NotImplementedError:  # pragma: no cover - non-unix
             pass
     if args.ready_file is not None:
-        args.ready_file.parent.mkdir(parents=True, exist_ok=True)
         ready = {"host": host, "port": port, "pid": os.getpid()}
         if scheduler.config.shard_id is not None:
             ready["shard"] = scheduler.config.shard_id
-        args.ready_file.write_text(json.dumps(ready))
+        write_ready_file(args.ready_file, ready)
     if not args.quiet:
         print(
             f"repro.serve listening on {host}:{port} "

@@ -54,15 +54,6 @@ class ServeClient:
         """The server's fleet identity from the greeting (None standalone)."""
         return self.greeting.get("shard")
 
-    @classmethod
-    def from_ready_file(cls, path, timeout: float = 60.0) -> "ServeClient":
-        """Connect to the address a ``--ready-file`` announced."""
-        import json
-        from pathlib import Path
-
-        address = json.loads(Path(path).read_text())
-        return cls(address["host"], address["port"], timeout=timeout)
-
     # -- transport ------------------------------------------------------------
     def _read(self) -> Dict[str, Any]:
         line = self._fh.readline()
@@ -98,18 +89,9 @@ class ServeClient:
         kind: str,
         params: Optional[Dict[str, Any]] = None,
         seed: Optional[int] = None,
-        priority: Optional[int] = None,
-        client: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Submit one point; raises :class:`ServeError` on shed/rejection."""
-        return self._checked(
-            "submit",
-            kind=kind,
-            params=params or {},
-            seed=seed,
-            priority=priority,
-            client=client,
-        )
+        return self._checked("submit", kind=kind, params=params or {}, seed=seed)
 
     def status(self, job: str) -> Dict[str, Any]:
         return self._checked("status", job=job)
@@ -135,14 +117,10 @@ class ServeClient:
         kind: str,
         params: Optional[Dict[str, Any]] = None,
         seed: Optional[int] = None,
-        priority: Optional[int] = None,
-        client: Optional[str] = None,
         timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
         """Submit and block for the record — the one-call happy path."""
-        submitted = self.submit(
-            kind, params, seed=seed, priority=priority, client=client
-        )
+        submitted = self.submit(kind, params, seed=seed)
         return self.result(submitted["job"], wait=True, timeout=timeout)["record"]
 
     def cancel(self, job: str) -> Dict[str, Any]:

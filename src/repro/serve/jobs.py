@@ -1,7 +1,8 @@
 """Jobs: content-addressed units of work the service schedules.
 
 A job wraps one :class:`~repro.sweep.spec.SweepPoint` and is identified by
-the *same* key :class:`~repro.sweep.cache.SweepCache` uses on disk —
+:func:`repro.sweep.cache.point_key`, the key
+:class:`~repro.sweep.cache.SweepCache` files it under on disk —
 ``sha256(code_hash | kind | canonical params | seed)`` — so
 
 * two submits of the same spec are the same job (dedup / coalescing),
@@ -17,7 +18,6 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.sweep.cache import SweepCache
 from repro.sweep.spec import SweepPoint, canonical_key
 
 #: Job life cycle.  ``queued -> running -> done|failed`` plus
@@ -57,18 +57,12 @@ def make_point(
     )
 
 
-def job_id(point: SweepPoint, keyer: SweepCache) -> str:
-    """The content address of ``point`` — exactly the on-disk cache key."""
-    return keyer.key(point)
-
-
 @dataclass
 class Job:
     """One scheduled computation plus everything observers may ask about."""
 
     id: str
     point: SweepPoint
-    priority: int = 0
     state: str = QUEUED
     record: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
@@ -91,7 +85,6 @@ class Job:
             "job": self.id,
             "kind": self.point.kind,
             "state": self.state,
-            "priority": self.priority,
             "attempts": self.attempts,
             "submits": self.submits,
             "source": self.source,

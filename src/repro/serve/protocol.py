@@ -11,11 +11,11 @@ read a line".
 Verbs
 -----
 ``submit``
-    ``{"op": "submit", "kind": ..., "params": {...}, "seed"?, "priority"?,
-    "client"?}`` — enqueue one sweep point.  Responds with the
-    content-addressed job id (identical specs always map to the same id —
-    that *is* the dedup/coalescing), the job's current state and whether
-    the submit coalesced onto an in-flight job or hit a cache.
+    ``{"op": "submit", "kind": ..., "params": {...}, "seed"?}`` — enqueue
+    one sweep point.  Responds with the content-addressed job id
+    (identical specs always map to the same id — that *is* the
+    dedup/coalescing), the job's current state and whether the submit
+    coalesced onto an in-flight job or hit a cache.
 ``status``
     ``{"op": "status", "job": id}`` — queue/exec state and timings.
 ``result``
@@ -33,8 +33,7 @@ Verbs
 
 Error codes (``{"ok": false, "error": code, ...}``): ``bad_request``,
 ``unknown_op``, ``unknown_kind``, ``unknown_job``, ``overloaded``,
-``rate_limited``, ``not_cancellable``, ``pending``, ``failed``,
-``cancelled``, ``timeout``.
+``not_cancellable``, ``pending``, ``failed``, ``cancelled``, ``timeout``.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ PROTOCOL_VERSION = 1
 
 #: The greeting line the server writes on connect.  An instance running
 #: inside a :mod:`repro.cluster` fleet adds its ``shard`` identity, so a
-#: routing client can verify it reached the shard it aimed for.
+#: client can tell which shard it reached.
 GREETING = {"serve": "repro", "version": PROTOCOL_VERSION}
 
 #: Verbs the server understands.

@@ -1,25 +1,22 @@
-"""The job scheduler: coalescing, caching, priorities, backpressure.
+"""The job scheduler: coalescing, caching, backpressure, batching.
 
-One :class:`Scheduler` owns the job table, the priority queue, the worker
+One :class:`Scheduler` owns the job table, the FIFO queue, the worker
 pool and the metrics.  The submit path decides, in order:
 
-1. **rate limit** — each client drains a token bucket; an empty bucket is
-   an explicit ``rate_limited`` rejection (load shedding at the edge);
-2. **coalesce** — an active (queued/running) job with the same content
+1. **coalesce** — an active (queued/running) job with the same content
    key absorbs the submit: N identical submits share one computation;
-3. **memory hit** — a finished job still in the (bounded) history answers
+2. **memory hit** — a finished job still in the (bounded) history answers
    immediately;
-4. **cache hit** — the on-disk :class:`~repro.sweep.cache.SweepCache`
+3. **cache hit** — the on-disk :class:`~repro.sweep.cache.SweepCache`
    answers immediately (read-through); fresh results are written back on
    completion (write-through), so a *restarted* server — or a plain
    ``repro.sweep`` run pointed at the same directory — reuses them;
-5. **admission control** — a full queue is an explicit ``overloaded``
+4. **admission control** — a full queue is an explicit ``overloaded``
    rejection rather than unbounded memory growth and silent latency;
-6. **enqueue** — into a priority heap (lower value runs earlier, FIFO
-   within a priority).
+5. **enqueue** — at the back of the queue, which runs in arrival order.
 
 Dispatch batches up to ``batch_max`` queued jobs *of the same kind, in
-priority order* into one worker round-trip.  Failure policy: a worker
+arrival order* into one worker round-trip.  Failure policy: a worker
 *crash* retries the batch's jobs individually with exponential backoff
 (the shape of :class:`repro.core.transport_repair.RepairConfig` —
 ``base * factor**round`` capped at a maximum) up to ``max_retries``; a
@@ -31,12 +28,10 @@ a deterministic executor *exception* fails the job with no retry.
 from __future__ import annotations
 
 import asyncio
-import heapq
-import itertools
+import collections
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import MetricsRegistry
 from repro.serve.jobs import (
@@ -50,7 +45,7 @@ from repro.serve.jobs import (
     make_point,
 )
 from repro.serve.workers import JobTimeout, WorkerCrashed, WorkerPool
-from repro.sweep.cache import SweepCache, code_fingerprint
+from repro.sweep.cache import SweepCache, point_key
 from repro.sweep.points import POINT_KINDS
 
 #: Histogram bounds for the wait/exec latency families (seconds).
@@ -59,10 +54,6 @@ _LATENCY_BOUNDS = (0.0, 60.0, 60)
 
 class Overloaded(RuntimeError):
     """Queue depth at the admission bound; the submit was shed."""
-
-
-class RateLimited(RuntimeError):
-    """The client's token bucket is empty; the submit was shed."""
 
 
 class UnknownKind(ValueError):
@@ -87,14 +78,6 @@ class ServeConfig:
     retry_backoff: float = 0.25
     backoff_factor: float = 1.5
     max_backoff: float = 5.0
-    #: Tokens/second granted to each client; None disables rate limiting.
-    rate: Optional[float] = None
-    burst: float = 20.0
-    #: Seconds of inactivity after which a client's (full) token bucket is
-    #: pruned.  A fresh bucket is indistinguishable from a full one, so
-    #: pruning never changes an admission decision — it only bounds the
-    #: per-client bucket table, which otherwise grows forever.
-    bucket_idle_s: float = 600.0
     #: Finished jobs kept addressable for ``status``/``result``.
     history: int = 1024
     #: multiprocessing start method for workers (None = platform default).
@@ -102,26 +85,6 @@ class ServeConfig:
     #: Identity of this instance inside a :mod:`repro.cluster` fleet
     #: (surfaced in the greeting and ``health``; None = standalone).
     shard_id: Optional[str] = None
-
-
-class TokenBucket:
-    """Classic token bucket: ``rate`` tokens/s, capacity ``burst``."""
-
-    __slots__ = ("rate", "burst", "tokens", "stamp")
-
-    def __init__(self, rate: float, burst: float, now: float) -> None:
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self.tokens = float(burst)
-        self.stamp = now
-
-    def try_take(self, now: float) -> bool:
-        self.tokens = min(self.burst, self.tokens + (now - self.stamp) * self.rate)
-        self.stamp = now
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
 
 
 class Scheduler:
@@ -140,20 +103,16 @@ class Scheduler:
         self.pool = pool or WorkerPool(
             self.config.workers, context=self.config.mp_context
         )
-        # Coalescing keys are exactly the on-disk cache keys; without a
-        # disk cache a root-less keyer provides the same content address.
-        self._keyer = cache or SweepCache(Path("."), code_hash=code_fingerprint())
         self.jobs: Dict[str, Job] = {}
-        self._heap: List[Tuple[int, int, Job]] = []
-        self._tick = itertools.count()
+        # Arrival order.  A cancelled job keeps its entry until it reaches
+        # the front; a requeued job gets a fresh entry at the back.
+        self._queue: Deque[Job] = collections.deque()
         self._cond: Optional[asyncio.Condition] = None
         self._tasks: List[asyncio.Task] = []
         # Strong references to parked backoff-retry tasks: the event loop
         # holds tasks only weakly, so a bare create_task could be
         # garbage-collected mid-sleep, silently dropping the retry.
         self._retry_tasks: set = set()
-        self._buckets: Dict[str, TokenBucket] = {}
-        self._next_bucket_prune = float(self.config.bucket_idle_s)
         # Insertion-ordered finish history; a key occupies exactly one
         # slot (dict semantics), re-finishing moves it to the back.
         self._finished_order: Dict[str, None] = {}
@@ -198,35 +157,20 @@ class Scheduler:
         kind: str,
         params: Optional[Dict[str, Any]] = None,
         seed: Optional[int] = None,
-        priority: int = 0,
-        client: Optional[str] = None,
     ) -> Tuple[Job, Dict[str, Any]]:
         """Admit one point; returns ``(job, info)``.
 
         ``info`` says how the submit resolved: ``{"coalesced": bool,
-        "cached": bool}``.  Raises :class:`UnknownKind`,
-        :class:`RateLimited` or :class:`Overloaded`.
+        "cached": bool}``.  Raises :class:`UnknownKind` or
+        :class:`Overloaded`.
         """
         if kind not in POINT_KINDS:
             raise UnknownKind(
                 f"unknown point kind {kind!r}; known: {sorted(POINT_KINDS)}"
             )
         now = self.now()
-        if self.config.rate is not None:
-            self._prune_buckets(now)
-            bucket = self._buckets.get(client or "")
-            if bucket is None:
-                bucket = TokenBucket(self.config.rate, self.config.burst, now)
-                self._buckets[client or ""] = bucket
-            if not bucket.try_take(now):
-                self.metrics.counter("serve.shed", reason="rate_limited").add()
-                raise RateLimited(
-                    f"client {client or '(anonymous)'} exceeded "
-                    f"{self.config.rate:g} submits/s"
-                )
-
         point = make_point(kind, params, seed)
-        key = self._keyer.key(point)
+        key = point_key(point)
         self.metrics.counter("serve.submitted", kind=kind).add()
 
         existing = self.jobs.get(key)
@@ -243,9 +187,7 @@ class Scheduler:
         if self.cache is not None:
             record = self.cache.get(point)
             if record is not None:
-                job = Job(
-                    id=key, point=point, priority=priority, submitted_at=now
-                )
+                job = Job(id=key, point=point, submitted_at=now)
                 job.finish(DONE, now, record=record, source="cache")
                 self._remember(job)
                 self.metrics.counter("serve.cache_hits", src="disk").add()
@@ -257,7 +199,7 @@ class Scheduler:
                 f"queue full ({self._queued}/{self.config.max_queue})"
             )
 
-        job = Job(id=key, point=point, priority=priority, submitted_at=now)
+        job = Job(id=key, point=point, submitted_at=now)
         self._remember(job)
         await self._enqueue(job)
         return job, {"coalesced": False, "cached": False}
@@ -270,27 +212,6 @@ class Scheduler:
             # A resubmitted failed/cancelled key is live again; it must not
             # keep (or later duplicate) a history slot while it runs.
             self._finished_order.pop(job.id, None)
-
-    def _prune_buckets(self, now: float) -> None:
-        """Drop buckets idle past the horizon *and* back at full burst.
-
-        Both conditions make pruning lossless: a pruned client's next
-        submit builds a fresh bucket, and a fresh bucket admits exactly
-        what a full one would.  Sweeps are amortized — at most one scan
-        per half horizon.
-        """
-        if now < self._next_bucket_prune:
-            return
-        horizon = self.config.bucket_idle_s
-        self._next_bucket_prune = now + max(horizon / 2.0, 1e-9)
-        stale = [
-            client
-            for client, bucket in self._buckets.items()
-            if now - bucket.stamp >= horizon
-            and bucket.tokens + (now - bucket.stamp) * bucket.rate >= bucket.burst
-        ]
-        for client in stale:
-            del self._buckets[client]
 
     def _trim_history(self, finished_id: str) -> None:
         # Move-to-back: one slot per key, so trimming can never evict a
@@ -308,14 +229,14 @@ class Scheduler:
         assert self._cond is not None, "Scheduler.start() was never called"
         async with self._cond:
             job.state = QUEUED
-            heapq.heappush(self._heap, (job.priority, next(self._tick), job))
+            self._queue.append(job)
             self._queued += 1
             self._depth_tw.update(self.now(), self._queued)
             self._cond.notify()
 
     # -- cancel ----------------------------------------------------------------
     def cancel(self, job_id: str) -> Job:
-        """Cancel a queued job (lazy heap removal); raises on bad states."""
+        """Cancel a queued job (lazy queue removal); raises on bad states."""
         job = self.jobs.get(job_id)
         if job is None:
             raise KeyError(job_id)
@@ -330,7 +251,7 @@ class Scheduler:
 
     # -- dispatch ---------------------------------------------------------------
     async def _next_batch(self) -> List[Job]:
-        """Pop the highest-priority runnable batch (same kind, in order)."""
+        """Pop the oldest runnable batch (same kind, in arrival order)."""
         assert self._cond is not None
         async with self._cond:
             while True:
@@ -341,10 +262,10 @@ class Scheduler:
 
     def _pop_batch_locked(self) -> List[Job]:
         batch: List[Job] = []
-        while self._heap:
-            _prio, _tick, job = self._heap[0]
-            if job.state != QUEUED:  # cancelled or requeued-under-new-entry
-                heapq.heappop(self._heap)
+        while self._queue:
+            job = self._queue[0]
+            if job.state != QUEUED:  # cancelled while queued
+                self._queue.popleft()
                 continue
             if batch and (
                 job.point.kind != batch[0].point.kind
@@ -353,7 +274,7 @@ class Scheduler:
                 or len(batch) >= self.config.batch_max
             ):
                 break
-            heapq.heappop(self._heap)
+            self._queue.popleft()
             job.state = RUNNING
             job.started_at = self.now()
             job.attempts += 1
@@ -496,7 +417,6 @@ class Scheduler:
         gauge("serve.running").set(self._running)
         gauge("serve.workers_alive").set(self.pool.alive_count())
         gauge("serve.jobs_tracked").set(len(self.jobs))
-        gauge("serve.rate_buckets").set(len(self._buckets))
         if self.cache is not None:
             gauge("serve.disk_cache_hits").set(self.cache.hits)
             gauge("serve.disk_cache_misses").set(self.cache.misses)

@@ -4,9 +4,9 @@
 banner line, then answers requests strictly in order (a ``result`` with
 ``wait`` parks only its own connection).  All scheduling decisions live in
 :class:`~repro.serve.scheduler.Scheduler`; this module only translates
-between wire messages and scheduler calls — including translating
-scheduler rejections (:class:`Overloaded`, :class:`RateLimited`) into the
-explicit backpressure responses clients act on.
+between wire messages and scheduler calls — including translating the
+scheduler's :class:`Overloaded` rejection into the explicit backpressure
+response clients act on.
 
 :class:`ServerThread` runs the whole service on a private event loop in a
 background thread — the harness tests and scripts use to stand up a live
@@ -22,13 +22,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.serve import protocol
 from repro.serve.jobs import CANCELLED, DONE, FAILED
-from repro.serve.scheduler import (
-    Overloaded,
-    RateLimited,
-    Scheduler,
-    ServeConfig,
-    UnknownKind,
-)
+from repro.serve.scheduler import Overloaded, Scheduler, ServeConfig, UnknownKind
 from repro.sweep.cache import SweepCache
 
 #: Cap on a server-side ``result wait`` park (seconds); clients needing
@@ -90,8 +84,6 @@ class ServeServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        peer = writer.get_extra_info("peername")
-        peer_id = f"{peer[0]}:{peer[1]}" if peer else "unknown"
         greeting = dict(protocol.GREETING)
         if self.scheduler.config.shard_id is not None:
             greeting["shard"] = self.scheduler.config.shard_id
@@ -129,7 +121,7 @@ class ServeServer:
                     )
                     await writer.drain()
                     continue
-                response = await self._dispatch(message, peer_id)
+                response = await self._dispatch(message)
                 if "seq" in message:
                     response["seq"] = message["seq"]
                 writer.write(protocol.encode_message(response))
@@ -178,9 +170,7 @@ class ServeServer:
                 await reader.readexactly(exc.consumed)
 
     # -- request dispatch --------------------------------------------------------
-    async def _dispatch(
-        self, message: Dict[str, Any], peer_id: str
-    ) -> Dict[str, Any]:
+    async def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
         op = message.get("op")
         if op not in protocol.OPS:
             return protocol.error_response(
@@ -189,7 +179,7 @@ class ServeServer:
         self.scheduler.metrics.counter("serve.requests", op=op).add()
         handler = getattr(self, f"_op_{op}")
         try:
-            return await handler(message, peer_id)
+            return await handler(message)
         except protocol.ProtocolError as exc:
             return protocol.error_response("bad_request", str(exc))
 
@@ -203,9 +193,7 @@ class ServeServer:
             return None, protocol.error_response("unknown_job", job_id)
         return job, None
 
-    async def _op_submit(
-        self, message: Dict[str, Any], peer_id: str
-    ) -> Dict[str, Any]:
+    async def _op_submit(self, message: Dict[str, Any]) -> Dict[str, Any]:
         kind = message.get("kind")
         if not isinstance(kind, str):
             raise protocol.ProtocolError("missing/invalid 'kind' field")
@@ -215,22 +203,14 @@ class ServeServer:
         seed = message.get("seed")
         if seed is not None and not isinstance(seed, int):
             raise protocol.ProtocolError("'seed' must be an integer")
-        priority = message.get("priority", 0)
-        if not isinstance(priority, int):
-            raise protocol.ProtocolError("'priority' must be an integer")
-        client = message.get("client") or peer_id
         try:
-            job, info = await self.scheduler.submit(
-                kind, params, seed=seed, priority=priority, client=str(client)
-            )
+            job, info = await self.scheduler.submit(kind, params, seed=seed)
         except UnknownKind as exc:
             return protocol.error_response("unknown_kind", str(exc))
         except Overloaded as exc:
             return protocol.error_response(
                 "overloaded", str(exc), queued=self.scheduler.queue_depth
             )
-        except RateLimited as exc:
-            return protocol.error_response("rate_limited", str(exc))
         return protocol.ok_response(
             job=job.id,
             state=job.state,
@@ -239,17 +219,13 @@ class ServeServer:
             queued=self.scheduler.queue_depth,
         )
 
-    async def _op_status(
-        self, message: Dict[str, Any], peer_id: str
-    ) -> Dict[str, Any]:
+    async def _op_status(self, message: Dict[str, Any]) -> Dict[str, Any]:
         job, error = self._job_or_error(self.scheduler, message)
         if error:
             return error
         return protocol.ok_response(**job.status_fields())
 
-    async def _op_result(
-        self, message: Dict[str, Any], peer_id: str
-    ) -> Dict[str, Any]:
+    async def _op_result(self, message: Dict[str, Any]) -> Dict[str, Any]:
         timeout = message.get("timeout")
         if timeout is not None and not isinstance(timeout, (int, float)):
             raise protocol.ProtocolError("'timeout' must be a number")
@@ -279,9 +255,7 @@ class ServeServer:
             return protocol.error_response("cancelled", job=job.id, state=CANCELLED)
         return protocol.error_response("pending", job=job.id, state=job.state)
 
-    async def _op_cancel(
-        self, message: Dict[str, Any], peer_id: str
-    ) -> Dict[str, Any]:
+    async def _op_cancel(self, message: Dict[str, Any]) -> Dict[str, Any]:
         job, error = self._job_or_error(self.scheduler, message)
         if error:
             return error
@@ -293,21 +267,15 @@ class ServeServer:
             )
         return protocol.ok_response(job=job.id, state=job.state)
 
-    async def _op_health(
-        self, message: Dict[str, Any], peer_id: str
-    ) -> Dict[str, Any]:
+    async def _op_health(self, message: Dict[str, Any]) -> Dict[str, Any]:
         body = self.scheduler.health()
         body.update(version=protocol.PROTOCOL_VERSION, pid=os.getpid())
         return protocol.ok_response(**body)
 
-    async def _op_metrics(
-        self, message: Dict[str, Any], peer_id: str
-    ) -> Dict[str, Any]:
+    async def _op_metrics(self, message: Dict[str, Any]) -> Dict[str, Any]:
         return protocol.ok_response(snapshot=self.scheduler.snapshot())
 
-    async def _op_shutdown(
-        self, message: Dict[str, Any], peer_id: str
-    ) -> Dict[str, Any]:
+    async def _op_shutdown(self, message: Dict[str, Any]) -> Dict[str, Any]:
         return protocol.ok_response(stopping=True)
 
 

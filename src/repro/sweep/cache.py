@@ -42,6 +42,17 @@ def code_fingerprint() -> str:
     return _code_fingerprint
 
 
+def point_key(point: SweepPoint, code_hash: Optional[str] = None) -> str:
+    """The content address of ``point``: sha256 of code, kind, params and seed.
+
+    ``code_hash`` defaults to this process's :func:`code_fingerprint`.  The
+    cache files entries under this key, and :mod:`repro.serve` and
+    :mod:`repro.cluster` use it as the job id and the ring key.
+    """
+    payload = f"{code_hash or code_fingerprint()}|{point.kind}|{point.key}|{point.seed}"
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 class SweepCache:
     """Point-result cache rooted at a directory."""
 
@@ -52,8 +63,7 @@ class SweepCache:
         self.misses = 0
 
     def key(self, point: SweepPoint) -> str:
-        payload = f"{self.code_hash}|{point.kind}|{point.key}|{point.seed}"
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return point_key(point, self.code_hash)
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"

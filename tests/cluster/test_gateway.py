@@ -1,4 +1,9 @@
-"""HTTP gateway: protocol parity, error mapping, failover, keep-alive."""
+"""HTTP gateway: protocol parity, placement, failover, error mapping.
+
+The acceptance property lives here: a sweep sent through the gateway —
+shard deaths included — returns records byte-identical to
+:func:`repro.sweep.runner.run_sweep` on the same spec.
+"""
 
 import http.client
 import json
@@ -6,11 +11,21 @@ import socket
 
 import pytest
 
-from repro.cluster import ClusterClient
+from repro.cluster import ClusterGateway, HashRing, ShardSpec
 from repro.cluster.gateway import GatewayThread
+from repro.obs.report import validate_metrics
+from repro.serve.jobs import make_point
 from repro.sweep import SweepSpec, run_sweep
+from repro.sweep.cache import point_key
 
 from .conftest import Fleet, canonical
+
+#: The cheap real-simulation spec shared with the serve suite.
+SMALL_TESTBED = dict(
+    kind="myrinet_throughput",
+    grid={"packet_size": [1024]},
+    base={"warmup_us": 5_000.0, "measure_us": 20_000.0},
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +57,17 @@ def request(conn, method, target, body=None):
     return response.status, json.loads(response.read().decode())
 
 
+def ring_order(fleet, kind, params, seed=None):
+    """The shards a submit of this spec tries, first choice first."""
+    ids = [spec.id for spec in fleet.specs]
+    key = point_key(make_point(kind, params, seed))
+    return HashRing(ids).owners(key, len(ids))
+
+
+def point_body(point):
+    return {"kind": point.kind, "params": point.params, "seed": point.seed}
+
+
 # -- acceptance: byte identity through HTTP, shard death included --------------
 def test_http_sweep_byte_identical_even_when_a_shard_dies():
     spec = SweepSpec(
@@ -56,19 +82,13 @@ def test_http_sweep_byte_identical_even_when_a_shard_dies():
             c = http.client.HTTPConnection(gw.host, gw.port, timeout=60.0)
             submits = []
             for point in spec.points():
-                status, body = request(
-                    c,
-                    "POST",
-                    "/submit",
-                    {
-                        "kind": point.kind,
-                        "params": point.params,
-                        "seed": point.seed,
-                    },
-                )
+                status, body = request(c, "POST", "/submit", point_body(point))
                 assert status == 200, body
                 submits.append(body)
-            fleet.kill(submits[0]["shard"])
+            # Kill the shard that accepted the first job while the sweep
+            # is in flight; its jobs must be re-executed on other shards.
+            victim = submits[0]["shard"]
+            fleet.kill(victim)
             records = []
             for body in submits:
                 status, result = request(
@@ -76,10 +96,70 @@ def test_http_sweep_byte_identical_even_when_a_shard_dies():
                 )
                 assert status == 200, result
                 records.append(result["record"])
+            status, health = request(c, "GET", "/health")
+            assert status == 200 and health["status"] == "degraded"
+            assert health["shards_alive"] == 2
+            assert health["shards"][victim] == {"status": "down"}
+            # The merged fleet snapshot still validates without the corpse.
+            status, metrics = request(c, "GET", "/metrics")
+            assert status == 200 and metrics["shards_merged"] == 2
+            assert validate_metrics(metrics["snapshot"]) == []
             c.close()
     finally:
         fleet.stop()
     assert [canonical(r) for r in records] == [canonical(r) for r in direct]
+
+
+def test_failover_walks_the_whole_ring():
+    """With the first two shards of a key's ring order dead, the third
+    computes the point: any shard can, so the fleet answers while one
+    shard lives."""
+    spec = SweepSpec(
+        kind="nap", grid={"tag": ["whole-ring"]}, base={"duration": 0.0}
+    )
+    point = spec.points()[0]
+    direct = run_sweep(spec, jobs=1).records[0]
+    fleet = Fleet(shards=3)
+    try:
+        order = ring_order(fleet, point.kind, point.params, point.seed)
+        fleet.kill(order[0])
+        fleet.kill(order[1])
+        with GatewayThread(fleet.specs) as gw:
+            c = http.client.HTTPConnection(gw.host, gw.port, timeout=60.0)
+            status, submitted = request(c, "POST", "/submit", point_body(point))
+            assert status == 200, submitted
+            assert submitted["shard"] == order[2]
+            status, result = request(
+                c, "GET", f"/result/{submitted['job']}?wait=1&timeout=60"
+            )
+            assert status == 200, result
+            assert result["shard"] == order[2]
+            c.close()
+    finally:
+        fleet.stop()
+    assert canonical(result["record"]) == canonical(direct)
+
+
+def test_all_shards_down_answers_cluster_down():
+    fleet = Fleet(shards=2)
+    specs = fleet.specs
+    fleet.stop()
+    with GatewayThread(specs) as gw:
+        c = http.client.HTTPConnection(gw.host, gw.port, timeout=60.0)
+        status, body = request(
+            c, "POST", "/submit", {"kind": "nap", "params": {"tag": "doomed"}}
+        )
+        c.close()
+    assert status == 503 and body["error"] == "cluster_down"
+
+
+def test_duplicate_shard_ids_rejected():
+    twice = [
+        ShardSpec(id="shard0", host="127.0.0.1", port=1),
+        ShardSpec(id="shard0", host="127.0.0.1", port=2),
+    ]
+    with pytest.raises(ValueError):
+        ClusterGateway(twice)
 
 
 # -- parity with the TCP protocol ---------------------------------------------
@@ -89,12 +169,7 @@ def test_http_record_matches_run_sweep(conn):
     )
     point = spec.points()[0]
     direct = run_sweep(spec, jobs=1).records[0]
-    status, submitted = request(
-        conn,
-        "POST",
-        "/submit",
-        {"kind": point.kind, "params": point.params, "seed": point.seed},
-    )
+    status, submitted = request(conn, "POST", "/submit", point_body(point))
     assert status == 200 and submitted["ok"] is True
     assert submitted["state"] in ("queued", "running", "done")
     status, result = request(
@@ -106,18 +181,44 @@ def test_http_record_matches_run_sweep(conn):
     assert status == 200 and job_status["state"] == "done"
 
 
+def test_real_simulation_point_byte_identical(conn):
+    spec = SweepSpec(**SMALL_TESTBED)
+    point = spec.points()[0]
+    direct = run_sweep(spec, jobs=1).records[0]
+    status, submitted = request(conn, "POST", "/submit", point_body(point))
+    assert status == 200, submitted
+    status, result = request(
+        conn, "GET", f"/result/{submitted['job']}?wait=1&timeout=60"
+    )
+    assert status == 200, result
+    assert canonical(result["record"]) == canonical(direct)
+
+
+def test_submit_lands_on_the_ring_primary(conn, fleet):
+    params = {"duration": 0.0, "tag": "placement"}
+    status, submitted = request(
+        conn, "POST", "/submit", {"kind": "nap", "params": params}
+    )
+    assert status == 200, submitted
+    assert submitted["job"] == point_key(make_point("nap", params))
+    assert submitted["shard"] == ring_order(fleet, "nap", params)[0]
+    status, _ = request(
+        conn, "GET", f"/result/{submitted['job']}?wait=1&timeout=30"
+    )
+    assert status == 200
+
+
 def test_cancel_roundtrip_and_result_wait(conn, fleet):
     # Steer blocker and victim onto the same shard: fix the blocker, then
     # walk victim tags until the ring agrees on a shared primary.
-    with ClusterClient(fleet.specs) as cc:
-        blocker_params = {"duration": 0.8, "tag": "gw-blocker"}
-        primary = cc.ring.primary(cc.key_for("nap", blocker_params))
-        for i in range(256):
-            victim_params = {"duration": 0.0, "tag": f"gw-victim-{i}"}
-            if cc.ring.primary(cc.key_for("nap", victim_params)) == primary:
-                break
-        else:  # pragma: no cover - 256 misses at p=2/3 each
-            pytest.fail("no co-resident victim tag found")
+    blocker_params = {"duration": 0.8, "tag": "gw-blocker"}
+    primary = ring_order(fleet, "nap", blocker_params)[0]
+    for i in range(256):
+        victim_params = {"duration": 0.0, "tag": f"gw-victim-{i}"}
+        if ring_order(fleet, "nap", victim_params)[0] == primary:
+            break
+    else:  # pragma: no cover - 256 misses at p=2/3 each
+        pytest.fail("no co-resident victim tag found")
     status, blocker = request(
         conn, "POST", "/submit", {"kind": "nap", "params": blocker_params}
     )
@@ -215,10 +316,38 @@ def test_health_and_metrics_endpoints(conn):
     assert status == 200
     assert health["status"] == "ok"
     assert health["shards_alive"] == health["shards_total"] == 3
+    assert all(body["status"] == "ok" for body in health["shards"].values())
     status, metrics = request(conn, "GET", "/metrics")
     assert status == 200 and metrics["shards_merged"] == 3
-    from repro.obs.report import validate_metrics
-
     assert validate_metrics(metrics["snapshot"]) == []
     names = {e["name"] for e in metrics["snapshot"]["metrics"]}
-    assert {"serve.queue_depth", "serve.rate_buckets"} <= names
+    assert {"serve.queue_depth", "serve.workers_alive"} <= names
+
+
+def test_shard_dying_during_a_health_request_is_reported_down():
+    """A shard that dies right after answering its health probe must not
+    drop the client's connection: the request still answers 200, and the
+    next one reports the shard down."""
+    fleet = Fleet(shards=3)
+    try:
+        with GatewayThread(fleet.specs) as gw:
+            probe = gw.gateway._probe
+
+            async def probe_then_kill(shard_id):
+                response = await probe(shard_id)
+                if shard_id == "shard1" and response is not None:
+                    fleet.kill("shard1")
+                return response
+
+            gw.gateway._probe = probe_then_kill
+            c = http.client.HTTPConnection(gw.host, gw.port, timeout=60.0)
+            status, _ = request(c, "GET", "/health")
+            assert status == 200
+            assert "shard1" not in fleet.threads
+            status, health = request(c, "GET", "/health")
+            c.close()
+    finally:
+        fleet.stop()
+    assert status == 200 and health["status"] == "degraded"
+    assert health["shards_alive"] == 2
+    assert health["shards"]["shard1"] == {"status": "down"}

@@ -51,7 +51,21 @@ def _alive(pid):
     return stat[stat.rindex(")") + 2] != "Z"
 
 
+def _kill_group(proc):
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait(timeout=30)
+
+
 def _start_server(tmp_path):
+    """A ``python -m repro.serve`` session leader and its worker pids.
+
+    The ready file is written atomically, so it is read as soon as it
+    exists.  Any failure before the caller's ``try`` takes over kills the
+    whole process group, workers included.
+    """
     ready = tmp_path / "ready.json"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.Popen(
@@ -59,15 +73,18 @@ def _start_server(tmp_path):
          "--ready-file", str(ready), "--quiet"],
         env=env, start_new_session=True,
     )
-    deadline = time.monotonic() + 60.0
-    while not ready.exists():
-        if proc.poll() is not None or time.monotonic() > deadline:
-            proc.kill()
-            pytest.fail("repro.serve did not become ready")
-        time.sleep(0.05)
-    assert json.loads(ready.read_text())["pid"] == proc.pid
-    workers = _children(proc.pid)
-    assert len(workers) >= 2, workers
+    try:
+        deadline = time.monotonic() + 60.0
+        while not ready.exists():
+            if proc.poll() is not None or time.monotonic() > deadline:
+                pytest.fail("repro.serve did not become ready")
+            time.sleep(0.05)
+        assert json.loads(ready.read_text())["pid"] == proc.pid
+        workers = _children(proc.pid)
+        assert len(workers) >= 2, workers
+    except BaseException:
+        _kill_group(proc)
+        raise
     return proc, workers
 
 
@@ -116,8 +133,4 @@ def test_no_worker_survives_the_server(tmp_path, signum):
         if signum == signal.SIGTERM:
             assert proc.returncode == 0
     finally:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.wait(timeout=30)
+        _kill_group(proc)

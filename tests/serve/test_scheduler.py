@@ -1,4 +1,4 @@
-"""Scheduler-level tests: keying, admission, rate limiting, job life cycle."""
+"""Scheduler-level tests: keying, admission, job life cycle."""
 
 import asyncio
 import gc
@@ -7,9 +7,9 @@ import multiprocessing
 import pytest
 
 from repro.serve.jobs import DONE, FAILED, FINISHED_STATES, RUNNING, make_point
-from repro.serve.scheduler import Scheduler, ServeConfig, TokenBucket
+from repro.serve.scheduler import Scheduler, ServeConfig
 from repro.serve.workers import WorkerCrashed
-from repro.sweep.cache import SweepCache
+from repro.sweep.cache import SweepCache, point_key
 from repro.sweep.spec import SweepSpec
 
 
@@ -62,8 +62,7 @@ def test_job_id_equals_sweep_cache_key(tmp_path):
     serve_point = make_point(
         sweep_point.kind, sweep_point.params, seed=sweep_point.seed
     )
-    cache = SweepCache(tmp_path)
-    assert cache.key(serve_point) == cache.key(sweep_point)
+    assert point_key(serve_point) == SweepCache(tmp_path).key(sweep_point)
 
 
 def test_make_point_params_are_copied():
@@ -71,21 +70,6 @@ def test_make_point_params_are_copied():
     point = make_point("nap", params)
     params["duration"] = 99.0
     assert point.params["duration"] == 0.1
-
-
-def test_token_bucket_burst_then_refill():
-    bucket = TokenBucket(rate=2.0, burst=3.0, now=0.0)
-    assert [bucket.try_take(0.0) for _ in range(4)] == [True, True, True, False]
-    # 0.5s at 2 tokens/s refills one token — and only one.
-    assert bucket.try_take(0.5) is True
-    assert bucket.try_take(0.5) is False
-
-
-def test_token_bucket_caps_at_burst():
-    bucket = TokenBucket(rate=100.0, burst=2.0, now=0.0)
-    bucket.try_take(0.0)
-    # A long idle period must not accumulate more than `burst` tokens.
-    assert [bucket.try_take(1000.0) for _ in range(3)] == [True, True, False]
 
 
 # -- lying-pool hardening ------------------------------------------------------
@@ -182,30 +166,6 @@ def test_backoff_retry_survives_garbage_collection():
             await sched.stop()
 
     asyncio.run(main())
-
-
-# -- rate-bucket pruning -------------------------------------------------------
-def test_prune_buckets_is_lossless_and_throttled():
-    sched = Scheduler(
-        ServeConfig(rate=10.0, burst=20.0, bucket_idle_s=10.0),
-        pool=StubPool(),
-    )
-    hot = TokenBucket(rate=10.0, burst=20.0, now=9.5)
-    idle_full = TokenBucket(rate=10.0, burst=20.0, now=0.0)
-    # Idle past the horizon but NOT refilled to burst: pruning it would
-    # hand the client a fresh (full) bucket, i.e. free tokens.
-    drained = TokenBucket(rate=0.001, burst=20.0, now=0.0)
-    drained.tokens = 0.0
-    sched._buckets = {"hot": hot, "idle_full": idle_full, "drained": drained}
-    sched._next_bucket_prune = 0.0
-    sched._prune_buckets(10.0)
-    assert set(sched._buckets) == {"hot", "drained"}
-    # Sweeps are throttled to one per half horizon.
-    sched._buckets["idle2"] = TokenBucket(rate=10.0, burst=20.0, now=0.0)
-    sched._prune_buckets(10.5)
-    assert "idle2" in sched._buckets
-    sched._prune_buckets(15.0)
-    assert "idle2" not in sched._buckets
 
 
 def test_fork_start_method_available():

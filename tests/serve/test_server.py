@@ -3,7 +3,8 @@
 The acceptance property lives here: a record obtained through
 ``repro.serve`` is byte-identical to the same point run via
 ``repro.sweep`` — plus cache read-through/write-through in both
-directions, job life-cycle edges, priority ordering and crash recovery.
+directions, job life-cycle edges, arrival-order execution and crash
+recovery.
 """
 
 import json
@@ -167,22 +168,21 @@ def test_cancel_only_queued_jobs(tmp_path):
             assert err.value.code == "not_cancellable"
 
 
-def test_priority_orders_execution(tmp_path):
+def test_queued_jobs_run_in_submission_order():
     config = ServeConfig(workers=1, batch_max=1, job_timeout=30.0)
     with ServerThread(config) as thread:
         with ServeClient(thread.host, thread.port) as c:
             c.submit("nap", {"duration": 0.4, "tag": "gate"})
-            jobs = {}
-            for prio in (5, 1, 3):
-                jobs[prio] = c.submit(
-                    "nap", {"duration": 0.0, "tag": f"p{prio}"}, priority=prio
-                )["job"]
-            done = [c.result(jobs[p], timeout=30.0) for p in (5, 1, 3)]
+            jobs = [
+                c.submit("nap", {"duration": 0.0, "tag": f"fifo{i}"})["job"]
+                for i in range(3)
+            ]
+            done = [c.result(job, timeout=30.0) for job in jobs]
             assert all(r["state"] == "done" for r in done)
-            finished = {
-                p: c.status(jobs[p])["finished_at"] for p in (5, 1, 3)
-            }
-            assert finished[1] <= finished[3] <= finished[5]
+            started = [c.status(job)["started_at"] for job in jobs]
+            assert started == sorted(started)
+            finished = [c.status(job)["finished_at"] for job in jobs]
+            assert finished == sorted(finished)
 
 
 @pytest.mark.skipif(not IS_FORK, reason="crash kind needs fork inheritance")
@@ -289,27 +289,6 @@ def test_resubmitted_failure_keeps_one_history_slot(tmp_path):
             c.submit_and_wait("nap", {"duration": 0.0, "tag": "filler"})
             assert c.result(doomed, wait=False)["state"] == "done"
             assert c.status(doomed)["attempts"] == 1
-
-
-# -- rate-bucket hygiene -------------------------------------------------------
-def test_idle_rate_buckets_are_pruned():
-    config = ServeConfig(
-        workers=1, rate=1000.0, burst=20.0, bucket_idle_s=0.2
-    )
-    with ServerThread(config) as thread:
-        with ServeClient(thread.host, thread.port) as c:
-            for who in ("ada", "bob"):
-                c.submit(
-                    "nap", {"duration": 0.0, "tag": f"rb-{who}"}, client=who
-                )
-            time.sleep(0.6)  # both buckets go idle past the horizon
-            c.submit("nap", {"duration": 0.0, "tag": "rb-cy"}, client="cy")
-            gauges = [
-                e
-                for e in c.metrics()["metrics"]
-                if e["name"] == "serve.rate_buckets"
-            ]
-            assert gauges and gauges[0]["value"] == 1.0
 
 
 def test_health_and_metrics_shapes(client):

@@ -57,10 +57,7 @@ def test_soak_coalescing_and_cache(tmp_path):
                     ]
                     for spec_index in order:
                         record = client.submit_and_wait(
-                            "nap",
-                            specs[spec_index],
-                            client=f"client{client_index}",
-                            timeout=60.0,
+                            "nap", specs[spec_index], timeout=60.0
                         )
                         results[spec_index].append(record)
             except Exception as exc:  # noqa: BLE001 - surfaced below
@@ -138,30 +135,6 @@ def test_soak_load_shedding_under_tiny_queue():
     assert outcomes.count("accepted") == 2
     assert outcomes.count("shed") == 4
     assert _counter(snapshot, "serve.shed", reason="queue_full") == 4
-
-
-def test_soak_rate_limit_sheds_per_client():
-    config = ServeConfig(workers=1, rate=1.0, burst=2.0)
-    with ServerThread(config) as server:
-        with ServeClient(server.host, server.port) as client:
-            accepted = shed = 0
-            for index in range(5):
-                try:
-                    client.submit(
-                        "nap", {"duration": 0.0, "tag": f"r{index}"},
-                        client="greedy",
-                    )
-                    accepted += 1
-                except ServeError as exc:
-                    assert exc.code == "rate_limited"
-                    shed += 1
-            # Another identity gets its own bucket.
-            client.submit(
-                "nap", {"duration": 0.0, "tag": "other"}, client="polite"
-            )
-            snapshot = client.metrics()
-    assert accepted == 2 and shed == 3
-    assert _counter(snapshot, "serve.shed", reason="rate_limited") == 3
 
 
 def test_soak_hung_job_times_out_without_stalling_others():
