@@ -83,8 +83,8 @@ class FlitAdapter:
         """Inject the next byte of the head worm, under the sender's rule
         ``OutputPort.ready`` states: one flit per tick, none while STOP
         is in effect.  ``FlitNetwork._skip_span`` advances a source
-        injecting payload over a steady streaming span in bulk: a change
-        here is made there too."""
+        injecting payload over a steady span in bulk, and leaves one held
+        by STOP where it is: a change here is made there too."""
         tx = self._tx
         wire = self.wire_out
         if not tx or wire is None:
@@ -117,8 +117,8 @@ class FlitAdapter:
     def tick_input(self, now: int) -> bool:
         """Sink the arriving byte, if any: the head flit of the receive
         wire, once it is due.  ``FlitNetwork._skip_span`` counts the
-        payload a sink receives over a steady streaming span in bulk: a
-        change here is made there too."""
+        payload a sink receives over a steady span in bulk (IDLE fill it
+        strips counts nothing): a change here is made there too."""
         wire = self.wire_in
         if wire is None:
             return False

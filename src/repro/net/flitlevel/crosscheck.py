@@ -156,7 +156,9 @@ class CrosscheckReport:
 
 
 def _diff(a: Any, b: Any, path: str = "") -> List[Tuple[str, Any, Any]]:
-    """Recursive structural diff producing (path, left, right) triples."""
+    """Recursive structural diff producing (path, left, right) triples.
+    Leaves differ when their types do, too: ``300`` and ``300.0`` compare
+    equal but serialise, and so digest, differently."""
     if isinstance(a, dict) and isinstance(b, dict):
         out: List[Tuple[str, Any, Any]] = []
         for key in sorted(set(a) | set(b), key=repr):
@@ -175,7 +177,7 @@ def _diff(a: Any, b: Any, path: str = "") -> List[Tuple[str, Any, Any]]:
         for i, (ai, bi) in enumerate(zip(a, b)):
             out.extend(_diff(ai, bi, f"{path}[{i}]"))
         return out
-    if a != b:
+    if type(a) is not type(b) or a != b:
         return [(path, a, b)]
     return []
 
@@ -205,19 +207,28 @@ def crosscheck(
 
 
 def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
-    """Five quick scenarios covering the hot paths: a mixed-traffic torus
+    """Six quick scenarios covering the hot paths: a mixed-traffic torus
     (headers, grants, multicast replication), a saturated shufflenet
     (every port streaming at once), a sparse 2-ary 5-fly (a fabric
     mostly never built by the active engine, with a link cut ahead of a
     queued worm before its wires exist), the mixed traffic again on
     three-tick wires with 4-slot slack buffers (several flits in flight
-    per wire, STOP/GO symbols that arrive late, and flits dropped by
-    slack overflow) and scheme 3 on the Figure 3 fabric with worms of
-    assorted sizes (steady streaming spans the active engine skips, one
-    of them only once a one-tick gap in front of an idle destination
-    closes).  ``lanes``/``vc_policy`` thread the virtual-channel
-    configuration through every network, so the same scenarios prove
-    multi-lane runs byte-identical across engines."""
+    per wire, STOP/GO symbols that arrive late, flits dropped by slack
+    overflow, and a stall window of ports left frozen), scheme 3 on the
+    Figure 3 fabric with worms of assorted sizes (steady streaming spans
+    the active engine skips, one of them only once a one-tick gap in
+    front of an idle destination closes) and the base scheme's Figure 3
+    race at offset (1, 5) (at one lane a deadlock: the multicast
+    IDLE-fills one branch through the 3,000-tick quiet window while the
+    other ports wait for grants or are held by STOP; from two lanes on
+    the second lane dissolves it, and the race waits for grants while
+    payload streams instead).  ``lanes``/``vc_policy`` thread the
+    virtual-channel configuration through every network, so the same
+    scenarios prove multi-lane runs byte-identical across engines."""
+    from repro.core.switch_mcast import (
+        SwitchScheme,
+        build_switch_multicast_network,
+    )
     from repro.net.flitlevel.network import FlitNetwork
     from repro.net.topology import (
         bidirectional_shufflenet,
@@ -299,12 +310,32 @@ def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
                          raise_on_deadlock=False)
         return net, status
 
+    def fig3_deadlock(engine):
+        topo = fig3_topology()
+        names = {topo.node(h).name: h for h in topo.hosts}
+        net = build_switch_multicast_network(
+            topo, SwitchScheme.BASE, seed=3, engine=engine,
+            lanes=lanes, vc_policy=vc_policy,
+        )
+        net.send_multicast(
+            names["srcM"], [names["host_b"], names["host_c"]],
+            payload_bytes=400, start_delay=1,
+        )
+        net.send_unicast(
+            names["host_y"], names["host_b"], payload_bytes=400,
+            start_delay=5,
+        )
+        status = net.run(max_ticks=100_000, quiet_limit=3_000,
+                         raise_on_deadlock=False)
+        return net, status
+
     return {
         "mixed_torus": mixed,
         "saturated_shufflenet": saturated,
         "sparse_fly": sparse_fly,
         "long_wires": long_wires,
         "streaming_spans": streaming_spans,
+        "fig3_deadlock": fig3_deadlock,
     }
 
 

@@ -35,7 +35,13 @@ _net_seq_key = operator.attrgetter("_net_seq")
 ENGINES = ("active", "dense")
 
 _DATA = FlitKind.DATA
+_IDLE = FlitKind.IDLE
+_ROUTE = FlitKind.ROUTE
 _STREAMING = InputPort.STREAMING
+_REQUESTING = InputPort.REQUESTING
+_MC_GRANT = InputPort.MC_GRANT
+#: Header phases whose step reads a route byte at the front of the slack.
+_MC_READS_ROUTE = (InputPort.MC_PORT, InputPort.MC_POINTER, InputPort.MC_SEGMENT)
 
 
 class HostMulticastMessage:
@@ -116,15 +122,66 @@ def _closed(key):
     raise RuntimeError("the network is closed; only built parts are readable")
 
 
-def _streams_steadily(port: InputPort, due: int, killed) -> bool:
-    """The input-port half of :meth:`FlitNetwork._steady_span`: ``port``
+def _port_span(port: InputPort, due: int, killed, span: int,
+               flush_at: Optional[int]) -> int:
+    """The input-port half of :meth:`FlitNetwork._steady_span`: ``span``,
+    or less, when ``port`` spends each of the next ticks as the last one
+    left it, and 0 when it may not.
+
+    A port with flits on its input wire must pass a stream through: it
     streams a live worm it has already indexed, latches and asserts no
     STOP, holds k flits with k + 1 below the STOP mark, and its slack and
-    input wire hold only that worm's DATA flit, the wire exactly
-    ``delay`` of them, due from tick ``due`` on.  Every branch is granted
-    and not interrupted, and its output wire is alive, already tracks the
-    worm, has no STOP in effect and no STOP/GO symbol queued, and is full
-    the same way, ending in that DATA flit."""
+    input wire hold only one flit, the worm's DATA flit or its shared
+    IDLE, the wire exactly ``delay`` of them, due from tick ``due`` on.
+    Every branch is granted and not interrupted, and its output wire is
+    alive, already tracks the worm, has no STOP in effect and no STOP/GO
+    symbol queued, and is full the same way, ending in that flit.
+
+    A port with nothing on its input wire must hold its STOP/GO
+    hysteresis at a fixed point, and then is frozen when its step
+    changes nothing (see :func:`_held_span`), or IDLE-fills.  Under
+    scheme 3 (``flush_at``, the multicast-IDLE threshold) an output
+    emitting IDLE ends the span before its ``idle_run`` reaches the
+    threshold, where a blocked unicast would be flushed."""
+    forward = port.wire._forward
+    if not forward:
+        slack = port.slack
+        held = len(slack._flits)
+        if slack._stopping:
+            if held <= slack.go_mark or not port._last_stop:
+                return 0
+        elif held >= slack.stop_mark or port._last_stop:
+            return 0
+        state = port.state
+        if state == _STREAMING:
+            return _held_span(port, held, due, span, flush_at)
+        if state == _REQUESTING:
+            # Waits for an output another input holds, already queued:
+            # request() changes nothing, and a unicast is not flushed.
+            flushable = flush_at is not None and not port.is_multicast
+            outputs = port.switch.outputs
+            index = port.index
+            waits = False
+            for branch in port.branches:
+                if branch.granted:
+                    continue
+                output = outputs[branch.port]
+                holder = output.holder
+                if (
+                    holder is None
+                    or holder == index
+                    or index not in output.waiting
+                    or (flushable and output.idle_run >= flush_at)
+                ):
+                    return 0
+                waits = True
+            return span if waits else 0
+        if state == _MC_GRANT:
+            return 0 if port.branches[-1].granted else span
+        if state in _MC_READS_ROUTE:
+            # Waits for a route byte that is not at the front.
+            return span if not held or slack._flits[0].kind is not _ROUTE else 0
+        return 0
     wid = port.wid
     if (
         port.state != _STREAMING
@@ -132,31 +189,33 @@ def _streams_steadily(port: InputPort, due: int, killed) -> bool:
         or wid in killed
         or port._site_wid != wid
     ):
-        return False
+        return 0
     wire = port.wire
-    forward = wire._forward
     if len(forward) != wire.delay or forward[0][0] != due:
-        return False
-    data = forward[0][1]
-    if data.kind is not _DATA or data.wid != wid:
-        return False
-    for _due, flit in forward:
-        if flit is not data:
-            return False
+        return 0
+    flit = forward[0][1]
+    kind = flit.kind
+    if (kind is not _DATA and kind is not _IDLE) or flit.wid != wid:
+        return 0
+    for _due, other in forward:
+        if other is not flit:
+            return 0
     slack = port.slack
     flits = slack._flits
     if (
         slack._stopping
         or len(flits) + 1 >= slack.stop_mark
-        or flits.count(data) != len(flits)
+        or flits.count(flit) != len(flits)
         or not port.branches
     ):
-        return False
+        return 0
+    flush_at = flush_at if kind is _IDLE else None
     outputs = port.switch.outputs
     for branch in port.branches:
         if not branch.granted or branch.interrupted:
-            return False
-        wire = outputs[branch.port].wire
+            return 0
+        output = outputs[branch.port]
+        wire = output.wire
         forward = wire._forward
         if (
             not wire.alive
@@ -165,10 +224,85 @@ def _streams_steadily(port: InputPort, due: int, killed) -> bool:
             or wire._reverse
             or len(forward) != wire.delay
             or forward[0][0] != due
-            or forward[-1][1] is not data
+            or forward[-1][1] is not flit
         ):
-            return False
-    return True
+            return 0
+        if flush_at is not None and output.idle_run < flush_at:
+            span = min(span, flush_at - 1 - output.idle_run)
+    return span
+
+
+def _held_span(port: InputPort, held: int, due: int, span: int,
+               flush_at: Optional[int]) -> int:
+    """:func:`_port_span` for a ``STREAMING`` port that receives nothing
+    and holds ``held`` flits.  It is frozen when its slack is empty (a
+    hole: it waits for upstream) and it pushed nothing in the last tick,
+    so no wire it feeds looks full; or when every branch not interrupted
+    has no STOP/GO symbol queued and at least one of them is under STOP,
+    and it has no branch to IDLE-fill.  A base or scheme-3 multicast with
+    a flit to send IDLE-fills its branches not under STOP: each of those
+    output wires is alive, tracks the worm and is full of the port's
+    shared IDLE flit, due from tick ``due`` on."""
+    outputs = port.switch.outputs
+    branches = port.branches
+    if not branches:
+        return 0  # the step tears the connection down
+    now = due - 1
+    interrupted = queued = stopped = ready = False
+    for branch in branches:
+        if branch.interrupted:
+            interrupted = True
+            continue
+        wire = outputs[branch.port].wire
+        if not held and wire._last_push_tick == now:
+            return 0
+        if wire._reverse:
+            queued = True
+        if wire._stop_at_sender:
+            stopped = True
+        else:
+            ready = True
+    if not held and not interrupted:
+        return span  # the step returns before it reads an output
+    if queued or not stopped:
+        return 0
+    if not ready or interrupted:
+        return span
+    # Scheme 2 never IDLE-fills, so its port has no IDLE flit and a
+    # branch not under STOP (which it would interrupt) fails here.
+    idle = port._idle
+    wid = port.wid
+    for branch in branches:
+        output = outputs[branch.port]
+        wire = output.wire
+        if wire._stop_at_sender:
+            continue
+        forward = wire._forward
+        if (
+            not wire.alive
+            or wire._tracked_wid != wid
+            or len(forward) != wire.delay
+            or forward[0][0] != due
+            or forward[-1][1] is not idle
+        ):
+            return 0
+        if flush_at is not None and output.idle_run < flush_at:
+            span = min(span, flush_at - 1 - output.idle_run)
+    return span
+
+
+def _emit_span(output, span: int, idle: bool, end: int) -> None:
+    """``span`` ticks of ``OutputPort.emit`` (with its ``Wire.push``) of
+    one IDLE or DATA flit, the last in tick ``end``."""
+    output.sent_flits += span
+    wire = output.wire
+    wire.carried += span
+    wire._last_push_tick = end
+    if idle:
+        output.idle_run += span
+        wire.idles += span
+    else:
+        output.idle_run = 0
 
 
 def _shift_due(forward, span: int) -> None:
@@ -215,8 +349,11 @@ class FlitNetwork:
         ``"active"`` (default) ticks only the switch input ports and host
         adapters registered in the network's active set, and
         :meth:`run` fast-forwards the clock across quiescent spans and
-        across steady streaming spans (every live component moving one
-        payload byte per tick, so the ticks differ only in counters).
+        across steady spans, whose ticks differ only in counters: every
+        live component passes a payload or IDLE stream through at link
+        rate, waits for a grant or for upstream, is held by STOP, or
+        IDLE-fills the free branches of a blocked multicast (the Figure 3
+        race's blocked phase, deadlock window included).
         It also builds a switch (its ports, slack buffers, lane groups and
         its links' wires) only on first touch: when its host adapter is
         handed a worm, or when a flit is pushed onto a wire toward it.
@@ -358,8 +495,8 @@ class FlitNetwork:
         self.worms_injected = 0
         self.worm_deliveries = 0
         #: Ticks actually executed (fast-forwarded quiescent and steady
-        #: streaming spans are excluded, so active/dense ratios of this
-        #: counter measure the skipped work).
+        #: spans are excluded, so active/dense ratios of this counter
+        #: measure the skipped work).
         self.ticks_executed = 0
         #: Worm records plus host-multicast messages not yet fully
         #: delivered, maintained incrementally so run() never scans
@@ -977,27 +1114,35 @@ class FlitNetwork:
         self._n_active -= drained + off
         return moved
 
-    # -- steady streaming spans ---------------------------------------------------
-    def _steady_span(self, max_ticks: int) -> int:
+    # -- steady spans ------------------------------------------------------------
+    def _steady_span(self, max_ticks: int, stall_end: Optional[int]) -> int:
         """How many ticks from now on differ only in counters, or 0.
 
-        The active network streams steadily when nothing waits in
-        ``_woken``, every active input port passes
-        :func:`_streams_steadily`, and every active adapter receives a
-        full stream of a live worm's DATA flit (``delay`` of them on its
-        wire, due from the next tick on), or injects DATA of an already
-        injected head worm onto a full wire with GO in effect, or both.
-        Each of them then moves one payload byte per tick at link rate.
-        A port's output wires must be full too, so the component at their
+        Nothing may wait in ``_woken``, and every active input port must
+        pass :func:`_port_span`: it passes a DATA or IDLE stream through
+        at link rate, is frozen (waits for a grant, for a route byte or
+        for upstream, or is held by STOP), or IDLE-fills the branches of
+        a blocked multicast.  Every active adapter receives a full stream
+        of one DATA flit of a live worm or of one IDLE flit (``delay`` of
+        them on its wire, due from the next tick on), or nothing; and it
+        injects DATA of an already injected head worm onto a full wire
+        with GO in effect, or is held by STOP with no STOP/GO symbol
+        queued, or has nothing to send.  A component that moves a flit
+        per tick needs its output wires full, so the component at their
         far end is active (the wake hooks keep every component with flits
-        on its wire active), is checked, and cannot sit idle in front of a
-        gap.  At least one adapter must receive, so every skipped tick
-        counts progress and restarts the stall window, as each of those
-        ticks would.
+        on its wire active), is checked, and cannot sit idle in front of
+        a gap; a frozen one pushed nothing in the last tick, so no wire
+        it feeds looks full.
 
-        The span ends before a source reaches its tail, before the next
-        scheduled action fires, and at ``max_ticks``.  The check stops at
-        the first component that fails it.
+        With nothing active the span is a quiescent gap.  It ends before
+        a source reaches its tail, before the next scheduled action
+        fires, at ``max_ticks``, and under scheme 3 before an output's
+        ``idle_run`` reaches ``mc_idle_threshold``.  When no adapter
+        receives payload and no action is pending, no skipped tick counts
+        progress, so the span also ends at ``stall_end`` (the tick on
+        which :meth:`run` declares the deadlock, None without stall
+        detection).  The check stops at the first component that fails
+        it.
         """
         if self._woken:
             return 0
@@ -1012,61 +1157,64 @@ class FlitNetwork:
             return 0
         due = now + 1
         killed = self.killed
+        flush_at = self.mc_idle_threshold if self.mode == IDLE_FLUSH else None
         # The port that failed last time usually still fails: testing it
         # first makes a tick that cannot be skipped cost about one port.
         blocker = self._span_blocker
-        if (
-            blocker is not None
-            and blocker._active
-            and not _streams_steadily(blocker, due, killed)
+        if blocker is not None and blocker._active and not _port_span(
+            blocker, due, killed, span, flush_at
         ):
             return 0
         for port in self._active_ports:
-            if not _streams_steadily(port, due, killed):
+            span = _port_span(port, due, killed, span, flush_at)
+            if not span:
                 self._span_blocker = port
                 return 0
         receiving = False
         for adapter in self._active_adapters:
             wire = adapter.wire_in
-            tx = adapter._tx
             if wire is not None and wire._forward:
                 forward = wire._forward
                 if len(forward) != wire.delay or forward[0][0] != due:
                     return 0
-                data = forward[0][1]
-                if data.kind is not _DATA or data.wid in killed:
-                    return 0
-                for _due, flit in forward:
-                    if flit is not data:
+                flit = forward[0][1]
+                for _due, other in forward:
+                    if other is not flit:
                         return 0
-                receiving = True
-            elif not tx:
-                return 0  # idle: it settles out of the active set
-            if tx:
-                record = tx[0]
-                wid = record.wid
-                wire = adapter.wire_out
-                if wire is None or record.injected_at is None or wid in killed:
+                if flit.kind is _DATA and flit.wid not in killed:
+                    receiving = True
+                elif flit.kind is not _IDLE:
                     return 0
-                pos = adapter._tx_pos
-                data = record.flits[pos]
-                forward = wire._forward
-                if (
-                    data.kind is not _DATA
-                    or not wire.alive
-                    or wire._tracked_wid != wid
-                    or wire._stop_at_sender
-                    or wire._reverse
-                    or len(forward) != wire.delay
-                    or forward[0][0] != due
-                    or forward[-1][1] is not data
-                ):
-                    return 0
-                # worm_flits: the payload runs up to the tail, the last flit.
-                left = len(record.flits) - 1 - pos
-                if left < span:
-                    span = left
-        return span if receiving else 0
+            tx = adapter._tx
+            if not tx:
+                continue
+            record = tx[0]
+            wid = record.wid
+            wire = adapter.wire_out
+            if wire is None or wid in killed or wire._reverse:
+                return 0
+            if wire._stop_at_sender:
+                continue  # held by STOP
+            pos = adapter._tx_pos
+            data = record.flits[pos]
+            forward = wire._forward
+            if (
+                data.kind is not _DATA
+                or record.injected_at is None
+                or not wire.alive
+                or wire._tracked_wid != wid
+                or len(forward) != wire.delay
+                or forward[0][0] != due
+                or forward[-1][1] is not data
+            ):
+                return 0
+            # worm_flits: the payload runs up to the tail, the last flit.
+            left = len(record.flits) - 1 - pos
+            if left < span:
+                span = left
+        if not receiving and not actions and stall_end is not None:
+            span = min(span, stall_end - now)
+        return span
 
     def _skip_span(self, span: int) -> None:
         """Apply ``span`` ticks of a steady span (:meth:`_steady_span`) in
@@ -1074,38 +1222,53 @@ class FlitNetwork:
         runs, so a change to one of those must be made here too:
         ``InputPort.absorb`` (slack peak), ``CrossbarSwitch._stream`` and
         ``OutputPort.emit`` (sent flits, IDLE run), ``Wire.push`` (carried
-        flits, last push tick), ``FlitAdapter.tick_output`` (the source's
-        position) and ``FlitAdapter.tick_input`` (flits received, progress
-        events).  Every wire in flight holds the worm's one DATA flit, so
-        its contents stay and its due times shift by ``span``.  Skipped
-        ticks do not count in ``ticks_executed``."""
+        and IDLE flits, last push tick), ``FlitAdapter.tick_output`` (the
+        source's position) and ``FlitAdapter.tick_input`` (flits
+        received, progress events).  A port with flits on its input wire
+        passes that one flit on every branch; a base or scheme-3
+        multicast with a flit to send IDLE-fills its branches not under
+        STOP; frozen ports and adapters held by STOP change nothing.
+        Every wire in flight holds one flit, so its contents stay and its
+        due times shift by ``span``.  Skipped ticks do not count in
+        ``ticks_executed``."""
         end = self.now + span
-        progress = 0
+        fills = self.mode != INTERRUPT
         for port in self._active_ports:
-            slack = port.slack
-            occupancy = len(slack._flits) + 1
-            if occupancy > slack.peak:
-                slack.peak = occupancy
-            _shift_due(port.wire._forward, span)
+            forward = port.wire._forward
             outputs = port.switch.outputs
-            for branch in port.branches:
-                output = outputs[branch.port]
-                output.sent_flits += span
-                output.idle_run = 0
-                wire = output.wire
-                wire.carried += span
-                wire._last_push_tick = end
+            if forward:
+                slack = port.slack
+                occupancy = len(slack._flits) + 1
+                if occupancy > slack.peak:
+                    slack.peak = occupancy
+                idle = forward[0][1].kind is _IDLE
+                _shift_due(forward, span)
+                for branch in port.branches:
+                    _emit_span(outputs[branch.port], span, idle, end)
+            elif (
+                fills
+                and port.state == _STREAMING
+                and len(port.branches) > 1
+                and port.slack._flits
+            ):
+                for branch in port.branches:
+                    output = outputs[branch.port]
+                    if not output.wire._stop_at_sender:
+                        _emit_span(output, span, True, end)
+        progress = 0
         for adapter in self._active_adapters:
             wire = adapter.wire_in
             if wire is not None and wire._forward:
+                if wire._forward[0][1].kind is _DATA:
+                    adapter.received_flits += span
+                    progress += span
                 _shift_due(wire._forward, span)
-                adapter.received_flits += span
-                progress += span
             if adapter._tx:
-                adapter._tx_pos += span
                 wire = adapter.wire_out
-                wire.carried += span
-                wire._last_push_tick = end
+                if not wire._stop_at_sender:
+                    adapter._tx_pos += span
+                    wire.carried += span
+                    wire._last_push_tick = end
         self._progress_events += progress
         self.now = end
 
@@ -1124,6 +1287,9 @@ class FlitNetwork:
     ) -> str:
         """Run until every worm is delivered, progress stalls, or the tick
         budget runs out.
+
+        ``max_ticks`` must be an int >= 0 and ``quiet_limit`` None or an
+        int >= 1; anything else raises :class:`ValueError`.
 
         Returns
         -------
@@ -1144,63 +1310,49 @@ class FlitNetwork:
         monotonic counters): IDLE fills spinning through a deadlocked
         cycle (Figure 3) do not count.  The active-set engine additionally
         fast-forwards the clock instead of spinning one byte at a time
-        across two kinds of span: fully quiescent ones -- nothing in
-        flight, only scheduled actions (flush backoffs, delayed
-        injections) remaining -- and steady streaming ones, where every
-        live port and adapter moves one payload byte of a live worm per
-        tick at link rate (:meth:`_steady_span`); their ticks differ only
-        in counters, which :meth:`_skip_span` applies in one step.
-        Header phases, grant waits, IDLE fills and STOP/GO changes still
-        tick.  Outcomes and fabric counters are byte-identical to the
-        dense engine's (see :mod:`repro.net.flitlevel.crosscheck`).
+        across steady spans (:meth:`_steady_span`), in which every live
+        component repeats its last tick: it passes a payload or IDLE
+        stream through at link rate, waits for a grant or for upstream,
+        is held by STOP, or IDLE-fills a blocked multicast's free
+        branches -- or nothing is live at all, and only scheduled actions
+        (flush backoffs, delayed injections) remain.  Their ticks differ
+        only in counters, which :meth:`_skip_span` applies in one step; a
+        span with no payload delivered and nothing scheduled ends on the
+        tick the stall window declares the deadlock.  Header bytes,
+        grants, tails, STOP/GO changes and slack buffers filling or
+        draining still tick.  Outcomes and fabric counters are
+        byte-identical to the dense engine's (see
+        :mod:`repro.net.flitlevel.crosscheck`).
         """
+        if not isinstance(max_ticks, int) or max_ticks < 0:
+            raise ValueError(f"max_ticks must be an int >= 0, got {max_ticks!r}")
+        if quiet_limit is not None and (
+            not isinstance(quiet_limit, int) or quiet_limit < 1
+        ):
+            raise ValueError(
+                f"quiet_limit must be None or an int >= 1, got {quiet_limit!r}"
+            )
         last_progress = self.now
         last_events = self._progress_events
         while self.now < max_ticks:
-            if self._engine_active and self._n_active:
-                span = self._steady_span(max_ticks)
-                if span:
-                    # Steady streaming: each skipped tick delivered
-                    # payload, so the stall window restarts at its end.
-                    self._skip_span(span)
-                    last_events = self._progress_events
-                    last_progress = self.now
-                    continue
-            elif self._engine_active:
-                if self._actions:
-                    # Idle span: nothing can move before the next
-                    # scheduled action, so jump to the tick it fires on.
-                    nxt = self._actions[0][0]
-                    if nxt > self.now + 1:
-                        jump = min(nxt, max_ticks) - 1
-                        self.now = jump
-                        # The dense loop treats pending actions as
-                        # progress each tick: restart the stall window.
-                        last_progress = jump
-                elif self._undelivered:
-                    # Permanently quiescent: no flits anywhere, nothing
-                    # scheduled, and no wake source left inside run().
-                    # The dense loop would spin unchanged to its stall or
-                    # tick budget; jump straight to the same outcome.
-                    if (
-                        quiet_limit is None
-                        or last_progress + quiet_limit > max_ticks
-                    ):
-                        self.now = max_ticks
-                        return "timeout"
-                    self.now = last_progress + quiet_limit
-                    if raise_on_deadlock:
-                        raise DeadlockDetected(
-                            last_progress, self.pending_worms()
-                        )
-                    return "deadlock"
-            self.tick()
-            if not self._undelivered and not self._actions:
-                # Pending scheduled actions (delayed injections, fault
-                # events scheduled by a driver) keep the run alive even
-                # with nothing currently in flight.
-                return "delivered"
+            span = 0
+            if self._engine_active:
+                span = self._steady_span(
+                    max_ticks,
+                    None if quiet_limit is None else last_progress + quiet_limit,
+                )
+            if span:
+                # Nothing is delivered within a steady span.
+                self._skip_span(span)
+            else:
+                self.tick()
+                if not self._undelivered and not self._actions:
+                    # Pending scheduled actions (delayed injections, fault
+                    # events a caller scheduled) keep the run alive even
+                    # with nothing currently in flight.
+                    return "delivered"
             events = self._progress_events
+            # A pending action counts as progress on every tick.
             if events != last_events or self._actions:
                 last_events = events
                 last_progress = self.now

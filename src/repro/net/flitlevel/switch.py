@@ -94,6 +94,9 @@ class InputPort:
         # Starts False (the wire's default sender-side state), so a drained
         # port never owes its upstream a redundant GO symbol.
         self._last_stop = False
+        #: The IDLE flit this connection fills blocked-multicast branches
+        #: with: flits are immutable, so one serves every fill byte.
+        self._idle: Optional[Flit] = None
         #: Last worm id registered in the network's per-worm site index;
         #: worms stream contiguously, so one comparison per flit suffices.
         self._site_wid: Optional[int] = None
@@ -134,9 +137,11 @@ class InputPort:
         as an overflow; ``peak`` tracks the highest occupancy.  Then the
         Figure 1 hysteresis: STOP is asserted once occupancy reaches Ks
         and held until it falls to Kg, and a change is signalled
-        upstream.  Its bulk counterpart, for the ticks of a steady
-        streaming span, is ``FlitNetwork._skip_span``: a change here is
-        made there too."""
+        upstream.  Its bulk counterpart, for the ticks of a steady span,
+        is ``FlitNetwork._skip_span``: a port that passes a stream through
+        takes one flit a tick at the same occupancy, and a frozen or
+        IDLE-filling one takes none and keeps its STOP/GO state.  A change
+        here is made there too."""
         wire = self.wire
         slack = self.slack
         flits = slack._flits
@@ -177,6 +182,7 @@ class InputPort:
             self.switch.outputs[branch.port].release(self.index)
         self.branches = []
         self.wid = None
+        self._idle = None
         self.is_multicast = False
         self._segment_left = 0
         self._broadcast_stamped = False
@@ -260,7 +266,9 @@ class OutputPort:
 
     def emit(self, flit: Flit, now: int) -> None:
         """Send ``flit`` this tick.  ``FlitNetwork._skip_span`` applies
-        the same counts in bulk over a steady streaming span."""
+        the same counts in bulk over a steady span, for a DATA flit (IDLE
+        run reset) or an IDLE flit (IDLE run grown): a change here is
+        made there too."""
         self.wire.push(flit, now)
         self.sent_flits += 1
         if flit.kind is _IDLE:
@@ -577,10 +585,12 @@ class CrossbarSwitch:
     # -- payload replication ---------------------------------------------------------
     def _stream(self, port: InputPort, now: int) -> bool:
         """Forward one flit of a connected worm on every branch (or fill,
-        interrupt or resume them per the multicast mode).  A steady span
-        of this step -- one DATA flit per tick on every branch -- is
-        applied in bulk by ``FlitNetwork._skip_span``: a change here is
-        made there too."""
+        interrupt or resume them per the multicast mode).  Over a steady
+        span ``FlitNetwork._skip_span`` applies this step in bulk: one
+        DATA or IDLE flit per tick on every branch, the connection's
+        shared IDLE flit on each branch not under STOP of a blocked base
+        or scheme-3 multicast, or nothing for a hole or a port under STOP.
+        A change here is made there too."""
         branches = port.branches
         if len(branches) == 1:
             # One branch (every unicast): only a multi-branch multicast is
@@ -695,13 +705,14 @@ class CrossbarSwitch:
         else:
             # Base scheme (and scheme 3): fill the non-blocked branches
             # with IDLE characters -- the bandwidth waste (and deadlock
-            # fuel) of Figure 3.
+            # fuel) of Figure 3.  One IDLE flit serves the connection.
+            idle = port._idle
+            if idle is None:
+                idle = port._idle = Flit(FlitKind.IDLE, port.wid, multicast=True)
             moved = False
             for branch, is_ready in zip(branches, ready):
                 if is_ready:
-                    outputs[branch.port].emit(
-                        Flit(FlitKind.IDLE, port.wid, multicast=True), now
-                    )
+                    outputs[branch.port].emit(idle, now)
                     moved = True
             return moved
         kind = flit.kind

@@ -7,9 +7,10 @@ delivery, the slack push and the STOP/GO hysteresis),
 and ``Wire.push``.  So the engine crosscheck (dense vs active) cannot see
 a change to that shared code: both sides of the comparison move
 together.  These pins can.  The active engine alone also skips steady
-streaming spans, applying their counters in bulk
-(``FlitNetwork._skip_span``); a change there shows in the crosscheck and
-in the active half of these pins.  Each scenario pins two sha256 digests:
+spans (payload or IDLE streams, frozen ports and sources, IDLE fill),
+applying their counters in bulk (``FlitNetwork._skip_span``); a change
+there shows in the crosscheck and in the active half of these pins.
+Each scenario pins two sha256 digests:
 
 * ``timeline`` -- :func:`~repro.net.flitlevel.crosscheck.timeline_digest`
   of the canonical worm timeline (status, clock, per-worm injection and
@@ -38,10 +39,19 @@ crosscheck's ``streaming_spans`` smoke scenario), where a one-tick gap
 in front of an idle destination adapter must close before a span may
 start; long worms over three-tick wires at two lanes with 32-slot slack;
 a span that a scheduled injection cuts off mid-payload; and a run whose
-``max_ticks`` ends mid-payload.  Each runs on the active and dense
-engines, and both must read the same pins.  ``ticks_executed`` is
-deliberately not pinned: it counts the ticks an engine chose to execute,
-not the physics.
+``max_ticks`` ends mid-payload.  Five more sit at the edges of the
+spans in which some components are frozen (waiting for a grant, or
+held by STOP) while others stream payload or IDLE fill: the base race
+at (1, 5) cut by ``max_ticks=1_500`` inside its 3,000-tick quiet
+window, and run with ``quiet_limit=None`` to ``max_ticks=6_000`` (both
+time out); a third worm injected at tick 150, inside the base race at
+(1, 1)'s grant wait (ticks 70-401); the D-E crosslink that race's
+unicast crosses, cut at tick 200 inside the same wait; and scheme 3 at
+(1, 5) with ``mc_idle_threshold=200``, whose one flush comes later than
+at the default threshold (delivered at 1,058, not 874).  Each runs on
+the active and dense engines, and both must read the same pins.
+``ticks_executed`` is deliberately not pinned: it counts the ticks an
+engine chose to execute, not the physics.
 
 Re-pin after a change that is meant to change the physics::
 
@@ -103,14 +113,18 @@ def _pins(net, status) -> dict:
 
 # -- scenarios ------------------------------------------------------------------
 
-def _fig3(scheme, mc_delay, uc_delay, lanes=1):
-    """The Figure 3 race, exactly as ``run_fig3_scenario`` drives it."""
+def _fig3(scheme, mc_delay, uc_delay, lanes=1, max_ticks=100_000,
+          quiet_limit=3_000, drive=None, **network):
+    """The Figure 3 race, exactly as ``run_fig3_scenario`` drives it.
+    ``max_ticks``, ``quiet_limit`` and ``network`` (extra
+    :class:`FlitNetwork` keywords) vary it; ``drive(net, names)``, if
+    given, adds traffic or faults before the run."""
 
     def run(engine):
         topology = fig3_topology()
         names = {topology.node(h).name: h for h in topology.hosts}
         net = build_switch_multicast_network(
-            topology, scheme, seed=3, engine=engine, lanes=lanes,
+            topology, scheme, seed=3, engine=engine, lanes=lanes, **network
         )
         net.send_multicast(
             names["srcM"], [names["host_b"], names["host_c"]],
@@ -120,12 +134,31 @@ def _fig3(scheme, mc_delay, uc_delay, lanes=1):
             names["host_y"], names["host_b"], payload_bytes=400,
             start_delay=uc_delay,
         )
+        if drive is not None:
+            drive(net, names)
         status = net.run(
-            max_ticks=100_000, quiet_limit=3_000, raise_on_deadlock=False
+            max_ticks=max_ticks, quiet_limit=quiet_limit,
+            raise_on_deadlock=False,
         )
         return net, status
 
     return run
+
+
+def _third_worm(net, names):
+    """A unicast from the multicast's switch to ``host_c``, injected at
+    tick 150: inside the grant wait of the base race at (1, 1), which
+    lasts from tick 70 to tick 401."""
+    net.send_unicast(
+        names["srcU"], names["host_c"], payload_bytes=120, start_delay=150,
+    )
+
+
+def _cut_crosslink(net, names):
+    """Cut the D-E crosslink, which the unicast crosses, at tick 200:
+    inside the grant wait of the base race at (1, 1)."""
+    link = net.routing.route(names["host_y"], names["host_b"])[2][2].id
+    net.schedule(200, lambda: net.fail_link(link))
 
 
 def _vc(make_topology, mode, lanes, vc_policy):
@@ -322,6 +355,21 @@ for _scheme in SwitchScheme:
     for _mc, _uc in ((0, 5), (2, 2)):
         SCENARIOS[f"fig3/{_scheme.value}/{_mc},{_uc}"] = _fig3(_scheme, _mc, _uc)
 SCENARIOS["fig3/base/0,5/lanes=2"] = _fig3(SwitchScheme.BASE, 0, 5, lanes=2)
+SCENARIOS["fig3/base/1,5/max_ticks=1500"] = _fig3(
+    SwitchScheme.BASE, 1, 5, max_ticks=1_500
+)
+SCENARIOS["fig3/base/1,5/no_quiet_limit"] = _fig3(
+    SwitchScheme.BASE, 1, 5, max_ticks=6_000, quiet_limit=None
+)
+SCENARIOS["fig3/base/1,1/third_worm"] = _fig3(
+    SwitchScheme.BASE, 1, 1, drive=_third_worm
+)
+SCENARIOS["fig3/base/1,1/cut_crosslink"] = _fig3(
+    SwitchScheme.BASE, 1, 1, drive=_cut_crosslink
+)
+SCENARIOS["fig3/s3_idle_flush/1,5/threshold=200"] = _fig3(
+    SwitchScheme.S3_IDLE_FLUSH, 1, 5, mc_idle_threshold=200
+)
 for _family, _make in (("torus", _small_torus), ("fly", _fly)):
     for _mode in ("idle_fill", "interrupt", "idle_flush"):
         for _lanes in (1, 2, 4):
@@ -371,6 +419,26 @@ GOLDEN = {
         "timeline": '5fb813a037a2b2dfaa8e3d295cf68a437041750e48bbdf1cdd023af28aba86f9',
         "counters": '1cc536c123ee3f79bdd5279a07985b582fd40b2f42384942bcb3f23e3e7568c1',
     },
+    'fig3/base/1,1/cut_crosslink': {
+        "status": 'delivered', "now": 632,
+        "timeline": '44170e4032ca8914cd434a816539b82f8a7b177ed35ea9393f19b95220b04cc5',
+        "counters": '627f7f7d8b45313958fad8b8d895990ca79dfc359a456f60c90ed3b10d83592e',
+    },
+    'fig3/base/1,1/third_worm': {
+        "status": 'delivered', "now": 960,
+        "timeline": '4433d949ebfcfecff53c9721b40ec4e428d1c59a14dc1d2d665bc9f6f49986c1',
+        "counters": 'd9fd29b5061ca99b63a2569c7b7ef475d1b5b5098e230fe5d341a39e7636a1e6',
+    },
+    'fig3/base/1,5/max_ticks=1500': {
+        "status": 'timeout', "now": 1500,
+        "timeline": 'edd17f07eed11ff8ef081cbac5f28671759396c24ae07078bbb3fe592fedbf66',
+        "counters": 'cb0e2174d6f526f9b8b532322e04b52e2fa43426fde47b42c6fd8a86e714cc8f',
+    },
+    'fig3/base/1,5/no_quiet_limit': {
+        "status": 'timeout', "now": 6000,
+        "timeline": 'fa0f45eaf5372666920e2f82cd9eb9ad823bc2d36b128e75315669e5e7da1ddc',
+        "counters": '52d3451276f2bb4db6caf6c7a14ea5768ff447352230166780b873f70df1e02f',
+    },
     'fig3/base/2,2': {
         "status": 'delivered', "now": 843,
         "timeline": '36034dd9f84eee3e8e2a70a16614013ba2a6a06245174aaf589f63e0a9bb1cac',
@@ -400,6 +468,11 @@ GOLDEN = {
         "status": 'delivered', "now": 874,
         "timeline": 'da7cdbbda7349f592805a227fe24271c7d2a0dcfbea4f373875d0a52e56b77c7',
         "counters": '1fe544a16a9b53336a701caf48b5e231b7212d649f33cd99a82ca76edee24463',
+    },
+    'fig3/s3_idle_flush/1,5/threshold=200': {
+        "status": 'delivered', "now": 1058,
+        "timeline": '9868db1301eb00f78051ec1b51a07d024f7f95e79b2d965751ec4c89b4a626bc',
+        "counters": 'db319d3a90cf538e5d05685d05993664ca74c96a31e2bbd6250f4dda5efefa9a',
     },
     'fig3/s3_idle_flush/2,2': {
         "status": 'delivered', "now": 843,

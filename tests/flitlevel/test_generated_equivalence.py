@@ -1,19 +1,24 @@
 """Generated dense-vs-active differential runs.
 
 A seeded generator draws small flit-level scenarios -- topology, multicast
-mode, lanes, slack size, wire delay, tree-restricted routing and one to
-seven unicasts or multicasts of assorted sizes at random start delays --
-and runs each on both engines.  The two runs must read the same final
-clock, the same timeline digest and the same fabric counters (the
-:mod:`test_flit_golden` pins) and count the same progress events (the
-stall detector's clock), and neither may raise.  Undersized slack on
-long wires drops flits, so the draw includes corrupted headers and worms
-that never finish; long worms on quiet fabrics take the active engine's
-steady-streaming fast-forward.  Each scenario's two networks are closed
-once compared, and must then leave no reference cycle for the cyclic
-collector, the guard ``tests/sweep/test_point_teardown.py`` keeps for
-sweep points: flushes, slack overflows and lost worms free themselves
-too.
+mode, lanes, slack size, wire delay, tree-restricted routing, the stall
+window (``quiet_limit`` 300, 1,500 or None) and either one to seven
+unicasts or multicasts of assorted sizes at random start delays, or the
+Figure 3 race shape: a two-branch multicast against a unicast that
+crosses it at one of its destinations, up to 400 bytes each, injected
+0-6 ticks apart -- and runs each on both engines.  The two runs must
+read the same final clock, the same timeline digest and the same fabric
+counters (the :mod:`test_flit_golden` pins) and count the same progress
+events (the stall detector's clock), and neither may raise.  Undersized
+slack on long wires drops flits, so the draw includes corrupted headers
+and worms that never finish; long worms on quiet fabrics take the active
+engine's steady-streaming fast-forward, and the races take its spans
+with frozen ports (waiting for a grant, held by STOP) and IDLE fill, up
+to the tick the stall window ends.  Each scenario runs for at most 6,000
+ticks.  Each scenario's two networks are closed once compared, and must
+then leave no reference cycle for the cyclic collector, the guard
+``tests/sweep/test_point_teardown.py`` keeps for sweep points: flushes,
+slack overflows and lost worms free themselves too.
 
 The two corrupt-header reproducers raised on both engines before a
 switch validated its route bytes.
@@ -26,6 +31,7 @@ import random
 
 import pytest
 
+from repro.net.flitlevel.flits import FlitKind
 from repro.net.flitlevel.network import FlitNetwork
 from repro.net.topology import butterfly, fig3_topology, ring, torus
 
@@ -41,15 +47,16 @@ TOPOLOGIES = {
 HOSTS = {name: len(make().hosts) for name, make in TOPOLOGIES.items()}
 SIZES = (1, 2, 5, 40, 120, 400)
 
-#: Generator seed and scenario count (about three seconds for both engines).
+#: Generator seed and scenario count (about five seconds for both engines).
 SEED = 1
 COUNT = 80
 
 
 def _draw(rng: random.Random):
-    """One scenario: ``(topology, FlitNetwork keywords, sends)``; a send is
-    ``(source, destinations, payload bytes, start delay)`` in host
-    indices, a unicast when it names one destination."""
+    """One scenario: ``(topology, FlitNetwork keywords, sends,
+    quiet_limit)``; a send is ``(source, destinations, payload bytes,
+    start delay)`` in host indices, a unicast when it names one
+    destination."""
     topology = rng.choice(sorted(TOPOLOGIES))
     config = {
         "mode": rng.choice(("idle_fill", "interrupt", "idle_flush")),
@@ -60,6 +67,16 @@ def _draw(rng: random.Random):
         "seed": rng.randrange(1, 100),
     }
     n = HOSTS[topology]
+    quiet_limit = rng.choice((300, 1_500, None))
+    if rng.random() < 0.4:
+        # The Figure 3 race: the unicast crosses the multicast at its
+        # first destination.
+        src, first, second, rival = rng.sample(range(n), 4)
+        sends = [
+            (src, [first, second], rng.randint(40, 400), rng.randint(0, 6)),
+            (rival, [first], rng.randint(40, 400), rng.randint(0, 6)),
+        ]
+        return topology, config, sends, quiet_limit
     sends = []
     for _ in range(rng.randint(1, 7)):
         src = rng.randrange(n)
@@ -71,11 +88,11 @@ def _draw(rng: random.Random):
         else:
             dests = rng.sample(others, rng.randint(2, min(5, len(others))))
         sends.append((src, dests, size, delay))
-    return topology, config, sends
+    return topology, config, sends, quiet_limit
 
 
 def _run(scenario, engine):
-    topology, config, sends = scenario
+    topology, config, sends, quiet_limit = scenario
     topo = TOPOLOGIES[topology]()
     hosts = topo.hosts
     net = FlitNetwork(topo, engine=engine, **config)
@@ -86,9 +103,30 @@ def _run(scenario, engine):
             net.send_multicast(
                 hosts[src], [hosts[d] for d in dests], size, start_delay=delay
             )
-    status = net.run(max_ticks=20_000, quiet_limit=1_500,
+    status = net.run(max_ticks=6_000, quiet_limit=quiet_limit,
                      raise_on_deadlock=False)
     return net, status
+
+
+def _span_kinds(net) -> set:
+    """The classes of component in a span about to be skipped:
+    ``streaming`` when a DATA flit streams on a wire, ``idle_fill`` when
+    an IDLE flit does, and ``frozen`` when a port receives nothing (it
+    waits or is held by STOP, or IDLE-fills) or a source is held by
+    STOP.  A quiescent gap has none."""
+    kinds = set()
+    wires = [port.wire for port in net._active_ports]
+    if not all(wire._forward for wire in wires) or any(
+        adapter._tx and adapter.wire_out._stop_at_sender
+        for adapter in net._active_adapters
+    ):
+        kinds.add("frozen")
+    wires += [adapter.wire_in for adapter in net._active_adapters]
+    for wire in wires:
+        if wire is not None and wire._forward:
+            idle = wire._forward[0][1].kind is FlitKind.IDLE
+            kinds.add("idle_fill" if idle else "streaming")
+    return kinds
 
 
 def test_generated_scenarios_agree(monkeypatch):
@@ -96,12 +134,12 @@ def test_generated_scenarios_agree(monkeypatch):
     skip_span = FlitNetwork._skip_span
 
     def counting_skip_span(net, span):
-        spans.append(span)
+        spans.append(_span_kinds(net))
         skip_span(net, span)
 
     monkeypatch.setattr(FlitNetwork, "_skip_span", counting_skip_span)
     rng = random.Random(SEED)
-    overflowed = jumped = 0
+    overflowed = streamed = frozen = idle_fill = 0
     gc.collect()
     gc.disable()
     try:
@@ -112,7 +150,9 @@ def test_generated_scenarios_agree(monkeypatch):
             active = _run(scenario, "active")
             assert _pins(*dense) == _pins(*active), (index, scenario)
             assert dense[0]._progress_events == active[0]._progress_events
-            jumped += bool(spans)
+            streamed += any("streaming" in kinds for kinds in spans)
+            frozen += any("frozen" in kinds for kinds in spans)
+            idle_fill += any("idle_fill" in kinds for kinds in spans)
             net = dense[0]
             overflowed += any(
                 port.slack.overflows
@@ -125,8 +165,11 @@ def test_generated_scenarios_agree(monkeypatch):
             assert leaked == 0, (index, scenario, leaked)
     finally:
         gc.enable()
-    # The draw covers both edges: slack overflows and streaming spans.
-    assert overflowed >= 5 and jumped >= 20, (overflowed, jumped)
+    # The draw covers both edges: slack overflows and streaming spans,
+    # and the spans with frozen components and with IDLE fill (24, 66, 52
+    # and 14 of the 80 scenarios at seed 1).
+    assert overflowed >= 5 and streamed >= 20, (overflowed, streamed)
+    assert frozen >= 25 and idle_fill >= 7, (frozen, idle_fill)
 
 
 def _corrupt_multicast_port(engine):

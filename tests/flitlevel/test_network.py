@@ -1,5 +1,7 @@
 """End-to-end tests for the flit-level network."""
 
+import re
+
 import pytest
 
 from repro.net import line, torus
@@ -78,6 +80,49 @@ def test_fig3_flush_allocates_one_payload_flit_per_worm(monkeypatch):
         assert payload[0].wid == record.wid
     assert retransmitted.flits[-1].kind is FlitKind.TAIL
     assert len(allocated) < 400
+
+
+@pytest.mark.parametrize("engine", ["active", "dense"])
+def test_idle_fill_allocates_one_flit_per_connection(monkeypatch, engine):
+    """The base scheme's Figure 3 deadlock at offsets (1, 5): the blocked
+    multicast IDLE-fills its free branch through the whole 3,000-tick
+    quiet window.  The connection pushes one shared IDLE flit, and every
+    wire and slack on that branch holds that one object."""
+    from repro.core.switch_mcast import (
+        SwitchScheme,
+        build_switch_multicast_network,
+    )
+    from repro.net.flitlevel.flits import Flit
+    from repro.net.topology import fig3_topology
+
+    idles = []
+    init = Flit.__init__
+
+    def counting_init(self, kind, *args, **kwargs):
+        if kind is FlitKind.IDLE:
+            idles.append(1)
+        init(self, kind, *args, **kwargs)
+
+    monkeypatch.setattr(Flit, "__init__", counting_init)
+    topology = fig3_topology()
+    names = {topology.node(h).name: h for h in topology.hosts}
+    net = build_switch_multicast_network(
+        topology, SwitchScheme.BASE, seed=3, engine=engine
+    )
+    net.send_multicast(names["srcM"], [names["host_b"], names["host_c"]],
+                       payload_bytes=400, start_delay=1)
+    net.send_unicast(names["host_y"], names["host_b"], payload_bytes=400,
+                     start_delay=5)
+    assert net.run(quiet_limit=3_000, raise_on_deadlock=False) == "deadlock"
+    assert len(idles) == 1
+    in_flight = [
+        flit
+        for switch in net.switches.values()
+        for port in switch.inputs
+        for flit in [f for _, f in port.wire._forward] + list(port.slack._flits)
+        if flit.kind is FlitKind.IDLE
+    ]
+    assert in_flight and len({id(flit) for flit in in_flight}) == 1
 
 
 def test_unicast_delivery_and_latency():
@@ -229,6 +274,38 @@ def test_boundary_construction_values_accepted(engine):
     net = FlitNetwork(torus(2, 2), slack_capacity=2, flush_backoff=(0, 0),
                       wire_delay=1, mc_idle_threshold=1, engine=engine)
     assert net.run(max_ticks=10) == "delivered"
+
+
+# run() used to take any budget: a float max_ticks ended the active
+# clock at 300.0 where dense read 300 (their timeline digests differ),
+# and a quiet_limit <= 0 declared this healthy unicast deadlocked at
+# tick 2.
+@pytest.mark.parametrize("engine", ["active", "dense"])
+@pytest.mark.parametrize("name,value", [
+    ("max_ticks", 300.0), ("max_ticks", -1), ("max_ticks", "300"),
+    ("max_ticks", None), ("quiet_limit", 0), ("quiet_limit", -5),
+    ("quiet_limit", 2.5), ("quiet_limit", "600"),
+])
+def test_bad_run_budget_rejected(engine, name, value):
+    topo = torus(3, 3)
+    net = FlitNetwork(topo, engine=engine)
+    net.send_unicast(topo.hosts[0], topo.hosts[4], payload_bytes=50,
+                     start_delay=500)
+    budget = {"max_ticks": 1_000, "quiet_limit": None, name: value}
+    with pytest.raises(ValueError, match=rf"{name}.*{re.escape(repr(value))}"):
+        net.run(**budget)
+    assert net.now == 0
+
+
+@pytest.mark.parametrize("engine", ["active", "dense"])
+def test_boundary_run_budget_accepted(engine):
+    topo = torus(3, 3)
+    net = FlitNetwork(topo, engine=engine)
+    net.send_unicast(topo.hosts[0], topo.hosts[4], payload_bytes=50)
+    assert net.run(max_ticks=0) == "timeout" and net.now == 0
+    assert net.run(quiet_limit=1, raise_on_deadlock=False) == "deadlock"
+    assert net.now == 2
+    assert net.run(max_ticks=1_000, quiet_limit=None) == "delivered"
 
 
 @pytest.mark.parametrize("engine", ["active", "dense"])
