@@ -58,6 +58,9 @@ CONNECT_TIMEOUT = 10.0
 #: Slack added to a ``wait`` park before the gateway-side read deadline.
 WAIT_SLACK = 15.0
 
+#: Seconds :meth:`ClusterGateway.stop` lets a request in flight finish.
+STOP_GRACE_S = 5.0
+
 #: HTTP status for each protocol error code (default 400).
 STATUS_FOR_ERROR = {
     "bad_request": 400,
@@ -97,6 +100,8 @@ class ClusterGateway:
         self._down: set = set()
         self._specs: Dict[str, Dict[str, Any]] = {}
         self._server: Optional[asyncio.base_events.Server] = None
+        #: Open client connections: handler task -> its writer.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- life cycle -----------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
@@ -111,8 +116,17 @@ class ClusterGateway:
         return self.host, self.port
 
     async def stop(self) -> None:
+        """Stop listening and close every open client connection.  A
+        handler waiting for a kept-alive client's next request reads EOF
+        and returns, so none is left for the loop's teardown to cancel;
+        one busy with a request gets ``STOP_GRACE_S`` to finish it."""
         if self._server is not None:
             self._server.close()
+            handlers = list(self._connections)
+            for writer in self._connections.values():
+                writer.close()
+            if handlers:
+                await asyncio.wait(handlers, timeout=STOP_GRACE_S)
             await self._server.wait_closed()
             self._server = None
 
@@ -237,6 +251,8 @@ class ClusterGateway:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -260,6 +276,7 @@ class ClusterGateway:
         except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError):
             pass
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()

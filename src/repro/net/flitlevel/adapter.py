@@ -64,10 +64,17 @@ class FlitAdapter:
         self.received_flits = 0
         #: Active-set engine bookkeeping (see FlitNetwork._tick_active):
         #: ``_active`` registers the adapter for ticking, ``_moved`` records
-        #: per-tick activity, ``_net_seq`` restores dense iteration order.
+        #: per-tick activity, ``_net_seq`` restores dense iteration order,
+        #: ``_sleep`` is the sleeping circuit it belongs to, ``_span_stamp``
+        #: the last steady check that visited it, and ``_span_hint`` the
+        #: member of its circuit that last failed the check, with that
+        #: member's worm (see FlitNetwork._sleep_steady).
         self._active = False
         self._moved = False
         self._net_seq = 0
+        self._sleep = None
+        self._span_stamp = 0
+        self._span_hint = None
 
     # -- sending ------------------------------------------------------------
     def enqueue(self, record: WormRecord) -> None:
@@ -82,9 +89,10 @@ class FlitAdapter:
     def tick_output(self, now: int) -> bool:
         """Inject the next byte of the head worm, under the sender's rule
         ``OutputPort.ready`` states: one flit per tick, none while STOP
-        is in effect.  ``FlitNetwork._skip_span`` advances a source
-        injecting payload over a steady span in bulk, and leaves one held
-        by STOP where it is: a change here is made there too."""
+        is in effect.  ``network._apply_span`` advances a source
+        injecting payload in bulk for the ticks its circuit sleeps
+        through a steady span, and leaves one held by STOP where it is:
+        a change here is made there too."""
         tx = self._tx
         wire = self.wire_out
         if not tx or wire is None:
@@ -116,9 +124,10 @@ class FlitAdapter:
     # -- receiving ------------------------------------------------------------
     def tick_input(self, now: int) -> bool:
         """Sink the arriving byte, if any: the head flit of the receive
-        wire, once it is due.  ``FlitNetwork._skip_span`` counts the
-        payload a sink receives over a steady span in bulk (IDLE fill it
-        strips counts nothing): a change here is made there too."""
+        wire, once it is due.  ``network._apply_span`` counts the payload
+        a sink receives in bulk for the ticks its circuit sleeps through
+        a steady span (IDLE fill it strips counts nothing): a change here
+        is made there too."""
         wire = self.wire_in
         if wire is None:
             return False

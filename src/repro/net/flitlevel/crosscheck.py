@@ -207,7 +207,7 @@ def crosscheck(
 
 
 def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
-    """Six quick scenarios covering the hot paths: a mixed-traffic torus
+    """Seven quick scenarios covering the hot paths: a mixed-traffic torus
     (headers, grants, multicast replication), a saturated shufflenet
     (every port streaming at once), a sparse 2-ary 5-fly (a fabric
     mostly never built by the active engine, with a link cut ahead of a
@@ -217,14 +217,17 @@ def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
     overflow, and a stall window of ports left frozen), scheme 3 on the
     Figure 3 fabric with worms of assorted sizes (steady streaming spans
     the active engine skips, one of them only once a one-tick gap in
-    front of an idle destination closes) and the base scheme's Figure 3
+    front of an idle destination closes), the base scheme's Figure 3
     race at offset (1, 5) (at one lane a deadlock: the multicast
     IDLE-fills one branch through the 3,000-tick quiet window while the
     other ports wait for grants or are held by STOP; from two lanes on
     the second lane dissolves it, and the race waits for grants while
-    payload streams instead).  ``lanes``/``vc_policy`` thread the
-    virtual-channel configuration through every network, so the same
-    scenarios prove multi-lane runs byte-identical across engines."""
+    payload streams instead) and staggered circuits on a 2-ary 5-fly (a
+    long unicast's circuit asleep while later worms on other paths
+    process their headers and stream beside it).
+    ``lanes``/``vc_policy`` thread the virtual-channel configuration
+    through every network, so the same scenarios prove multi-lane runs
+    byte-identical across engines."""
     from repro.core.switch_mcast import (
         SwitchScheme,
         build_switch_multicast_network,
@@ -329,6 +332,18 @@ def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
                          raise_on_deadlock=False)
         return net, status
 
+    def staggered_circuits(engine):
+        topo = butterfly(k=2, n=5)
+        net = FlitNetwork(topo, engine=engine, seed=5,
+                          lanes=lanes, vc_policy=vc_policy)
+        hosts = topo.hosts
+        net.send_unicast(hosts[0], hosts[-1], payload_bytes=600)
+        for i, start in enumerate((40, 90, 140, 190, 240)):
+            src = 2 + 5 * i
+            net.send_unicast(hosts[src], hosts[(src + 11) % len(hosts)],
+                             payload_bytes=48, start_delay=start)
+        return net, net.run(max_ticks=20_000)
+
     return {
         "mixed_torus": mixed,
         "saturated_shufflenet": saturated,
@@ -336,6 +351,7 @@ def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
         "long_wires": long_wires,
         "streaming_spans": streaming_spans,
         "fig3_deadlock": fig3_deadlock,
+        "staggered_circuits": staggered_circuits,
     }
 
 

@@ -124,7 +124,7 @@ def _closed(key):
 
 def _port_span(port: InputPort, due: int, killed, span: int,
                flush_at: Optional[int]) -> int:
-    """The input-port half of :meth:`FlitNetwork._steady_span`: ``span``,
+    """The input-port steady test of :meth:`FlitNetwork._walk`: ``span``,
     or less, when ``port`` spends each of the next ticks as the last one
     left it, and 0 when it may not.
 
@@ -291,6 +291,221 @@ def _held_span(port: InputPort, held: int, due: int, span: int,
     return span
 
 
+def _adapter_span(adapter: FlitAdapter, due: int, killed, span: int) -> int:
+    """The adapter half of the steady test: ``span``, or less, when
+    ``adapter`` spends each of the next ticks as the last one left it,
+    and 0 when it may not.
+
+    Its receiving half takes nothing, or a full stream of one flit (the
+    DATA flit of a live worm, or an IDLE flit): ``delay`` of them on its
+    wire, due from tick ``due`` on.  Its sending half has nothing to send,
+    is held by STOP with no STOP/GO symbol queued, or injects DATA of an
+    already injected head worm onto a full wire with GO in effect, and
+    then the span ends before the source reaches its tail."""
+    wire = adapter.wire_in
+    if wire is not None and wire._forward:
+        forward = wire._forward
+        if len(forward) != wire.delay or forward[0][0] != due:
+            return 0
+        flit = forward[0][1]
+        for _due, other in forward:
+            if other is not flit:
+                return 0
+        kind = flit.kind
+        if (kind is not _DATA or flit.wid in killed) and kind is not _IDLE:
+            return 0
+    tx = adapter._tx
+    if not tx:
+        return span
+    record = tx[0]
+    wid = record.wid
+    wire = adapter.wire_out
+    if wire is None or wid in killed or wire._reverse:
+        return 0
+    if wire._stop_at_sender:
+        return span  # held by STOP
+    pos = adapter._tx_pos
+    data = record.flits[pos]
+    forward = wire._forward
+    if (
+        data.kind is not _DATA
+        or record.injected_at is None
+        or not wire.alive
+        or wire._tracked_wid != wid
+        or len(forward) != wire.delay
+        or forward[0][0] != due
+        or forward[-1][1] is not data
+    ):
+        return 0
+    # worm_flits: the payload runs up to the tail, the last flit.
+    left = len(record.flits) - 1 - pos
+    return left if left < span else span
+
+
+def _receives_payload(adapter: FlitAdapter) -> bool:
+    """True when a steady ``adapter`` sinks a DATA stream (progress)."""
+    wire = adapter.wire_in
+    return (
+        wire is not None
+        and bool(wire._forward)
+        and wire._forward[0][1].kind is _DATA
+    )
+
+
+def _wid_of(comp) -> Optional[int]:
+    """The worm a component serves: a port's connection, an adapter's
+    head worm (None when it sends nothing)."""
+    if comp._is_adapter:
+        return comp._tx[0].wid if comp._tx else None
+    return comp.wid
+
+
+def _hint(comp, verdict: int, now: int) -> tuple:
+    """A source's hint: ``(comp, its worm, verdict, retry tick)``.  A
+    source that fails because it is about to inject route bytes keeps
+    failing until it has sent them, one a tick at most, so it is not
+    tested again before then."""
+    retry = 0
+    if verdict == _FAILS and comp._is_adapter and comp._tx:
+        flits = comp._tx[0].flits
+        pos = comp._tx_pos
+        while pos < len(flits) and flits[pos].kind is _ROUTE:
+            pos += 1
+        retry = now + pos - comp._tx_pos
+    return comp, _wid_of(comp), verdict, retry
+
+
+class _Circuit:
+    """Components that sleep through one steady span together.
+
+    ``ports`` and ``adapters`` are the members, each listed once;
+    ``span`` the ticks their tests allow from the tick the circuit was
+    walked; ``dependent`` marks a circuit that may sleep only while
+    nothing else is awake (see :meth:`FlitNetwork._sleep_steady`);
+    ``receiving`` a circuit one of whose sinks takes payload on every
+    tick.  Asleep, it covers ticks ``start + 1`` to ``end``.
+
+    While the steady check walks it: ``source`` is the adapter the walk
+    started from; ``failed`` is set once a member fails its test, and
+    ``blocker`` names that member, or else the first member that makes
+    the circuit dependent; ``need`` is the source when its receive wire
+    is in use, so the walk that feeds it must join; ``joins`` holds the
+    stamps of other walks of the same round it ran into, and ``parent``
+    the walk it was merged into."""
+
+    __slots__ = ("ports", "adapters", "span", "dependent", "receiving",
+                 "start", "end", "asleep", "source", "failed", "blocker",
+                 "need", "joins", "parent")
+
+    def __init__(self, span: int, source: Optional[FlitAdapter] = None) -> None:
+        self.ports: List[InputPort] = []
+        self.adapters: List[FlitAdapter] = []
+        self.span = span
+        self.dependent = False
+        self.receiving = False
+        self.start = self.end = 0
+        self.asleep = False
+        self.source = source
+        self.failed = False
+        self.blocker = None
+        self.need: Optional[FlitAdapter] = None
+        self.joins: List[int] = []
+        self.parent: Optional[_Circuit] = None
+
+    def root(self) -> "_Circuit":
+        circuit = self
+        while circuit.parent is not None:
+            circuit = circuit.parent
+        return circuit
+
+
+#: Verdicts of :func:`_blocks`.
+_CLEAR, _DEPENDS, _FAILS = 0, 1, 2
+
+
+def _blocks(comp, source: FlitAdapter, due: int, killed, span: int,
+            flush_at: Optional[int]) -> int:
+    """Whether ``comp`` keeps the circuit ``source`` roots from sleeping
+    on its own: ``_FAILS`` when it fails its steady test, ``_DEPENDS``
+    when it passes but makes the circuit dependent (see
+    :func:`_depends`), and ``_CLEAR`` when it does neither."""
+    if comp._is_adapter:
+        if not _adapter_span(comp, due, killed, span):
+            return _FAILS
+    elif not _port_span(comp, due, killed, span, flush_at):
+        return _FAILS
+    return _DEPENDS if _depends(comp, source) else _CLEAR
+
+
+def _depends(comp, source: FlitAdapter) -> bool:
+    """True when ``comp`` would make the circuit ``source`` roots
+    dependent if it passed its steady test: a port waiting for a grant or
+    holding another worm's flits, or the source itself receiving."""
+    if comp._is_adapter:
+        wire = comp.wire_in
+        return comp is source and wire is not None and bool(wire._forward)
+    state = comp.state
+    if state == _REQUESTING or state == _MC_GRANT:
+        return True
+    flits = comp.slack._flits
+    return bool(flits) and flits[-1].wid != comp.wid
+
+
+def _apply_span(circuit: _Circuit, span: int, end: int, fills: bool) -> int:
+    """Apply ``span`` ticks of a sleeping circuit's steady span, the last
+    in tick ``end``, in one step; returns the payload flits its sinks
+    took (progress events).
+
+    The bulk counterpart of the per-byte steps each tick runs, so a
+    change to one of those must be made here too: ``InputPort.absorb``
+    (slack peak), ``CrossbarSwitch._stream`` and ``OutputPort.emit``
+    (sent flits, IDLE run), ``Wire.push`` (carried and IDLE flits, last
+    push tick), ``FlitAdapter.tick_output`` (the source's position) and
+    ``FlitAdapter.tick_input`` (flits received).  A port with flits on
+    its input wire passes that one flit on every branch; a base or
+    scheme-3 multicast (``fills``) with a flit to send IDLE-fills its
+    branches not under STOP; frozen ports and adapters held by STOP
+    change nothing.  Every wire in flight into a member holds one flit,
+    so its contents stay and its due times shift by ``span``."""
+    for port in circuit.ports:
+        forward = port.wire._forward
+        outputs = port.switch.outputs
+        if forward:
+            slack = port.slack
+            occupancy = len(slack._flits) + 1
+            if occupancy > slack.peak:
+                slack.peak = occupancy
+            idle = forward[0][1].kind is _IDLE
+            _shift_due(forward, span)
+            for branch in port.branches:
+                _emit_span(outputs[branch.port], span, idle, end)
+        elif (
+            fills
+            and port.state == _STREAMING
+            and len(port.branches) > 1
+            and port.slack._flits
+        ):
+            for branch in port.branches:
+                output = outputs[branch.port]
+                if not output.wire._stop_at_sender:
+                    _emit_span(output, span, True, end)
+    progress = 0
+    for adapter in circuit.adapters:
+        wire = adapter.wire_in
+        if wire is not None and wire._forward:
+            if wire._forward[0][1].kind is _DATA:
+                adapter.received_flits += span
+                progress += span
+            _shift_due(wire._forward, span)
+        if adapter._tx:
+            wire = adapter.wire_out
+            if not wire._stop_at_sender:
+                adapter._tx_pos += span
+                wire.carried += span
+                wire._last_push_tick = end
+    return progress
+
+
 def _emit_span(output, span: int, idle: bool, end: int) -> None:
     """``span`` ticks of ``OutputPort.emit`` (with its ``Wire.push``) of
     one IDLE or DATA flit, the last in tick ``end``."""
@@ -310,6 +525,29 @@ def _shift_due(forward, span: int) -> None:
     for i in range(len(forward)):
         due, flit = forward[i]
         forward[i] = (due + span, flit)
+
+
+def _downstream_blocker(start, source: FlitAdapter, due: int, killed,
+                        span: int, flush_at: Optional[int]):
+    """The first component downstream of port ``start`` in its circuit
+    (through granted branches, down to sink adapters) that blocks (see
+    :func:`_blocks`), with its verdict, or ``(None, _CLEAR)``."""
+    stack = [start]
+    while stack:
+        port = stack.pop()
+        outputs = port.switch.outputs
+        for branch in port.branches:
+            if branch.interrupted or not branch.granted:
+                continue
+            comp = outputs[branch.port].wire.receiver
+            if comp.__class__ is tuple or not comp._active:
+                continue
+            verdict = _blocks(comp, source, due, killed, span, flush_at)
+            if verdict:
+                return comp, verdict
+            if not comp._is_adapter:
+                stack.append(comp)
+    return None, _CLEAR
 
 
 class FlitNetwork:
@@ -347,13 +585,15 @@ class FlitNetwork:
         (lo, hi) uniform random retransmission delay after a flush, ticks.
     engine:
         ``"active"`` (default) ticks only the switch input ports and host
-        adapters registered in the network's active set, and
-        :meth:`run` fast-forwards the clock across quiescent spans and
-        across steady spans, whose ticks differ only in counters: every
-        live component passes a payload or IDLE stream through at link
-        rate, waits for a grant or for upstream, is held by STOP, or
-        IDLE-fills the free branches of a blocked multicast (the Figure 3
-        race's blocked phase, deadlock window included).
+        adapters registered in the network's active set.  In :meth:`run`
+        each worm's circuit (its source, the ports streaming it and its
+        sinks) leaves that set for its steady spans, whose ticks differ
+        only in counters, while other circuits tick: every member passes
+        a payload or IDLE stream through at link rate, waits for
+        upstream, is held by STOP, or IDLE-fills the free branches of a
+        blocked multicast.  When every circuit sleeps (the Figure 3
+        race's blocked phase, deadlock window included, where ports also
+        wait for grants), or nothing is live, the clock jumps.
         It also builds a switch (its ports, slack buffers, lane groups and
         its links' wires) only on first touch: when its host adapter is
         handed a worm, or when a flit is pushed onto a wire toward it.
@@ -420,6 +660,8 @@ class FlitNetwork:
         self.mode = mode.value
         self.restrict_to_tree = restrict_to_tree
         self.mc_idle_threshold = mc_idle_threshold
+        #: The steady tests' scheme-3 threshold (None: nothing is flushed).
+        self._flush_at = mc_idle_threshold if self.mode == IDLE_FLUSH else None
         self.flush_backoff = flush_backoff
         self._rng = RandomStreams(seed=seed).stream("flitnet")
         self.now = 0
@@ -440,31 +682,30 @@ class FlitNetwork:
         self.adapters: Dict[int, FlitAdapter] = {
             hid: FlitAdapter(self, hid) for hid in topology.hosts
         }
-        # Port numbers, for every switch up front: route bytes name them
-        # before the switch is built.  Ports follow adjacency order, and a
-        # switch-to-switch link takes ``lanes`` consecutive ports from its
-        # base (host-adapter links always carry one lane).
-        #: (switch, link id) -> base port index at that switch
-        self._port_of: Dict[Tuple[int, int], int] = {}
-        #: switch -> ``_net_seq`` of its port 0: ports are numbered through
-        #: the topology's switch order, whatever order they are built in.
-        self._seq_base: Dict[int, int] = {}
-        seq = 0
-        for sid in topology.switches:
-            self._seq_base[sid] = seq
-            port = 0
-            for link in topology.adjacent(sid):
-                if port >= BROADCAST_BYTE:
-                    raise ValueError(
-                        f"switch {sid}: port index {port} for link {link.id} "
-                        f"exceeds the route-byte limit ({BROADCAST_BYTE - 1}); "
-                        f"a switch supports at most {BROADCAST_BYTE} ports "
-                        f"(degree x lanes) -- reduce the radix or lanes={lanes}"
-                    )
-                self._port_of[(sid, link.id)] = port
-                port += self._lanes_of(link)
-            seq += port
-
+        #: Base port of each link at each switch end (see _port_at), for
+        #: every switch: route bytes name ports before the switch is
+        #: built.  Ports follow adjacency order, and a switch-to-switch
+        #: link takes ``lanes`` consecutive ports from its base
+        #: (host-adapter links always carry one lane).  The topology holds
+        #: the numbering, so networks on one topology share it.
+        self._ports, width = topology.crossbar_ports(lanes)
+        if self._ports and max(self._ports) >= BROADCAST_BYTE:
+            sid, link = next(
+                (sid, link) for sid in topology.switches
+                for link in topology.adjacent(sid)
+                if self._port_at(sid, link) >= BROADCAST_BYTE
+            )
+            raise ValueError(
+                f"switch {sid}: port index {self._port_at(sid, link)} for "
+                f"link {link.id} exceeds the route-byte limit "
+                f"({BROADCAST_BYTE - 1}); a switch supports at most "
+                f"{BROADCAST_BYTE} ports (degree x lanes) -- reduce the "
+                f"radix or lanes={lanes}"
+            )
+        #: ``_net_seq`` stride per switch: port i of switch s is
+        #: ``s * width + i``, so ports sort in the topology's switch order
+        #: (switch ids ascend in it), whatever order they are built in.
+        self._seq_width = width
         self._links = topology.links
         #: Built components: switches by id and each link's wires
         #: (``[a->b, b->a]`` per lane, so lane l occupies slots 2l, 2l+1).
@@ -515,9 +756,19 @@ class FlitNetwork:
         self._active_ports: List[InputPort] = []
         self._active_adapters: List[FlitAdapter] = []
         self._woken: List[object] = []
-        #: The input port that last failed the steady-span check; it is
-        #: tested first next time (a hint only, see _steady_span).
-        self._span_blocker: Optional[InputPort] = None
+        #: Sleeping circuits (see _sleep_steady) as a heap of
+        #: ``(end, seq, circuit)``; entries of woken circuits stay until
+        #: popped.  ``_receiving`` counts the sleeping circuits whose sinks
+        #: take payload, so run() counts their ticks as progress.
+        self._sleepers: List[Tuple[int, int, _Circuit]] = []
+        self._sleep_seq = itertools.count()
+        self._receiving = 0
+        #: Stamp of the last circuit walked; a component visited by a walk
+        #: carries that walk's stamp in ``_span_stamp``.
+        self._stamp = 0
+        #: The component outside every walked circuit that last failed its
+        #: steady test (see _sleep_steady); tested first next time.
+        self._rest_hint = None
         for seq, adapter in enumerate(self._adapter_list):
             adapter._net_seq = seq
         # Wire hooks, bound once and shared by every wire.  Only the active
@@ -536,6 +787,10 @@ class FlitNetwork:
         if link.a in self.adapters or link.b in self.adapters:
             return 1
         return self.lanes
+
+    def _port_at(self, sid: int, link) -> int:
+        """The base port of ``link`` at switch ``sid``, one of its ends."""
+        return self._ports[2 * link.id + (sid != link.a)]
 
     def _build_link(self, link_id: int) -> List[Wire]:
         """The wires of link ``link_id``, created on first use -- by the
@@ -564,7 +819,7 @@ class FlitNetwork:
                 else:
                     if sender in adapters:
                         adapters[sender].wire_out = wire
-                    base = self._port_of[(receiver, link_id)]
+                    base = self._port_at(receiver, link)
                     wire.receiver = (receiver, base + lane)
                     wire.notify = self._touch_hook
                 wires.append(wire)
@@ -580,7 +835,7 @@ class FlitNetwork:
         switch = CrossbarSwitch(self, sid, slack_capacity=self.slack_capacity)
         self._built_switches[sid] = switch
         wake = self._wake_hook
-        seq = self._seq_base[sid]
+        seq = sid * self._seq_width
         for link in self.topology.adjacent(sid):
             wires = self._build_link(link.id)
             # Slot 2l carries a->b, slot 2l+1 carries b->a.
@@ -617,10 +872,32 @@ class FlitNetwork:
         """``(carried, idles)`` of each wire of a link, in ``[a->b, b->a]``
         per-lane slot order.  A link whose wires were never built reads
         zeros; reading never builds."""
+        if self._sleepers:
+            self._wake_sleepers()
         wires = self._built_links.get(link_id)
         if wires is None:
             return [(0, 0)] * (2 * self._lanes_of(self._links[link_id]))
         return [(wire.carried, wire.idles) for wire in wires]
+
+    def lane_counts(self) -> Tuple[List[int], List[int]]:
+        """``(carried, idles)`` per lane, each summed over both wires of
+        that lane on every switch-to-switch link (host-adapter links carry
+        one lane and are left out).  A link whose wires were never built
+        carried nothing, so only built links are read."""
+        if self._sleepers:
+            self._wake_sleepers()
+        carried = [0] * self.lanes
+        idles = [0] * self.lanes
+        adapters = self.adapters
+        links = self._links
+        for link_id, wires in self._built_links.items():
+            link = links[link_id]
+            if link.a in adapters or link.b in adapters:
+                continue
+            for slot, wire in enumerate(wires):
+                carried[slot >> 1] += wire.carried
+                idles[slot >> 1] += wire.idles
+        return carried, idles
 
     def close(self) -> None:
         """Break the reference cycles of a finished network (wire hooks,
@@ -628,6 +905,7 @@ class FlitNetwork:
         closures), so it is freed by reference counting.  Records,
         counters and :meth:`wire_counts` stay readable; the network cannot
         run again, and reading an unbuilt switch or link raises."""
+        self._wake_sleepers()
         for wires in self._built_links.values():
             for wire in wires:
                 wire.notify = wire.track = wire.receiver = None
@@ -639,16 +917,22 @@ class FlitNetwork:
                 output.switch = None
         for adapter in self.adapters.values():
             adapter.network = None
+            adapter._span_hint = None
         self._actions.clear()
         self._track_hook = self._wake_hook = self._touch_hook = None
+        self._rest_hint = None
         self.switches._build = self._link_wires._build = _closed
 
     # -- active-set engine internals ------------------------------------------
     def _wake_component(self, comp) -> None:
         """Register an input port or adapter for ticking.  No-op in the
         dense engine (which polls everything anyway) and for already-active
-        components, so hooks can fire it unconditionally."""
+        components, so hooks can fire it unconditionally.  A member of a
+        sleeping circuit wakes its whole circuit (see _wake_circuit)."""
         if self._engine_active and not comp._active:
+            if comp._sleep is not None:
+                self._wake_circuit(comp._sleep)
+                return
             comp._active = True
             self._n_active += 1
             self._woken.append(comp)
@@ -734,7 +1018,7 @@ class FlitNetwork:
                 # A down hop leads away from the root; equal levels go down
                 # toward the higher id (UpDownRouting.is_up).
                 if (level[peer], peer) > (level[sid], sid):
-                    ports.append(self._port_of[(sid, link.id)])
+                    ports.append(self._port_at(sid, link))
         return ports
 
     # -- fault injection ---------------------------------------------------------
@@ -743,6 +1027,7 @@ class FlitNetwork:
         to are expunged (lost, not retransmitted -- network-level loss), and
         the up/down routing reconfigures around the dead link for worms
         injected from now on.  Returns the lost worm ids."""
+        self._wake_sleepers()
         self.topology.fail_link(link_id)  # bumps version; routing re-derives
         self._failed_links.add(link_id)
         lost: set = set()
@@ -761,6 +1046,7 @@ class FlitNetwork:
 
     def repair_link(self, link_id: int) -> None:
         """Bring a failed link back; routing reconfigures to use it again."""
+        self._wake_sleepers()
         self.topology.repair_link(link_id)
         self._failed_links.discard(link_id)
         if self.obs is not None:
@@ -775,14 +1061,23 @@ class FlitNetwork:
         """Header bytes for a hop path: one output-port byte per switch."""
         ports = []
         for a, _b, link in hops[1:]:
-            ports.append(self._port_of[(a, link.id)])
+            ports.append(self._port_at(a, link))
         return ports
 
     # -- injection APIs ----------------------------------------------------------
     def send_unicast(
         self, src: int, dst: int, payload_bytes: int = 64, start_delay: int = 0
     ) -> int:
-        """Queue a unicast worm; returns its worm id."""
+        """Queue a unicast worm; returns its worm id.  Both endpoints
+        must be hosts, and distinct: a worm to its own source would carry
+        no route byte (raises :class:`ValueError`)."""
+        for name, host in (("source", src), ("destination", dst)):
+            if host not in self.adapters:
+                raise ValueError(f"unicast {name} {host!r} is not a host")
+        if src == dst:
+            raise ValueError(
+                f"unicast source and destination are both host {src}"
+            )
         hops = self.routing.route(src, dst, self.restrict_to_tree)
         header = bytes(self._port_bytes(hops))
         wid = next(_flit_worm_ids)
@@ -967,9 +1262,11 @@ class FlitNetwork:
         """Backward-reset a worm out of every switch and wire its flits
         have entered -- O(worm extent) via the per-worm site index, not a
         scan over the whole network.  Returns False when it was already
-        expunged."""
+        expunged.  Sleeping circuits are caught up first."""
         if wid in self.killed:
             return False
+        if self._sleepers:
+            self._wake_sleepers()
         self.killed.add(wid)
         for site in self._worm_sites.pop(wid, ()):
             site.drop_worm(wid)
@@ -1021,9 +1318,12 @@ class FlitNetwork:
         self.schedule(delay, retransmit)
 
     def schedule(self, delay: int, action: Callable[[], None]) -> None:
-        heapq.heappush(
-            self._actions, (self.now + delay, next(self._action_seq), action)
-        )
+        """Run ``action`` at the top of tick ``now + delay`` (of the next
+        tick, when that has passed).  A sleeping circuit wakes before it."""
+        at = self.now + delay
+        heapq.heappush(self._actions, (at, next(self._action_seq), action))
+        if self._sleepers:
+            self._cap_sleepers(max(at - 1, self.now))
 
     # -- tick loop -----------------------------------------------------------------
     def tick(self) -> bool:
@@ -1068,7 +1368,10 @@ class FlitNetwork:
         the input holding it), so skipping it cannot change the byte
         timeline.  Wire pushes cannot deliver in the tick they are sent
         (delay >= 1), so components woken mid-tick would also have no-oped
-        this tick and only join the iteration from the next tick on.
+        this tick and only join the iteration from the next tick on.  The
+        members of a sleeping circuit are out of the active set too (see
+        :meth:`_sleep_steady`); a circuit whose span ends with this tick
+        wakes after it.
         """
         self.ticks_executed += 1
         self.now = now = self.now + 1
@@ -1112,165 +1415,379 @@ class FlitNetwork:
         if off:
             self._active_adapters = [a for a in adapters if a._active]
         self._n_active -= drained + off
+        sleepers = self._sleepers
+        if sleepers and sleepers[0][0] <= now:
+            self._wake_due()
         return moved
 
     # -- steady spans ------------------------------------------------------------
-    def _steady_span(self, max_ticks: int, stall_end: Optional[int]) -> int:
-        """How many ticks from now on differ only in counters, or 0.
+    def _walk(self, source: FlitAdapter, stamp: int, base: int, due: int,
+              killed, span: int, flush_at: Optional[int], fed: set) -> _Circuit:
+        """Walk the circuit ``source`` roots, testing each member.
 
-        Nothing may wait in ``_woken``, and every active input port must
-        pass :func:`_port_span`: it passes a DATA or IDLE stream through
-        at link rate, is frozen (waits for a grant, for a route byte or
-        for upstream, or is held by STOP), or IDLE-fills the branches of
-        a blocked multicast.  Every active adapter receives a full stream
-        of one DATA flit of a live worm or of one IDLE flit (``delay`` of
-        them on its wire, due from the next tick on), or nothing; and it
-        injects DATA of an already injected head worm onto a full wire
-        with GO in effect, or is held by STOP with no STOP/GO symbol
-        queued, or has nothing to send.  A component that moves a flit
-        per tick needs its output wires full, so the component at their
-        far end is active (the wake hooks keep every component with flits
-        on its wire active), is checked, and cannot sit idle in front of
-        a gap; a frozen one pushed nothing in the last tick, so no wire
-        it feeds looks full.
+        The circuit is what the source's stream connects: the source
+        adapter, the input port its wire feeds and, through every granted
+        branch's output wire, the next port, down to sink adapters, and
+        on through a sink's own sending half.  A member that is not
+        active (an unbuilt or quiescent port, an idle sink) cannot act
+        and is left out.  Each member passes :func:`_port_span` or
+        :func:`_adapter_span`, and ``span`` shrinks to the tightest of
+        their bounds; the walk stops at the first member that fails.
+        Every port is reached from the holder of the output that feeds
+        it, so a wire in flight into a member comes from a member, except
+        into the source, whose feeder must join (``need``; ``fed``
+        collects the adapters reached through their receive wire).  A
+        member already visited by another walk of this round (a stamp
+        above ``base`` other than ``stamp``) joins the two circuits.  The
+        circuit is ``dependent`` when some member waits for a grant
+        (``REQUESTING``, ``MC_GRANT``: a release by an awake port grants
+        it within the tick), holds flits of another worm in its slack (a
+        loss or flush of that worm would change it), or sends on a
+        released branch with flits still in flight."""
+        circuit = _Circuit(span, source)
+        ports = circuit.ports
+        adapters = circuit.adapters
+        source._span_stamp = stamp
+        span = _adapter_span(source, due, killed, span)
+        if not span:
+            circuit.failed = True
+            circuit.blocker = source
+            return circuit
+        adapters.append(source)
+        if source.wire_in is not None and source.wire_in._forward:
+            circuit.need = source
+            circuit.receiving = _receives_payload(source)
+        stack = [source.wire_out.receiver]
+        while stack:
+            comp = stack.pop()
+            if comp.__class__ is tuple or not comp._active:
+                continue  # unbuilt or quiescent: it cannot act
+            seen = comp._span_stamp
+            if seen > base:
+                if comp._is_adapter:
+                    fed.add(comp)
+                if seen != stamp:
+                    circuit.joins.append(seen)
+                continue
+            comp._span_stamp = stamp
+            if comp._is_adapter:
+                span = _adapter_span(comp, due, killed, span)
+                if not span:
+                    circuit.failed = True
+                    circuit.blocker = comp
+                    return circuit
+                adapters.append(comp)
+                if not circuit.receiving:
+                    circuit.receiving = _receives_payload(comp)
+                if comp._tx:
+                    stack.append(comp.wire_out.receiver)
+                continue
+            span = _port_span(comp, due, killed, span, flush_at)
+            if not span:
+                circuit.failed = True
+                circuit.blocker = comp
+                return circuit
+            ports.append(comp)
+            state = comp.state
+            if state == _REQUESTING or state == _MC_GRANT:
+                circuit.dependent = True
+                if circuit.blocker is None:
+                    circuit.blocker = comp
+            else:
+                flits = comp.slack._flits
+                if flits and flits[-1].wid != comp.wid:
+                    circuit.dependent = True
+                    if circuit.blocker is None:
+                        circuit.blocker = comp
+            outputs = comp.switch.outputs
+            for branch in comp.branches:
+                wire = outputs[branch.port].wire
+                if branch.interrupted:
+                    if wire._forward:
+                        circuit.dependent = True
+                elif branch.granted:
+                    stack.append(wire.receiver)
+        circuit.span = span
+        return circuit
 
-        With nothing active the span is a quiescent gap.  It ends before
-        a source reaches its tail, before the next scheduled action
-        fires, at ``max_ticks``, and under scheme 3 before an output's
-        ``idle_run`` reaches ``mc_idle_threshold``.  When no adapter
-        receives payload and no action is pending, no skipped tick counts
-        progress, so the span also ends at ``stall_end`` (the tick on
-        which :meth:`run` declares the deadlock, None without stall
-        detection).  The check stops at the first component that fails
-        it.
+    def _sleep_steady(self, max_ticks: int, stall_end: Optional[int]) -> int:
+        """Put every steady circuit to sleep; returns how many ticks the
+        clock may jump, which is 0 unless nothing is left awake.
+
+        Each active source roots a circuit (:meth:`_walk`), and circuits
+        that ran into each other are merged.  A merged circuit whose
+        members all pass, that is not dependent and whose sources'
+        feeders joined it, sleeps while the others tick: it leaves the
+        active lists until its span ends, and its members' counters are
+        applied when it wakes (:meth:`_wake_circuit`).  When no member of
+        any circuit fails, the rest (dependent circuits, and every other
+        active component, each of which must pass its own test) sleeps
+        as one circuit until the first other sleeper wakes, and the clock
+        jumps to the earliest wake; with nothing active that is a
+        quiescent gap.
+
+        A span ends before a source reaches its tail, before the next
+        scheduled action fires, at ``max_ticks``, and under scheme 3
+        before an output's ``idle_run`` reaches ``mc_idle_threshold``.
+        A circuit whose sinks take no payload counts no progress, so
+        while nothing is scheduled its span also ends at ``stall_end``
+        (the tick on which :meth:`run` declares the deadlock, None
+        without stall detection).  A circuit that does not sleep leaves
+        its sources a hint, the member that failed or made it dependent
+        (:func:`_blocks`).  The source is walked again only once that
+        member no longer blocks and no member downstream of it does
+        (a stream's head moves on one switch at a time).
         """
         if self._woken:
-            return 0
+            self._merge_woken()
         now = self.now
-        span = max_ticks - now
         actions = self._actions
+        span = max_ticks - now
         if actions:
-            span = min(span, actions[0][0] - now - 1)
+            if actions[0][0] - now - 1 < span:
+                span = actions[0][0] - now - 1
         elif not self._undelivered:
             return 0  # run() ends "delivered" after the next tick
         if span < 1:
             return 0
         due = now + 1
         killed = self.killed
-        flush_at = self.mc_idle_threshold if self.mode == IDLE_FLUSH else None
-        # The port that failed last time usually still fails: testing it
-        # first makes a tick that cannot be skipped cost about one port.
-        blocker = self._span_blocker
-        if blocker is not None and blocker._active and not _port_span(
-            blocker, due, killed, span, flush_at
-        ):
-            return 0
-        for port in self._active_ports:
-            span = _port_span(port, due, killed, span, flush_at)
-            if not span:
-                self._span_blocker = port
-                return 0
-        receiving = False
+        flush_at = self._flush_at
+        base = stamp = self._stamp
+        awake = False
+        walks = None
         for adapter in self._active_adapters:
-            wire = adapter.wire_in
-            if wire is not None and wire._forward:
-                forward = wire._forward
-                if len(forward) != wire.delay or forward[0][0] != due:
+            if not adapter._tx or adapter._span_stamp > base:
+                continue  # sends nothing, or a walk went through it
+            hint = adapter._span_hint
+            if hint is not None:
+                comp, wid, verdict, retry = hint
+                if now < retry:
+                    awake = True
+                    continue
+                if comp._active and _wid_of(comp) == wid:
+                    # A dependent circuit cannot sleep on its own while
+                    # its blocker still makes it so; the rest, which tests
+                    # its members, decides whether it sleeps with all.
+                    if verdict == _DEPENDS and _depends(comp, adapter):
+                        continue
+                    verdict = _blocks(comp, adapter, due, killed, span,
+                                      flush_at)
+                    if not verdict and not comp._is_adapter:
+                        comp, verdict = _downstream_blocker(
+                            comp, adapter, due, killed, span, flush_at
+                        )
+                    if verdict:
+                        adapter._span_hint = _hint(comp, verdict, now)
+                        if verdict == _FAILS:
+                            awake = True
+                        continue
+                adapter._span_hint = None
+            if walks is None:
+                walks = []
+                fed: set = set()
+            stamp += 1
+            walks.append(self._walk(adapter, stamp, base, due, killed, span,
+                                    flush_at, fed))
+        held: List[_Circuit] = []
+        if walks is not None:
+            self._stamp = stamp
+            if self._settle_walks(walks, base, fed, held, stall_end):
+                awake = True
+        if awake:
+            return 0
+        # Nothing walked fails: the rest sleeps too, or nothing does.  The
+        # member of the rest that failed last time is tested first.
+        hint = self._rest_hint
+        if hint is not None and hint._active and hint._span_stamp <= base:
+            if hint._is_adapter:
+                if not _adapter_span(hint, due, killed, span):
                     return 0
-                flit = forward[0][1]
-                for _due, other in forward:
-                    if other is not flit:
-                        return 0
-                if flit.kind is _DATA and flit.wid not in killed:
-                    receiving = True
-                elif flit.kind is not _IDLE:
+            elif not _port_span(hint, due, killed, span, flush_at):
+                return 0
+        ports = []
+        for port in self._active_ports:
+            if port._span_stamp <= base:
+                span = _port_span(port, due, killed, span, flush_at)
+                if not span:
+                    self._rest_hint = port
                     return 0
-            tx = adapter._tx
-            if not tx:
-                continue
-            record = tx[0]
-            wid = record.wid
-            wire = adapter.wire_out
-            if wire is None or wid in killed or wire._reverse:
-                return 0
-            if wire._stop_at_sender:
-                continue  # held by STOP
-            pos = adapter._tx_pos
-            data = record.flits[pos]
-            forward = wire._forward
-            if (
-                data.kind is not _DATA
-                or record.injected_at is None
-                or not wire.alive
-                or wire._tracked_wid != wid
-                or len(forward) != wire.delay
-                or forward[0][0] != due
-                or forward[-1][1] is not data
-            ):
-                return 0
-            # worm_flits: the payload runs up to the tail, the last flit.
-            left = len(record.flits) - 1 - pos
-            if left < span:
-                span = left
-        if not receiving and not actions and stall_end is not None:
-            span = min(span, stall_end - now)
+                ports.append(port)
+        adapters = []
+        for adapter in self._active_adapters:
+            if adapter._span_stamp <= base:
+                span = _adapter_span(adapter, due, killed, span)
+                if not span:
+                    self._rest_hint = adapter
+                    return 0
+                adapters.append(adapter)
+        sleepers = self._sleepers
+        if ports or adapters or held:
+            fabric = _Circuit(span)
+            fabric.ports = ports
+            fabric.adapters = adapters
+            fabric.receiving = any(map(_receives_payload, adapters))
+            for circuit in held:
+                if circuit.span < span:
+                    span = circuit.span
+                ports += circuit.ports
+                adapters += circuit.adapters
+                fabric.receiving = fabric.receiving or circuit.receiving
+            while sleepers and not sleepers[0][2].asleep:
+                heapq.heappop(sleepers)
+            if sleepers and sleepers[0][0] - now < span:
+                span = sleepers[0][0] - now
+            fabric.span = span
+            self._sleep(fabric, stall_end)
+            self._active_ports = []
+            self._active_adapters = []
+        while sleepers and not sleepers[0][2].asleep:
+            heapq.heappop(sleepers)
+        if sleepers:
+            return sleepers[0][0] - now
+        if stall_end is not None and stall_end - now < span:
+            span = stall_end - now
         return span
 
-    def _skip_span(self, span: int) -> None:
-        """Apply ``span`` ticks of a steady span (:meth:`_steady_span`) in
-        one step.  The bulk counterpart of the per-byte steps each tick
-        runs, so a change to one of those must be made here too:
-        ``InputPort.absorb`` (slack peak), ``CrossbarSwitch._stream`` and
-        ``OutputPort.emit`` (sent flits, IDLE run), ``Wire.push`` (carried
-        and IDLE flits, last push tick), ``FlitAdapter.tick_output`` (the
-        source's position) and ``FlitAdapter.tick_input`` (flits
-        received, progress events).  A port with flits on its input wire
-        passes that one flit on every branch; a base or scheme-3
-        multicast with a flit to send IDLE-fills its branches not under
-        STOP; frozen ports and adapters held by STOP change nothing.
-        Every wire in flight holds one flit, so its contents stay and its
-        due times shift by ``span``.  Skipped ticks do not count in
-        ``ticks_executed``."""
-        end = self.now + span
-        fills = self.mode != INTERRUPT
-        for port in self._active_ports:
-            forward = port.wire._forward
-            outputs = port.switch.outputs
-            if forward:
-                slack = port.slack
-                occupancy = len(slack._flits) + 1
-                if occupancy > slack.peak:
-                    slack.peak = occupancy
-                idle = forward[0][1].kind is _IDLE
-                _shift_due(forward, span)
-                for branch in port.branches:
-                    _emit_span(outputs[branch.port], span, idle, end)
-            elif (
-                fills
-                and port.state == _STREAMING
-                and len(port.branches) > 1
-                and port.slack._flits
-            ):
-                for branch in port.branches:
-                    output = outputs[branch.port]
-                    if not output.wire._stop_at_sender:
-                        _emit_span(output, span, True, end)
-        progress = 0
-        for adapter in self._active_adapters:
-            wire = adapter.wire_in
-            if wire is not None and wire._forward:
-                if wire._forward[0][1].kind is _DATA:
-                    adapter.received_flits += span
-                    progress += span
-                _shift_due(wire._forward, span)
-            if adapter._tx:
-                wire = adapter.wire_out
-                if not wire._stop_at_sender:
-                    adapter._tx_pos += span
-                    wire.carried += span
-                    wire._last_push_tick = end
-        self._progress_events += progress
-        self.now = end
+    def _settle_walks(self, walks: List[_Circuit], base: int, fed: set,
+                      held: List[_Circuit], stall: Optional[int]) -> bool:
+        """Merge this round's walks that ran into each other, put every
+        merged circuit that may sleep on its own to sleep, collect the
+        dependent ones in ``held`` and leave each source of a circuit
+        that stays awake its blocker as hint.  Returns True when a member
+        failed."""
+        for circuit in walks:
+            for seen in circuit.joins:
+                other = walks[seen - base - 1].root()
+                mine = circuit.root()
+                if other is not mine:
+                    other.parent = mine
+        tops: List[_Circuit] = []
+        for circuit in walks:
+            need = circuit.need
+            if need is not None and need not in fed:
+                circuit.dependent = True
+                if circuit.blocker is None:
+                    circuit.blocker = need
+            top = circuit.root()
+            if top is circuit:
+                tops.append(circuit)
+                continue
+            top.ports += circuit.ports
+            top.adapters += circuit.adapters
+            top.span = min(top.span, circuit.span)
+            top.receiving = top.receiving or circuit.receiving
+            if circuit.failed and not top.failed:
+                top.failed = True
+                top.blocker = circuit.blocker
+            elif circuit.dependent and not top.dependent:
+                top.dependent = True
+                if not top.failed:
+                    top.blocker = circuit.blocker
+        failed = slept = False
+        for top in tops:
+            if top.failed:
+                failed = True
+            elif top.dependent:
+                held.append(top)
+            else:
+                self._sleep(top, stall)
+                slept = True
+        for circuit in walks:
+            top = circuit.root()
+            blocker = top.blocker
+            if top.asleep or blocker is None:
+                continue
+            circuit.source._span_hint = _hint(
+                blocker, _FAILS if top.failed else _DEPENDS, self.now
+            )
+        if slept:
+            self._active_ports = [p for p in self._active_ports if p._active]
+            self._active_adapters = [
+                a for a in self._active_adapters if a._active
+            ]
+        return failed
+
+    def _sleep(self, circuit: _Circuit, stall: Optional[int]) -> None:
+        """Take ``circuit``'s members out of the active set until its span
+        ends; a circuit without payload into a sink ends at ``stall``."""
+        now = self.now
+        span = circuit.span
+        if stall is not None and not circuit.receiving:
+            span = min(span, stall - now)
+        circuit.start = now
+        circuit.end = now + span
+        circuit.asleep = True
+        for comp in circuit.ports:
+            comp._active = False
+            comp._sleep = circuit
+        for comp in circuit.adapters:
+            comp._active = False
+            comp._sleep = circuit
+        self._n_active -= len(circuit.ports) + len(circuit.adapters)
+        if circuit.receiving:
+            self._receiving += 1
+        heapq.heappush(
+            self._sleepers, (circuit.end, next(self._sleep_seq), circuit)
+        )
+
+    def _wake_circuit(self, circuit: _Circuit) -> None:
+        """Catch a sleeping circuit up to the current tick (its skipped
+        ticks' counters, applied by :func:`_apply_span`) and return its
+        members to the active set, from the next tick on, in dense
+        order.  Any tick up to its span's end may wake it: a member's
+        steady step does not read what woke it (a flit pushed now is due
+        next tick at the earliest)."""
+        circuit.asleep = False
+        now = self.now
+        span = now - circuit.start
+        if span:
+            self._progress_events += _apply_span(
+                circuit, span, now, self.mode != INTERRUPT
+            )
+        if circuit.receiving:
+            self._receiving -= 1
+        woken = self._woken
+        for comp in circuit.ports:
+            comp._sleep = None
+            comp._active = True
+            woken.append(comp)
+        for comp in circuit.adapters:
+            comp._sleep = None
+            comp._active = True
+            woken.append(comp)
+        self._n_active += len(circuit.ports) + len(circuit.adapters)
+
+    def _wake_due(self) -> None:
+        """Wake the circuits whose span ends at the current tick."""
+        sleepers = self._sleepers
+        now = self.now
+        while sleepers and sleepers[0][0] <= now:
+            circuit = heapq.heappop(sleepers)[2]
+            if circuit.asleep:
+                self._wake_circuit(circuit)
+
+    def _wake_sleepers(self) -> None:
+        """Wake every sleeping circuit: what reads the fabric from outside
+        the tick loop sees it caught up."""
+        sleepers = self._sleepers
+        while sleepers:
+            circuit = heapq.heappop(sleepers)[2]
+            if circuit.asleep:
+                self._wake_circuit(circuit)
+
+    def _cap_sleepers(self, end: int) -> None:
+        """End every sleeping circuit's span by tick ``end`` at the latest
+        (an action was scheduled for the tick after it)."""
+        capped = [
+            circuit for _end, _seq, circuit in self._sleepers
+            if circuit.asleep and circuit.end > end
+        ]
+        for circuit in capped:
+            circuit.end = end
+            heapq.heappush(
+                self._sleepers, (end, next(self._sleep_seq), circuit)
+            )
 
     def pending_worms(self) -> List[int]:
         """Worm ids not yet fully delivered (plus incomplete host-adapter
@@ -1309,20 +1826,25 @@ class FlitNetwork:
         Progress is measured on worm *payload* and record churn (O(1)
         monotonic counters): IDLE fills spinning through a deadlocked
         cycle (Figure 3) do not count.  The active-set engine additionally
-        fast-forwards the clock instead of spinning one byte at a time
-        across steady spans (:meth:`_steady_span`), in which every live
-        component repeats its last tick: it passes a payload or IDLE
-        stream through at link rate, waits for a grant or for upstream,
-        is held by STOP, or IDLE-fills a blocked multicast's free
-        branches -- or nothing is live at all, and only scheduled actions
-        (flush backoffs, delayed injections) remain.  Their ticks differ
-        only in counters, which :meth:`_skip_span` applies in one step; a
-        span with no payload delivered and nothing scheduled ends on the
-        tick the stall window declares the deadlock.  Header bytes,
+        lets each worm's circuit sleep through its steady spans
+        (:meth:`_sleep_steady`) while other circuits tick: in a steady
+        span every member repeats its last tick -- it passes a payload or
+        IDLE stream through at link rate, waits for upstream, is held by
+        STOP, or IDLE-fills a blocked multicast's free branches -- so its
+        ticks differ only in counters, which :func:`_apply_span` applies
+        in one step when the circuit wakes.  A circuit whose port waits
+        for a grant sleeps only while nothing else is awake.  When
+        nothing is awake (every circuit asleep, or nothing live and only
+        scheduled actions such as flush backoffs and delayed injections
+        left) the clock jumps to the earliest wake; a sleeping circuit
+        whose sinks take payload counts as progress on every tick it
+        sleeps, and with no payload and nothing scheduled the jump ends on
+        the tick the stall window declares the deadlock.  Header bytes,
         grants, tails, STOP/GO changes and slack buffers filling or
         draining still tick.  Outcomes and fabric counters are
         byte-identical to the dense engine's (see
-        :mod:`repro.net.flitlevel.crosscheck`).
+        :mod:`repro.net.flitlevel.crosscheck`), and the run returns with
+        every circuit awake.
         """
         if not isinstance(max_ticks, int) or max_ticks < 0:
             raise ValueError(f"max_ticks must be an int >= 0, got {max_ticks!r}")
@@ -1335,32 +1857,38 @@ class FlitNetwork:
         last_progress = self.now
         last_events = self._progress_events
         while self.now < max_ticks:
-            span = 0
+            jump = 0
             if self._engine_active:
-                span = self._steady_span(
+                jump = self._sleep_steady(
                     max_ticks,
-                    None if quiet_limit is None else last_progress + quiet_limit,
+                    None if quiet_limit is None or self._actions
+                    else last_progress + quiet_limit,
                 )
-            if span:
-                # Nothing is delivered within a steady span.
-                self._skip_span(span)
+            if jump:
+                # Nothing is awake: skip to the earliest wake.
+                self.now += jump
+                self._wake_due()
             else:
                 self.tick()
                 if not self._undelivered and not self._actions:
                     # Pending scheduled actions (delayed injections, fault
                     # events a caller scheduled) keep the run alive even
                     # with nothing currently in flight.
+                    self._wake_sleepers()
                     return "delivered"
             events = self._progress_events
-            # A pending action counts as progress on every tick.
-            if events != last_events or self._actions:
+            # A pending action, and a sleeping circuit taking payload,
+            # count as progress on every tick.
+            if events != last_events or self._actions or self._receiving:
                 last_events = events
                 last_progress = self.now
             elif (
                 quiet_limit is not None
                 and self.now - last_progress >= quiet_limit
             ):
+                self._wake_sleepers()
                 if raise_on_deadlock:
                     raise DeadlockDetected(last_progress, self.pending_worms())
                 return "deadlock"
+        self._wake_sleepers()
         return "timeout"

@@ -102,10 +102,15 @@ class InputPort:
         self._site_wid: Optional[int] = None
         #: Active-set engine bookkeeping (see FlitNetwork._tick_active):
         #: ``_active`` registers the port for ticking, ``_moved`` records
-        #: per-tick activity, ``_net_seq`` restores dense iteration order.
+        #: per-tick activity, ``_net_seq`` restores dense iteration order,
+        #: ``_sleep`` is the sleeping circuit it belongs to and
+        #: ``_span_stamp`` the last steady check that visited it (see
+        #: FlitNetwork._sleep_steady).
         self._active = False
         self._moved = False
         self._net_seq = 0
+        self._sleep = None
+        self._span_stamp = 0
 
     @property
     def current_branch(self) -> _Branch:
@@ -137,11 +142,11 @@ class InputPort:
         as an overflow; ``peak`` tracks the highest occupancy.  Then the
         Figure 1 hysteresis: STOP is asserted once occupancy reaches Ks
         and held until it falls to Kg, and a change is signalled
-        upstream.  Its bulk counterpart, for the ticks of a steady span,
-        is ``FlitNetwork._skip_span``: a port that passes a stream through
-        takes one flit a tick at the same occupancy, and a frozen or
-        IDLE-filling one takes none and keeps its STOP/GO state.  A change
-        here is made there too."""
+        upstream.  Its bulk counterpart, for the ticks a circuit sleeps
+        through a steady span, is ``network._apply_span``: a port that
+        passes a stream through takes one flit a tick at the same
+        occupancy, and a frozen or IDLE-filling one takes none and keeps
+        its STOP/GO state.  A change here is made there too."""
         wire = self.wire
         slack = self.slack
         flits = slack._flits
@@ -265,10 +270,10 @@ class OutputPort:
         return not wire._stop_at_sender
 
     def emit(self, flit: Flit, now: int) -> None:
-        """Send ``flit`` this tick.  ``FlitNetwork._skip_span`` applies
-        the same counts in bulk over a steady span, for a DATA flit (IDLE
-        run reset) or an IDLE flit (IDLE run grown): a change here is
-        made there too."""
+        """Send ``flit`` this tick.  ``network._apply_span`` applies the
+        same counts in bulk for the ticks a circuit sleeps through a
+        steady span, for a DATA flit (IDLE run reset) or an IDLE flit
+        (IDLE run grown): a change here is made there too."""
         self.wire.push(flit, now)
         self.sent_flits += 1
         if flit.kind is _IDLE:
@@ -585,12 +590,13 @@ class CrossbarSwitch:
     # -- payload replication ---------------------------------------------------------
     def _stream(self, port: InputPort, now: int) -> bool:
         """Forward one flit of a connected worm on every branch (or fill,
-        interrupt or resume them per the multicast mode).  Over a steady
-        span ``FlitNetwork._skip_span`` applies this step in bulk: one
-        DATA or IDLE flit per tick on every branch, the connection's
-        shared IDLE flit on each branch not under STOP of a blocked base
-        or scheme-3 multicast, or nothing for a hole or a port under STOP.
-        A change here is made there too."""
+        interrupt or resume them per the multicast mode).  For the ticks
+        a circuit sleeps through a steady span ``network._apply_span``
+        applies this step in bulk: one DATA or IDLE flit per tick on
+        every branch, the connection's shared IDLE flit on each branch
+        not under STOP of a blocked base or scheme-3 multicast, or
+        nothing for a hole or a port under STOP.  A change here is made
+        there too."""
         branches = port.branches
         if len(branches) == 1:
             # One branch (every unicast): only a multi-branch multicast is

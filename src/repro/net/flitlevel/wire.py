@@ -64,10 +64,12 @@ class Wire:
 
     # -- forward (data) ------------------------------------------------------
     def push(self, flit: Flit, now: int) -> None:
-        """Transmit a flit; at most one per tick.  Over a steady span
-        ``FlitNetwork._skip_span`` applies its counts (carried and IDLE
-        flits, last push tick) in bulk and shifts the due times of the
-        flits in flight: a change here is made there too."""
+        """Transmit a flit; at most one per tick.  For the ticks a
+        circuit sleeps through a steady span ``network._apply_span``
+        applies its counts (carried and IDLE flits, last push tick) in
+        bulk and shifts the due times of the flits in flight: a change
+        here is made there too.  A push onto the empty wire of a sleeping
+        circuit's member wakes that circuit (``notify``)."""
         if now == self._last_push_tick:
             raise RuntimeError(f"two flits pushed on one wire in tick {now}")
         self._last_push_tick = now

@@ -106,9 +106,14 @@ class Topology:
         #: liveness change.
         self.version = 0
         self._listeners: List[Callable[["Topology", TopologyChange], None]] = []
+        #: lanes -> crossbar port numbering (see crossbar_ports), held
+        #: until a node or link is added.
+        self._crossbar_ports: Dict[int, Tuple[List[int], int]] = {}
 
     def _mutated(self, kind: str, target: int) -> None:
         self.version += 1
+        if kind == "node_add" or kind == "link_add":
+            self._crossbar_ports.clear()
         if self._listeners:
             change = TopologyChange(kind, target)
             for listener in list(self._listeners):
@@ -273,6 +278,36 @@ class Topology:
     def hosts(self) -> List[int]:
         """Host ids in increasing order (the paper's deadlock-prevention order)."""
         return sorted(n.id for n in self._nodes.values() if n.is_host)
+
+    def crossbar_ports(self, lanes: int) -> Tuple[List[int], int]:
+        """Port numbers of every switch's crossbar when each
+        switch-to-switch link carries ``lanes`` lanes and a host link one:
+        ``(ports, width)``.  ``ports[2 * link_id]`` is the first port of
+        that link at its end ``a`` and ``ports[2 * link_id + 1]`` at its
+        end ``b`` (-1 at a host): a switch numbers its links in adjacency
+        order, one consecutive port per lane.  ``width`` is the most ports
+        any switch has.  Liveness does not change the numbering, so it is
+        computed once per lanes count and held until a node or a link is
+        added; callers must not mutate it."""
+        numbering = self._crossbar_ports.get(lanes)
+        if numbering is None:
+            nodes = self._nodes
+            ports = [-1] * (2 * len(self._links))
+            width = 0
+            for sid, node in nodes.items():
+                if not node.is_switch:
+                    continue
+                port = 0
+                for link in self._adjacency[sid]:
+                    ports[2 * link.id + (sid != link.a)] = port
+                    if nodes[link.a].is_host or nodes[link.b].is_host:
+                        port += 1
+                    else:
+                        port += lanes
+                if port > width:
+                    width = port
+            numbering = self._crossbar_ports[lanes] = (ports, width)
+        return numbering
 
     def adjacent(self, nid: int) -> List[Link]:
         """Links incident to ``nid``."""

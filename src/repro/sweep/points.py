@@ -384,17 +384,7 @@ def _vc_lanes(params: Dict[str, Any]) -> Dict[str, Any]:
         max_ticks=int(params.get("max_ticks", 200_000)),
         raise_on_deadlock=False,
     )
-    lane_flits = [0] * lanes
-    lane_idles = [0] * lanes
-    switch_set = set(topo.switches)
-    for link in topo.links:
-        if link.a not in switch_set or link.b not in switch_set:
-            continue  # host-adapter links stay single-lane
-        counts = net.wire_counts(link.id)
-        for lane in range(lanes):
-            for carried, idles in counts[2 * lane : 2 * lane + 2]:
-                lane_flits[lane] += carried
-                lane_idles[lane] += idles
+    lane_flits, lane_idles = net.lane_counts()
     digest = timeline_digest(worm_timeline(net, status))
     net.close()
     return sanitize_record(

@@ -221,10 +221,10 @@ def test_fresh_network_has_nothing_active():
 
 #: InputPort.absorb calls for one 64-byte unicast across a 4-lane 4x4
 #: torus on the active engine: only ports holding or receiving flits,
-#: and only in the ticks it executes -- 29 of the run's 80, because one
-#: steady streaming span skips the other 51.
-ONE_UNICAST_PORT_STEPS = 90
-ONE_UNICAST_TICKS = 29
+#: and only in the ticks it executes -- 28 of the run's 80, because the
+#: worm's circuit sleeps through one steady streaming span of 52 ticks.
+ONE_UNICAST_PORT_STEPS = 85
+ONE_UNICAST_TICKS = 28
 
 
 def test_active_engine_steps_only_live_ports(monkeypatch):
@@ -346,6 +346,27 @@ def test_active_engine_skips_frozen_spans(scenario, bound):
     active, status = scenario("active")
     assert (status, active.now) == (dense_status, dense.now)
     assert active.ticks_executed <= bound, active.ticks_executed
+
+
+def test_staggered_circuits_sleep_beside_ticking_ones(monkeypatch):
+    """On the staggered_circuits smoke scenario at one lane, the long
+    unicast's circuit sleeps through steady spans while later worms'
+    circuits tick beside it: ticks are executed while some circuit is
+    asleep, and the run still matches dense.  Counted by wrapping the
+    tick step, not through an engine option."""
+    beside = []
+    tick_active = FlitNetwork._tick_active
+
+    def counting_tick(net):
+        if any(circuit.asleep for _end, _seq, circuit in net._sleepers):
+            beside.append(net.now + 1)
+        return tick_active(net)
+
+    monkeypatch.setattr(FlitNetwork, "_tick_active", counting_tick)
+    report = crosscheck(_smoke_scenarios()["staggered_circuits"])
+    assert report.ok, report.describe()
+    assert len(beside) >= 50, len(beside)
+    assert report.active_ticks < report.dense_ticks // 2
 
 
 def test_crosscheck_diff_compares_leaf_types():

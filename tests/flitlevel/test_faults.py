@@ -62,11 +62,11 @@ def test_down_ports_refresh_on_tree_link_failure():
     assert dead not in net.routing.tree_links
     # No switch may keep a broadcast down-port on the dead link.
     inspected = 0
+    link = topo.links[dead]
     for sid, switch in net.switches.items():
-        port = net._port_of.get((sid, dead))
-        if port is not None:
+        if sid in (link.a, link.b):
             inspected += 1
-            assert port not in switch.down_ports
+            assert net._port_at(sid, link) not in switch.down_ports
     assert inspected >= 1
     # Broadcast still reaches every host over the new tree.
     src = topo.hosts[0]

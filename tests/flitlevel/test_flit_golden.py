@@ -6,10 +6,12 @@ delivery, the slack push and the STOP/GO hysteresis),
 ``OutputPort.ready``/``emit``, ``FlitAdapter.tick_input``/``tick_output``
 and ``Wire.push``.  So the engine crosscheck (dense vs active) cannot see
 a change to that shared code: both sides of the comparison move
-together.  These pins can.  The active engine alone also skips steady
-spans (payload or IDLE streams, frozen ports and sources, IDLE fill),
-applying their counters in bulk (``FlitNetwork._skip_span``); a change
-there shows in the crosscheck and in the active half of these pins.
+together.  These pins can.  The active engine alone also lets a
+worm's circuit sleep through steady spans (payload or IDLE streams,
+frozen ports and sources, IDLE fill) while other circuits tick,
+applying its counters in bulk when it wakes (``network._apply_span``);
+a change there shows in the crosscheck and in the active half of these
+pins.
 Each scenario pins two sha256 digests:
 
 * ``timeline`` -- :func:`~repro.net.flitlevel.crosscheck.timeline_digest`

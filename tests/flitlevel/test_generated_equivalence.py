@@ -11,10 +11,11 @@ read the same final clock, the same timeline digest and the same fabric
 counters (the :mod:`test_flit_golden` pins) and count the same progress
 events (the stall detector's clock), and neither may raise.  Undersized
 slack on long wires drops flits, so the draw includes corrupted headers
-and worms that never finish; long worms on quiet fabrics take the active
-engine's steady-streaming fast-forward, and the races take its spans
-with frozen ports (waiting for a grant, held by STOP) and IDLE fill, up
-to the tick the stall window ends.  Each scenario runs for at most 6,000
+and worms that never finish; long worms take the active engine's
+steady streaming spans, one worm's circuit asleep while other worms'
+circuits tick, and the races take its spans with frozen ports (waiting
+for a grant, held by STOP) and IDLE fill, up to the tick the stall
+window ends.  Each scenario runs for at most 6,000
 ticks.  Each scenario's two networks are closed once compared, and must
 then leave no reference cycle for the cyclic collector, the guard
 ``tests/sweep/test_point_teardown.py`` keeps for sweep points: flushes,
@@ -108,20 +109,20 @@ def _run(scenario, engine):
     return net, status
 
 
-def _span_kinds(net) -> set:
-    """The classes of component in a span about to be skipped:
-    ``streaming`` when a DATA flit streams on a wire, ``idle_fill`` when
-    an IDLE flit does, and ``frozen`` when a port receives nothing (it
-    waits or is held by STOP, or IDLE-fills) or a source is held by
-    STOP.  A quiescent gap has none."""
+def _span_kinds(circuit) -> set:
+    """The classes of component in a circuit about to sleep:
+    ``streaming`` when a DATA flit streams on a wire into a member,
+    ``idle_fill`` when an IDLE flit does, and ``frozen`` when a port
+    receives nothing (it waits or is held by STOP, or IDLE-fills) or a
+    source is held by STOP."""
     kinds = set()
-    wires = [port.wire for port in net._active_ports]
+    wires = [port.wire for port in circuit.ports]
     if not all(wire._forward for wire in wires) or any(
         adapter._tx and adapter.wire_out._stop_at_sender
-        for adapter in net._active_adapters
+        for adapter in circuit.adapters
     ):
         kinds.add("frozen")
-    wires += [adapter.wire_in for adapter in net._active_adapters]
+    wires += [adapter.wire_in for adapter in circuit.adapters]
     for wire in wires:
         if wire is not None and wire._forward:
             idle = wire._forward[0][1].kind is FlitKind.IDLE
@@ -131,28 +132,38 @@ def _span_kinds(net) -> set:
 
 def test_generated_scenarios_agree(monkeypatch):
     spans = []
-    skip_span = FlitNetwork._skip_span
+    beside = []
+    sleep, tick_active = FlitNetwork._sleep, FlitNetwork._tick_active
 
-    def counting_skip_span(net, span):
-        spans.append(_span_kinds(net))
-        skip_span(net, span)
+    def counting_sleep(net, circuit, stall):
+        spans.append(_span_kinds(circuit))
+        sleep(net, circuit, stall)
 
-    monkeypatch.setattr(FlitNetwork, "_skip_span", counting_skip_span)
+    def counting_tick(net):
+        # A tick executed while some circuit sleeps: its span runs beside
+        # circuits that tick.
+        if any(circuit.asleep for _end, _seq, circuit in net._sleepers):
+            beside.append(net.now + 1)
+        return tick_active(net)
+
+    monkeypatch.setattr(FlitNetwork, "_sleep", counting_sleep)
+    monkeypatch.setattr(FlitNetwork, "_tick_active", counting_tick)
     rng = random.Random(SEED)
-    overflowed = streamed = frozen = idle_fill = 0
+    overflowed = streamed = frozen = idle_fill = asleep_beside = 0
     gc.collect()
     gc.disable()
     try:
         for index in range(COUNT):
             scenario = _draw(rng)
             dense = _run(scenario, "dense")
-            del spans[:]
+            del spans[:], beside[:]
             active = _run(scenario, "active")
             assert _pins(*dense) == _pins(*active), (index, scenario)
             assert dense[0]._progress_events == active[0]._progress_events
             streamed += any("streaming" in kinds for kinds in spans)
             frozen += any("frozen" in kinds for kinds in spans)
             idle_fill += any("idle_fill" in kinds for kinds in spans)
+            asleep_beside += bool(beside)
             net = dense[0]
             overflowed += any(
                 port.slack.overflows
@@ -166,10 +177,12 @@ def test_generated_scenarios_agree(monkeypatch):
     finally:
         gc.enable()
     # The draw covers both edges: slack overflows and streaming spans,
-    # and the spans with frozen components and with IDLE fill (24, 66, 52
-    # and 14 of the 80 scenarios at seed 1).
+    # the spans with frozen components and with IDLE fill, and circuits
+    # asleep while others tick (24, 72, 52, 14 and 58 of the 80
+    # scenarios at seed 1).
     assert overflowed >= 5 and streamed >= 20, (overflowed, streamed)
     assert frozen >= 25 and idle_fill >= 7, (frozen, idle_fill)
+    assert asleep_beside >= 40, asleep_beside
 
 
 def _corrupt_multicast_port(engine):

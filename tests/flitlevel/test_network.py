@@ -174,6 +174,34 @@ def test_multicast_empty_dests_rejected():
         net.send_multicast(topo.hosts[0], [], payload_bytes=10)
 
 
+# A unicast to its own source has no route byte: its first switch strips
+# the DATA flits as leftovers of a flushed worm, and the run reported a
+# protocol deadlock at tick 2,001.  A switch id as an endpoint failed with
+# a bare KeyError from the adapter table.  Both are refused up front.
+@pytest.mark.parametrize("engine", ["active", "dense"])
+@pytest.mark.parametrize("endpoints,bad", [
+    ("self", "both host"),
+    ("switch_src", "source"),
+    ("switch_dst", "destination"),
+    ("unknown_dst", "destination"),
+])
+def test_unicast_endpoints_checked(engine, endpoints, bad):
+    topo = torus(3, 3)
+    net = FlitNetwork(topo, engine=engine)
+    host, switch = topo.hosts[4], topo.switches[0]
+    src, dst = {
+        "self": (host, host),
+        "switch_src": (switch, host),
+        "switch_dst": (host, switch),
+        "unknown_dst": (host, 10_000),
+    }[endpoints]
+    named = src if bad == "source" else dst
+    with pytest.raises(ValueError, match=rf"{bad}.*\b{named}\b"):
+        net.send_unicast(src, dst, payload_bytes=40)
+    assert not net.records and not net._actions
+    assert net.run(max_ticks=5_000) == "delivered" and net.now == 1
+
+
 def test_multicast_completion_set_by_slowest_branch():
     """Branches finish together at worm granularity: the last delivery
     defines the multicast completion (Section 3's slowest-path remark)."""

@@ -22,7 +22,7 @@ def _link(delay=1, slack_capacity=32):
     net = FlitNetwork(topo, engine="dense", wire_delay=delay,
                       slack_capacity=slack_capacity)
     a, _b = topo.switches
-    out = net.switches[a].outputs[net._port_of[(a, topo.links[0].id)]]
+    out = net.switches[a].outputs[net._port_at(a, topo.links[0])]
     return out, out.wire.receiver
 
 

@@ -67,6 +67,30 @@ def test_neighbors_and_adjacency():
     assert len(topo.adjacent(a)) == 2
 
 
+def test_crossbar_ports_follow_adjacency_and_track_structure():
+    # A switch numbers its links in adjacency order, one port per lane
+    # on a switch-to-switch link and one on a host link; the numbering
+    # is held per lane count until a node or link is added, and a link
+    # failure (liveness only) keeps it.
+    topo = Topology()
+    a, b = topo.add_switch(), topo.add_switch()
+    ab = topo.add_link(a, b)
+    host = topo.add_host(a)
+    ports, width = topo.crossbar_ports(3)
+    assert (ports[2 * ab.id], ports[2 * ab.id + 1]) == (0, 0)
+    host_link = topo.host_link(host)
+    assert ports[2 * host_link.id + (a != host_link.a)] == 3
+    assert width == 4
+    assert topo.crossbar_ports(3)[0] is ports
+    topo.fail_link(ab.id)
+    assert topo.crossbar_ports(3)[0] is ports
+    assert topo.crossbar_ports(1) == (ports[:2] + [-1, 1], 2)
+    c = topo.add_switch()
+    bc = topo.add_link(b, c)
+    ports, width = topo.crossbar_ports(3)
+    assert ports[2 * bc.id] == 3 and width == 6
+
+
 def test_hosts_sorted_by_id():
     topo = Topology()
     s = topo.add_switch()
