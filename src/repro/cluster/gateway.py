@@ -81,6 +81,70 @@ class _BadRequest(ValueError):
     """A malformed HTTP request (answered with a 400 and a JSON body)."""
 
 
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+    """Parse one HTTP/1.1 request: ``(method, target, headers, body)``,
+    or None on clean EOF.  Anything malformed raises :class:`_BadRequest`.
+    ``Content-Length`` must be digits only (RFC 9110), so neither a sign
+    nor ``int()``'s underscores are read as a length."""
+    try:
+        request_line = await reader.readline()
+    except (ValueError, asyncio.LimitOverrunError):
+        raise _BadRequest("request line too long") from None
+    if not request_line:
+        return None
+    parts = request_line.decode("latin-1").strip().split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+        raise _BadRequest(f"malformed request line {request_line!r}")
+    method, target, _version = parts
+    headers: Dict[str, str] = {}
+    while True:
+        try:
+            line = await reader.readline()
+        except (ValueError, asyncio.LimitOverrunError):
+            raise _BadRequest("header line too long") from None
+        if not line:
+            raise _BadRequest("connection closed inside headers")
+        text = line.decode("latin-1").strip()
+        if not text:
+            break
+        name, _sep, value = text.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length_text = headers.get("content-length", "0")
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise _BadRequest(f"bad Content-Length {length_text!r}")
+    try:
+        length = int(length_text)
+    except ValueError:  # more digits than int() converts
+        raise _BadRequest(f"bad Content-Length {length_text!r}") from None
+    if length > MAX_BODY_BYTES:
+        raise _BadRequest(f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
+    body = b""
+    if length:
+        try:
+            body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError:
+            raise _BadRequest("connection closed inside body") from None
+    return method.upper(), target, headers, body
+
+
+def _parse_target(target: str) -> Tuple[str, List[str], Dict[str, str]]:
+    """``(path, path segments, query)`` of a request target, the last
+    value winning for a repeated query name; a target ``urlsplit``
+    cannot parse (``//[x``) raises :class:`_BadRequest`."""
+    try:
+        url = urlsplit(target)
+        query = {
+            name: values[-1] for name, values in parse_qs(url.query).items()
+        }
+    except ValueError as exc:
+        raise _BadRequest(
+            f"malformed request target {target!r}: {exc}"
+        ) from None
+    return url.path, [part for part in url.path.split("/") if part], query
+
+
 class ClusterGateway:
     """One HTTP listening socket fronting a fleet of serve shards."""
 
@@ -256,7 +320,7 @@ class ClusterGateway:
         try:
             while True:
                 try:
-                    request = await self._read_request(reader)
+                    request = await _read_request(reader)
                 except _BadRequest as exc:
                     await self._respond(
                         writer,
@@ -282,50 +346,6 @@ class ClusterGateway:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one HTTP/1.1 request; None on clean EOF."""
-        try:
-            request_line = await reader.readline()
-        except (ValueError, asyncio.LimitOverrunError):
-            raise _BadRequest("request line too long") from None
-        if not request_line:
-            return None
-        parts = request_line.decode("latin-1").strip().split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise _BadRequest(f"malformed request line {request_line!r}")
-        method, target, _version = parts
-        headers: Dict[str, str] = {}
-        while True:
-            try:
-                line = await reader.readline()
-            except (ValueError, asyncio.LimitOverrunError):
-                raise _BadRequest("header line too long") from None
-            if not line:
-                raise _BadRequest("connection closed inside headers")
-            text = line.decode("latin-1").strip()
-            if not text:
-                break
-            name, _sep, value = text.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
-            raise _BadRequest(f"bad Content-Length {length_text!r}") from None
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise _BadRequest(
-                f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
-            )
-        body = b""
-        if length:
-            try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError:
-                raise _BadRequest("connection closed inside body") from None
-        return method.upper(), target, headers, body
 
     async def _respond(
         self,
@@ -357,12 +377,8 @@ class ClusterGateway:
     async def _dispatch(
         self, method: str, target: str, body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
-        url = urlsplit(target)
-        path = [part for part in url.path.split("/") if part]
-        query = {
-            name: values[-1] for name, values in parse_qs(url.query).items()
-        }
         try:
+            route, path, query = _parse_target(target)
             if method == "POST" and path == ["submit"]:
                 return await self._http_submit(body)
             if method == "GET" and len(path) == 2 and path[0] == "result":
@@ -390,7 +406,7 @@ class ClusterGateway:
         except _BadRequest as exc:
             return 400, protocol.error_response("bad_request", str(exc))
         return 404, protocol.error_response(
-            "bad_request", f"no route for {method} {url.path}"
+            "bad_request", f"no route for {method} {route}"
         )
 
     @staticmethod

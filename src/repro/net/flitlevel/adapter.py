@@ -49,13 +49,15 @@ class WormRecord:
 class FlitAdapter:
     """A host NIC at flit granularity: injects queued worms one flit per
     tick (honouring STOP/GO) and sinks arriving flits, reassembling
-    scheme-2 fragments by worm id."""
+    scheme-2 fragments by worm id.  The network builds it with both
+    wires of its host link (``FlitNetwork._build_adapter``)."""
 
     _is_adapter = True
 
     def __init__(self, network: "FlitNetwork", host_id: int) -> None:
         self.network = network
         self.host_id = host_id
+        #: The host link's wires, attached by the network's build.
         self.wire_out: Optional["Wire"] = None
         self.wire_in: Optional["Wire"] = None
         self._tx: Deque[WormRecord] = deque()
@@ -79,12 +81,7 @@ class FlitAdapter:
     # -- sending ------------------------------------------------------------
     def enqueue(self, record: WormRecord) -> None:
         self._tx.append(record)
-        self.network._wake_host(self)
-
-    def requeue_front(self, record: WormRecord) -> None:
-        """Put a flushed worm back at the head of the queue (retransmit)."""
-        self._tx.appendleft(record)
-        self.network._wake_host(self)
+        self.network._wake_component(self)
 
     def tick_output(self, now: int) -> bool:
         """Inject the next byte of the head worm, under the sender's rule
@@ -94,9 +91,9 @@ class FlitAdapter:
         through a steady span, and leaves one held by STOP where it is:
         a change here is made there too."""
         tx = self._tx
-        wire = self.wire_out
-        if not tx or wire is None:
+        if not tx:
             return False
+        wire = self.wire_out
         record = tx[0]
         if record.wid in self.network.killed:
             # Our own worm was flushed mid-injection: abort, the network
@@ -128,10 +125,7 @@ class FlitAdapter:
         a sink receives in bulk for the ticks its circuit sleeps through
         a steady span (IDLE fill it strips counts nothing): a change here
         is made there too."""
-        wire = self.wire_in
-        if wire is None:
-            return False
-        forward = wire._forward
+        forward = self.wire_in._forward
         if not forward or forward[0][0] > now:
             return False
         flit = forward.popleft()[1]
@@ -158,10 +152,7 @@ class FlitAdapter:
         queued for injection and nothing in flight on the receive wire.
         A stream gap (a worm partly received) needs no ticking -- the
         upstream push re-activates the adapter through the wire hook."""
-        if self._tx:
-            return False
-        wire_in = self.wire_in
-        return wire_in is None or not wire_in._forward
+        return not self._tx and not self.wire_in._forward
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FlitAdapter h{self.host_id} txq={len(self._tx)}>"

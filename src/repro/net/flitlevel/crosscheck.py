@@ -76,10 +76,19 @@ def worm_timeline(net, status: str) -> Dict[str, Any]:
             "expected": sorted(message.expected),
             "deliveries": dict(sorted(message.deliveries.items())),
         }
-    received = {
-        host: [ordinal.get(wid, f"?{wid}") for wid in adapter.received_worms]
-        for host, adapter in net.adapters.items()
-    }
+    # An adapter never built (the active engine builds on first use)
+    # received nothing; reading it here would build it.
+    received: Dict[int, List[Any]] = {}
+    received_flits: Dict[int, int] = {}
+    for host in net.adapters:
+        adapter = net.adapters.peek(host)
+        if adapter is None:
+            received[host], received_flits[host] = [], 0
+            continue
+        received[host] = [
+            ordinal.get(wid, f"?{wid}") for wid in adapter.received_worms
+        ]
+        received_flits[host] = adapter.received_flits
     return {
         "status": status,
         "now": net.now,
@@ -92,10 +101,7 @@ def worm_timeline(net, status: str) -> Dict[str, Any]:
         "worms": worms,
         "messages": messages,
         "received": received,
-        "received_flits": {
-            host: adapter.received_flits
-            for host, adapter in net.adapters.items()
-        },
+        "received_flits": received_flits,
     }
 
 
@@ -207,7 +213,7 @@ def crosscheck(
 
 
 def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
-    """Seven quick scenarios covering the hot paths: a mixed-traffic torus
+    """Eight quick scenarios covering the hot paths: a mixed-traffic torus
     (headers, grants, multicast replication), a saturated shufflenet
     (every port streaming at once), a sparse 2-ary 5-fly (a fabric
     mostly never built by the active engine, with a link cut ahead of a
@@ -224,7 +230,10 @@ def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
     the second lane dissolves it, and the race waits for grants while
     payload streams instead) and staggered circuits on a 2-ary 5-fly (a
     long unicast's circuit asleep while later worms on other paths
-    process their headers and stream beside it).
+    process their headers and stream beside it), and lazy lanes on a
+    2-ary 5-fly (two multicast trees leaving switches on the same links,
+    so the active engine selects a lane beside lanes it never built, and
+    a link cut and repaired before any of its ports exist, then crossed).
     ``lanes``/``vc_policy`` thread the virtual-channel configuration
     through every network, so the same scenarios prove multi-lane runs
     byte-identical across engines."""
@@ -344,6 +353,31 @@ def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
                              payload_bytes=48, start_delay=start)
         return net, net.run(max_ticks=20_000)
 
+    def lazy_lanes(engine):
+        topo = butterfly(k=2, n=5)
+        net = FlitNetwork(topo, engine=engine, seed=6,
+                          lanes=lanes, vc_policy=vc_policy)
+        hosts = topo.hosts
+        # The two trees leave switches 16, 24 and 44 on the same links,
+        # so the later header selects a lane beside the earlier one's,
+        # where the active engine has built no lane yet.
+        net.send_multicast(hosts[0], [hosts[-1], hosts[-5], hosts[20]],
+                           payload_bytes=90)
+        net.send_multicast(hosts[8], [hosts[-1], hosts[-6]],
+                           payload_bytes=70, start_delay=2)
+        # A link no worm has reached is cut and repaired; a worm routed
+        # while it is down goes around it, one routed after crosses it.
+        cut = net.routing.route(hosts[5], hosts[26])[3][2].id
+        for _ in range(3):
+            net.tick()
+        net.fail_link(cut)
+        net.send_unicast(hosts[5], hosts[26], payload_bytes=48,
+                         start_delay=4)
+        net.schedule(40, lambda: net.repair_link(cut))
+        net.schedule(60, lambda: net.send_unicast(
+            hosts[5], hosts[26], payload_bytes=64))
+        return net, net.run(max_ticks=20_000)
+
     return {
         "mixed_torus": mixed,
         "saturated_shufflenet": saturated,
@@ -352,6 +386,7 @@ def _smoke_scenarios(lanes: int = 1, vc_policy: str = "first_free"):
         "streaming_spans": streaming_spans,
         "fig3_deadlock": fig3_deadlock,
         "staggered_circuits": staggered_circuits,
+        "lazy_lanes": lazy_lanes,
     }
 
 

@@ -19,6 +19,7 @@ from repro.net.flitlevel.switch import (
     INTERRUPT,
     CrossbarSwitch,
     InputPort,
+    OutputPort,
 )
 from repro.net.flitlevel.wire import Wire
 from repro.net.topology import Topology
@@ -110,6 +111,10 @@ class _BuildOnRead(Mapping):
 
     def __contains__(self, key) -> bool:
         return key in self._keys
+
+    def peek(self, key):
+        """The entry if it is built, else None; never builds."""
+        return self._built.get(key)
 
     def __iter__(self):
         return iter(self._keys)
@@ -303,8 +308,8 @@ def _adapter_span(adapter: FlitAdapter, due: int, killed, span: int) -> int:
     already injected head worm onto a full wire with GO in effect, and
     then the span ends before the source reaches its tail."""
     wire = adapter.wire_in
-    if wire is not None and wire._forward:
-        forward = wire._forward
+    forward = wire._forward
+    if forward:
         if len(forward) != wire.delay or forward[0][0] != due:
             return 0
         flit = forward[0][1]
@@ -320,7 +325,7 @@ def _adapter_span(adapter: FlitAdapter, due: int, killed, span: int) -> int:
     record = tx[0]
     wid = record.wid
     wire = adapter.wire_out
-    if wire is None or wid in killed or wire._reverse:
+    if wid in killed or wire._reverse:
         return 0
     if wire._stop_at_sender:
         return span  # held by STOP
@@ -344,12 +349,8 @@ def _adapter_span(adapter: FlitAdapter, due: int, killed, span: int) -> int:
 
 def _receives_payload(adapter: FlitAdapter) -> bool:
     """True when a steady ``adapter`` sinks a DATA stream (progress)."""
-    wire = adapter.wire_in
-    return (
-        wire is not None
-        and bool(wire._forward)
-        and wire._forward[0][1].kind is _DATA
-    )
+    forward = adapter.wire_in._forward
+    return bool(forward) and forward[0][1].kind is _DATA
 
 
 def _wid_of(comp) -> Optional[int]:
@@ -442,8 +443,7 @@ def _depends(comp, source: FlitAdapter) -> bool:
     dependent if it passed its steady test: a port waiting for a grant or
     holding another worm's flits, or the source itself receiving."""
     if comp._is_adapter:
-        wire = comp.wire_in
-        return comp is source and wire is not None and bool(wire._forward)
+        return comp is source and bool(comp.wire_in._forward)
     state = comp.state
     if state == _REQUESTING or state == _MC_GRANT:
         return True
@@ -492,7 +492,7 @@ def _apply_span(circuit: _Circuit, span: int, end: int, fills: bool) -> int:
     progress = 0
     for adapter in circuit.adapters:
         wire = adapter.wire_in
-        if wire is not None and wire._forward:
+        if wire._forward:
             if wire._forward[0][1].kind is _DATA:
                 adapter.received_flits += span
                 progress += span
@@ -594,15 +594,17 @@ class FlitNetwork:
         blocked multicast.  When every circuit sleeps (the Figure 3
         race's blocked phase, deadlock window included, where ports also
         wait for grants), or nothing is live, the clock jumps.
-        It also builds a switch (its ports, slack buffers, lane groups and
-        its links' wires) only on first touch: when its host adapter is
-        handed a worm, or when a flit is pushed onto a wire toward it.
-        ``"dense"`` is the reference loop that builds every switch up
+        It also builds each part on first touch: an input port with its
+        slack buffer when a flit is first pushed toward it, an output port
+        with its wire when a connection first selects it, and a host
+        adapter with its two wires when it is first handed a worm or a
+        wire toward it is built.
+        ``"dense"`` is the reference loop that builds everything up
         front, polls every switch port and adapter each byte-time and
         never skips a tick.  Both produce byte-identical worm timelines
         and fabric counters (see :mod:`repro.net.flitlevel.crosscheck`).
-        ``switches`` lists every switch either way; reading an entry
-        builds it.
+        ``switches`` and ``adapters`` list everything either way; reading
+        an entry builds it whole.
     obs:
         Optional :class:`~repro.obs.Observability` bundle; worm-lifecycle
         hooks cost one pointer test each when ``None`` and are purely
@@ -679,9 +681,9 @@ class FlitNetwork:
         self.slack_capacity = slack_capacity
         self.wire_delay = wire_delay
 
-        self.adapters: Dict[int, FlitAdapter] = {
-            hid: FlitAdapter(self, hid) for hid in topology.hosts
-        }
+        #: Place of each switch id in topology order and of each host id
+        #: in host order, shared with every network on the topology.
+        switch_seq, self._host_seq = topology.node_order()
         #: Base port of each link at each switch end (see _port_at), for
         #: every switch: route bytes name ports before the switch is
         #: built.  Ports follow adjacency order, and a switch-to-switch
@@ -689,7 +691,8 @@ class FlitNetwork:
         #: (host-adapter links always carry one lane).  The topology holds
         #: the numbering, so networks on one topology share it.
         self._ports, width = topology.crossbar_ports(lanes)
-        if self._ports and max(self._ports) >= BROADCAST_BYTE:
+        # A base port at BROADCAST_BYTE or above needs a switch that wide.
+        if width > BROADCAST_BYTE and max(self._ports) >= BROADCAST_BYTE:
             sid, link = next(
                 (sid, link) for sid in topology.switches
                 for link in topology.adjacent(sid)
@@ -706,29 +709,33 @@ class FlitNetwork:
         #: ``s * width + i``, so ports sort in the topology's switch order
         #: (switch ids ascend in it), whatever order they are built in.
         self._seq_width = width
-        self._links = topology.links
-        #: Built components: switches by id and each link's wires
-        #: (``[a->b, b->a]`` per lane, so lane l occupies slots 2l, 2l+1).
+        #: Built components.  A switch is built once one of its ports is,
+        #: with every port slot empty; ``_whole_switches`` holds those
+        #: built whole.  Each link's wires take slots ``[a->b, b->a]`` per
+        #: lane (lane l at slots 2l, 2l+1), None until built; whole links
+        #: are in ``_whole_links``.  An adapter is built with its wires.
         self._built_switches: Dict[int, CrossbarSwitch] = {}
-        self._built_links: Dict[int, List[Wire]] = {}
+        self._whole_switches: Dict[int, CrossbarSwitch] = {}
+        self._built_links: Dict[int, List[Optional[Wire]]] = {}
+        self._whole_links: Dict[int, List[Wire]] = {}
+        self._built_adapters: Dict[int, FlitAdapter] = {}
         #: Links this network failed and has not repaired: their wires,
         #: built now or later, are dead.
         self._failed_links: set = set()
-        #: Every switch in topology order; reading an entry builds it.
+        #: Every switch in topology order; reading an entry builds it whole.
         self.switches = _BuildOnRead(
-            dict.fromkeys(topology.switches), self._built_switches,
-            self._build_switch,
+            switch_seq, self._whole_switches, self._build_switch
+        )
+        #: Every host's adapter in host order; reading an entry builds it.
+        self.adapters = _BuildOnRead(
+            self._host_seq, self._built_adapters, self._build_adapter
         )
         #: Every link's wires; reading an entry builds them.
         self._link_wires = _BuildOnRead(
-            range(len(self._links)), self._built_links, self._build_link
+            range(len(self._ports) // 2), self._whole_links, self._build_link
         )
 
         # -- active-set / progress bookkeeping --------------------------------
-        #: Built switches, in build order (topology order under the dense
-        #: engine, which builds them all below).
-        self._switch_list: List[CrossbarSwitch] = []
-        self._adapter_list = list(self.adapters.values())
         #: Monotonic count of observable progress events (payload flits
         #: delivered, worms injected, deliveries recorded, records churned).
         #: Replaces the per-tick _progress_signature tuple: O(1) per event.
@@ -769,8 +776,6 @@ class FlitNetwork:
         #: The component outside every walked circuit that last failed its
         #: steady test (see _sleep_steady); tested first next time.
         self._rest_hint = None
-        for seq, adapter in enumerate(self._adapter_list):
-            adapter._net_seq = seq
         # Wire hooks, bound once and shared by every wire.  Only the active
         # engine needs receiver wake-ups on the empty->non-empty edge.
         self._track_hook = self._register_site
@@ -778,13 +783,17 @@ class FlitNetwork:
         self._touch_hook = self._touch if self._engine_active else None
         self._refresh_down_ports()
         if not self._engine_active:
-            for sid in topology.switches:
+            # The dense oracle polls everything, in topology and host order.
+            for sid in switch_seq:
                 self._build_switch(sid)
+            self._switch_list = list(self._whole_switches.values())
+            self._adapter_list = list(self.adapters.values())
 
     # -- construction on first touch ------------------------------------------
     def _lanes_of(self, link) -> int:
         """Wire pairs on ``link``: ``lanes`` between switches, one to a host."""
-        if link.a in self.adapters or link.b in self.adapters:
+        hosts = self._host_seq
+        if link.a in hosts or link.b in hosts:
             return 1
         return self.lanes
 
@@ -792,111 +801,160 @@ class FlitNetwork:
         """The base port of ``link`` at switch ``sid``, one of its ends."""
         return self._ports[2 * link.id + (sid != link.a)]
 
+    def _wire(self, link, slot: int) -> Wire:
+        """Wire ``slot`` of ``link`` (see ``_built_links``), built on first
+        use and shared by both its ends.  A new wire toward a host builds
+        that host's adapter; one toward a switch names the receiving port
+        as ``(switch id, port)`` and wakes :meth:`_touch`, which builds
+        the port, so flits and STOP/GO symbols sent toward an unbuilt port
+        are kept.  A wire of a failed link starts dead."""
+        wires = self._built_links.get(link.id)
+        if wires is None:
+            wires = self._built_links[link.id] = (
+                [None] * (2 * self._lanes_of(link))
+            )
+        wire = wires[slot]
+        if wire is not None:
+            return wire
+        wire = wires[slot] = Wire(
+            delay=max(1, self.wire_delay + int(link.prop_delay))
+        )
+        wire.alive = link.id not in self._failed_links
+        wire.track = self._track_hook
+        receiver = link.a if slot & 1 else link.b
+        if receiver in self._host_seq:
+            adapter = self.adapters[receiver]
+            adapter.wire_in = wire
+            wire.receiver = adapter
+            wire.notify = self._wake_hook
+        else:
+            wire.receiver = (receiver, self._port_at(receiver, link) + slot // 2)
+            wire.notify = self._touch_hook
+        return wire
+
     def _build_link(self, link_id: int) -> List[Wire]:
-        """The wires of link ``link_id``, created on first use -- by the
-        first of its ends to be built, or by a reader -- and shared by both
-        ends.  A wire toward a switch that is not built yet wakes
-        :meth:`_touch`, which builds it, so flits and STOP/GO symbols sent
-        toward an unbuilt switch are kept."""
-        wires = self._built_links.get(link_id)
-        if wires is not None:
-            return wires
-        link = self._links[link_id]
-        delay = max(1, self.wire_delay + int(link.prop_delay))
-        alive = link_id not in self._failed_links
-        adapters = self.adapters
-        wires = []
-        for lane in range(self._lanes_of(link)):
-            for sender, receiver in ((link.a, link.b), (link.b, link.a)):
-                wire = Wire(delay=delay)
-                wire.alive = alive
-                wire.track = self._track_hook
-                if receiver in adapters:
-                    adapter = adapters[receiver]
-                    adapter.wire_in = wire
-                    wire.receiver = adapter
-                    wire.notify = self._wake_hook
-                else:
-                    if sender in adapters:
-                        adapters[sender].wire_out = wire
-                    base = self._port_at(receiver, link)
-                    wire.receiver = (receiver, base + lane)
-                    wire.notify = self._touch_hook
-                wires.append(wire)
-        self._built_links[link_id] = wires
+        """Every wire of link ``link_id``, for a reader of ``_link_wires``."""
+        link = self.topology.link(link_id)
+        for slot in range(2 * self._lanes_of(link)):
+            self._wire(link, slot)
+        wires = self._whole_links[link_id] = self._built_links[link_id]
         return wires
 
-    def _build_switch(self, sid: int) -> CrossbarSwitch:
-        """Build switch ``sid``: its ports with their slack buffers, its
-        lane groups, and the wires of every link it touches.  The dense
-        engine calls this for every switch at construction; the active
-        engine on first touch.  A built switch is idle and inactive, so
-        when it is built never changes the byte timeline."""
-        switch = CrossbarSwitch(self, sid, slack_capacity=self.slack_capacity)
-        self._built_switches[sid] = switch
-        wake = self._wake_hook
-        seq = sid * self._seq_width
+    def _switch(self, sid: int) -> CrossbarSwitch:
+        """Switch ``sid``, built on first use with every port slot empty:
+        its port layout (each port's link, in ``crossbar_ports`` order)
+        and lane groups."""
+        switch = self._built_switches.get(sid)
+        if switch is not None:
+            return switch
+        links = []
+        groups = []
         for link in self.topology.adjacent(sid):
-            wires = self._build_link(link.id)
-            # Slot 2l carries a->b, slot 2l+1 carries b->a.
-            into = 0 if sid == link.b else 1
-            ports = []
-            for lane in range(len(wires) // 2):
-                wire_in = wires[2 * lane + into]
-                index = switch.add_port(wire_in, wires[2 * lane + 1 - into])
-                port = switch.inputs[index]
-                port._net_seq = seq + index
-                wire_in.receiver = port
-                wire_in.notify = wake
-                ports.append(index)
-            if len(ports) > 1:
-                switch.register_lane_group(ports)
-        switch.down_ports = self._down_ports(sid)
-        self._switch_list.append(switch)
+            lanes = self._lanes_of(link)
+            if lanes > 1:
+                base = self._port_at(sid, link)
+                groups.append(list(range(base, base + lanes)))
+            links += [link] * lanes
+        switch = CrossbarSwitch(self, sid, links, self.slack_capacity)
+        for ports in groups:
+            switch.register_lane_group(ports)
+        self._built_switches[sid] = switch
         return switch
 
-    def _touch(self, end: Tuple[int, int]) -> None:
-        """Wake hook of a wire whose receiving switch is not built yet:
-        build the switch, then wake the receiving port."""
-        sid, index = end
-        self._wake_component(self._build_switch(sid).inputs[index])
+    def _build_input(self, switch: CrossbarSwitch, index: int) -> InputPort:
+        """Input port ``index`` of ``switch`` with its slack buffer, fed
+        by the wire its link carries toward the switch on that lane."""
+        sid = switch.node_id
+        link = switch.links[index]
+        lane = index - self._port_at(sid, link)
+        # Slot 2l carries a->b, slot 2l+1 carries b->a.
+        wire = self._wire(link, 2 * lane + (sid != link.b))
+        port = switch.inputs[index] = InputPort(
+            switch, index, wire, self.slack_capacity
+        )
+        port._net_seq = sid * self._seq_width + index
+        wire.receiver = port
+        wire.notify = self._wake_hook
+        return port
 
-    def _wake_host(self, adapter: FlitAdapter) -> None:
-        """An adapter was handed a worm: the first time, build its switch,
-        then wake it."""
-        if adapter.wire_out is None:
-            self._build_switch(self.topology.host_switch(adapter.host_id))
-        self._wake_component(adapter)
+    def _build_output(self, switch: CrossbarSwitch, index: int) -> OutputPort:
+        """Output port ``index`` of ``switch`` with its outgoing wire: the
+        switch builds it when a connection first selects it."""
+        sid = switch.node_id
+        link = switch.links[index]
+        lane = index - self._port_at(sid, link)
+        wire = self._wire(link, 2 * lane + (sid == link.b))
+        output = switch.outputs[index] = OutputPort(switch, index, wire)
+        return output
+
+    def _build_switch(self, sid: int) -> CrossbarSwitch:
+        """Build switch ``sid`` whole: every port not built yet, with its
+        wires.  The dense engine builds every switch so at construction;
+        the active engine builds single ports on first touch (see
+        :meth:`_touch`, ``CrossbarSwitch._select_lane``), and whole only
+        for a reader of ``switches``.  A built port is idle and inactive,
+        so when it is built never changes the byte timeline."""
+        switch = self._switch(sid)
+        for index, port in enumerate(switch.inputs):
+            if port is None:
+                self._build_input(switch, index)
+        for index, output in enumerate(switch.outputs):
+            if output is None:
+                self._build_output(switch, index)
+        self._whole_switches[sid] = switch
+        return switch
+
+    def _build_adapter(self, hid: int) -> FlitAdapter:
+        """Host ``hid``'s adapter with both wires of its host link: built
+        when it is first handed a worm, or when a wire toward it is."""
+        adapter = self._built_adapters[hid] = FlitAdapter(self, hid)
+        adapter._net_seq = self._host_seq[hid]
+        link = self.topology.host_link(hid)
+        out = 0 if hid == link.a else 1
+        adapter.wire_out = self._wire(link, out)
+        self._wire(link, 1 - out)  # sets wire_in, unless being built
+        return adapter
+
+    def _touch(self, end: Tuple[int, int]) -> None:
+        """Wake hook of a wire whose receiving port is not built yet:
+        build the port, then wake it."""
+        sid, index = end
+        self._wake_component(self._build_input(self._switch(sid), index))
 
     def wire_counts(self, link_id: int) -> List[Tuple[int, int]]:
         """``(carried, idles)`` of each wire of a link, in ``[a->b, b->a]``
-        per-lane slot order.  A link whose wires were never built reads
-        zeros; reading never builds."""
+        per-lane slot order.  A wire never built reads zeros; reading
+        never builds."""
         if self._sleepers:
             self._wake_sleepers()
         wires = self._built_links.get(link_id)
         if wires is None:
-            return [(0, 0)] * (2 * self._lanes_of(self._links[link_id]))
-        return [(wire.carried, wire.idles) for wire in wires]
+            link = self.topology.link(link_id)
+            return [(0, 0)] * (2 * self._lanes_of(link))
+        return [
+            (0, 0) if wire is None else (wire.carried, wire.idles)
+            for wire in wires
+        ]
 
     def lane_counts(self) -> Tuple[List[int], List[int]]:
         """``(carried, idles)`` per lane, each summed over both wires of
         that lane on every switch-to-switch link (host-adapter links carry
-        one lane and are left out).  A link whose wires were never built
-        carried nothing, so only built links are read."""
+        one lane and are left out).  A wire never built carried nothing,
+        so only built wires are read."""
         if self._sleepers:
             self._wake_sleepers()
         carried = [0] * self.lanes
         idles = [0] * self.lanes
-        adapters = self.adapters
-        links = self._links
+        hosts = self._host_seq
+        link_of = self.topology.link
         for link_id, wires in self._built_links.items():
-            link = links[link_id]
-            if link.a in adapters or link.b in adapters:
+            link = link_of(link_id)
+            if link.a in hosts or link.b in hosts:
                 continue
             for slot, wire in enumerate(wires):
-                carried[slot >> 1] += wire.carried
-                idles[slot >> 1] += wire.idles
+                if wire is not None:
+                    carried[slot >> 1] += wire.carried
+                    idles[slot >> 1] += wire.idles
         return carried, idles
 
     def close(self) -> None:
@@ -904,24 +962,29 @@ class FlitNetwork:
         back-references to the switch and the network, scheduled
         closures), so it is freed by reference counting.  Records,
         counters and :meth:`wire_counts` stay readable; the network cannot
-        run again, and reading an unbuilt switch or link raises."""
+        run again, and reading a switch, adapter or link not built whole
+        raises."""
         self._wake_sleepers()
         for wires in self._built_links.values():
             for wire in wires:
-                wire.notify = wire.track = wire.receiver = None
+                if wire is not None:
+                    wire.notify = wire.track = wire.receiver = None
         for switch in self._built_switches.values():
             switch.network = None
             for port in switch.inputs:
-                port.switch = None
+                if port is not None:
+                    port.switch = None
             for output in switch.outputs:
-                output.switch = None
-        for adapter in self.adapters.values():
+                if output is not None:
+                    output.switch = None
+        for adapter in self._built_adapters.values():
             adapter.network = None
             adapter._span_hint = None
         self._actions.clear()
         self._track_hook = self._wake_hook = self._touch_hook = None
         self._rest_hint = None
-        self.switches._build = self._link_wires._build = _closed
+        self.switches._build = self.adapters._build = _closed
+        self._link_wires._build = _closed
 
     # -- active-set engine internals ------------------------------------------
     def _wake_component(self, comp) -> None:
@@ -938,16 +1001,17 @@ class FlitNetwork:
             self._woken.append(comp)
 
     def _wake_all(self) -> None:
-        """Activate every local adapter and every input port of a built
-        local switch: used after external mutations (fault injection,
-        reconfiguration) whose state edges are not covered by the per-wire
-        wake hooks.  An unbuilt switch is quiescent.  Spuriously woken
-        components settle back out after one no-op tick."""
+        """Activate every built adapter and input port: used after
+        external mutations (fault injection, reconfiguration) whose state
+        edges are not covered by the per-wire wake hooks.  An unbuilt
+        port or adapter is quiescent.  Spuriously woken components settle
+        back out after one no-op tick."""
         wake = self._wake_component
-        for switch in self._switch_list:
+        for switch in self._built_switches.values():
             for port in switch.inputs:
-                wake(port)
-        for adapter in self._adapter_list:
+                if port is not None:
+                    wake(port)
+        for adapter in self._built_adapters.values():
             wake(adapter)
 
     def _merge_woken(self) -> None:
@@ -1002,12 +1066,10 @@ class FlitNetwork:
         sites[site] = True
 
     def _refresh_down_ports(self) -> None:
-        """(Re)compute each built switch's broadcast down-link ports from
-        the current up/down tree (Section 3); called after reconfiguration.
-        The tree is kept, so a switch built later reads the same ports."""
+        """Take the current up/down tree (Section 3), from which every
+        switch reads its broadcast down-link ports (``_down_ports``);
+        called at construction and after reconfiguration."""
         self._down_tree = (self.routing.tree_links, self.routing.level)
-        for sid, switch in self._built_switches.items():
-            switch.down_ports = self._down_ports(sid)
 
     def _down_ports(self, sid: int) -> List[int]:
         tree_links, level = self._down_tree
@@ -1032,7 +1094,8 @@ class FlitNetwork:
         self._failed_links.add(link_id)
         lost: set = set()
         for wire in self._built_links.get(link_id, ()):
-            lost |= wire.fail()
+            if wire is not None:
+                lost |= wire.fail()
         self.link_faults += 1
         if self.obs is not None:
             self.obs.link_fault(self.now, link_id, "cut")
@@ -1052,7 +1115,8 @@ class FlitNetwork:
         if self.obs is not None:
             self.obs.link_fault(self.now, link_id, "repair")
         for wire in self._built_links.get(link_id, ()):
-            wire.repair()
+            if wire is not None:
+                wire.repair()
         self._refresh_down_ports()
         self._wake_all()
 
@@ -1065,15 +1129,19 @@ class FlitNetwork:
         return ports
 
     # -- injection APIs ----------------------------------------------------------
+    def _check_host(self, what: str, host) -> None:
+        """Raise :class:`ValueError` naming ``host`` unless it is a host."""
+        if host not in self._host_seq:
+            raise ValueError(f"{what} {host!r} is not a host")
+
     def send_unicast(
         self, src: int, dst: int, payload_bytes: int = 64, start_delay: int = 0
     ) -> int:
         """Queue a unicast worm; returns its worm id.  Both endpoints
         must be hosts, and distinct: a worm to its own source would carry
         no route byte (raises :class:`ValueError`)."""
-        for name, host in (("source", src), ("destination", dst)):
-            if host not in self.adapters:
-                raise ValueError(f"unicast {name} {host!r} is not a host")
+        self._check_host("unicast source", src)
+        self._check_host("unicast destination", dst)
         if src == dst:
             raise ValueError(
                 f"unicast source and destination are both host {src}"
@@ -1117,9 +1185,22 @@ class FlitNetwork:
         Both encode into the same header format, so every engine and
         multicast scheme applies unchanged; long path chains are bounded
         by the one-byte segment pointer of the header encoding.
+
+        The source and every destination must be hosts, the destinations
+        distinct and the source not among them; anything else raises
+        :class:`ValueError` naming the id before anything is queued.
         """
+        self._check_host("multicast source", src)
         if not dests:
             raise ValueError("multicast needs at least one destination")
+        seen = set()
+        for dst in dests:
+            self._check_host("multicast destination", dst)
+            if dst in seen:
+                raise ValueError(f"multicast destination {dst} is repeated")
+            seen.add(dst)
+        if src in seen:
+            raise ValueError(f"multicast source {src} is also a destination")
         if strategy == "tree":
             routes = self.routing.multi_route(src, dests, self.restrict_to_tree)
             order = list(dests)
@@ -1454,7 +1535,7 @@ class FlitNetwork:
             circuit.blocker = source
             return circuit
         adapters.append(source)
-        if source.wire_in is not None and source.wire_in._forward:
+        if source.wire_in._forward:
             circuit.need = source
             circuit.receiving = _receives_payload(source)
         stack = [source.wire_out.receiver]

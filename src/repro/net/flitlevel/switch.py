@@ -27,6 +27,7 @@ from repro.core.route_encoding import END_MARKER
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.flitlevel.network import FlitNetwork
+    from repro.net.topology import Link
 
 #: Header byte instructing a switch to broadcast on all its down links.
 BROADCAST_BYTE = 0xFE
@@ -283,7 +284,15 @@ class OutputPort:
 
 
 class CrossbarSwitch:
-    """One crossbar: input ports, output ports, and the forwarding rules."""
+    """One crossbar: input ports, output ports, and the forwarding rules.
+
+    ``links`` names the link behind each port index.  ``inputs`` and
+    ``outputs`` hold one entry per port, None until the network builds
+    that port (see ``FlitNetwork._build_input``/``_build_output``), so
+    they can be indexed before every entry is built; loops over them
+    skip unbuilt entries.  An unbuilt port is idle: nothing was ever
+    pushed toward an unbuilt input, and no connection ever selected an
+    unbuilt output."""
 
     _is_adapter = False
 
@@ -291,14 +300,15 @@ class CrossbarSwitch:
         self,
         network: "FlitNetwork",
         node_id: int,
+        links: List[Link],
         slack_capacity: int = 32,
     ) -> None:
         self.network = network
         self.node_id = node_id
         self.slack_capacity = slack_capacity
-        self.inputs: List[InputPort] = []
-        self.outputs: List[OutputPort] = []
-        self.down_ports: List[int] = []
+        self.links = links
+        self.inputs: List[Optional[InputPort]] = [None] * len(links)
+        self.outputs: List[Optional[OutputPort]] = [None] * len(links)
         #: Virtual-channel lane groups: base port index -> the consecutive
         #: port indices (one per lane) multiplexed over that physical link.
         #: Route bytes always name the base; :meth:`_select_lane` maps the
@@ -308,14 +318,14 @@ class CrossbarSwitch:
         self._lane_rr: Dict[int, int] = {}
         self.forwarded_worms = 0
 
-    def add_port(self, wire_in: Wire, wire_out: Wire) -> int:
-        index = len(self.inputs)
-        self.inputs.append(InputPort(self, index, wire_in, self.slack_capacity))
-        self.outputs.append(OutputPort(self, index, wire_out))
-        return index
-
     def paired_output(self, input_index: int) -> int:
         return input_index
+
+    @property
+    def down_ports(self) -> List[int]:
+        """The broadcast down-link ports on the network's current up/down
+        tree (Section 3), read when a broadcast reaches its root."""
+        return self.network._down_ports(self.node_id)
 
     def register_lane_group(self, ports: List[int]) -> None:
         """Declare that ``ports`` (consecutive, lane order) multiplex one
@@ -343,27 +353,34 @@ class CrossbarSwitch:
 
         Both read only output holder/waiting state, which both engines
         mutate in dense port order, so allocation is byte-identical across
-        dense and active.
+        dense and active.  An unbuilt lane reads as idle (no holder, no
+        waiters); the selected output is built here, on first selection.
         """
         group = self.lane_groups.get(base)
-        if group is None:
-            return base
+        lane = base if group is None else self._pick_lane(base, group)
+        if self.outputs[lane] is None:
+            self.network._build_output(self, lane)
+        return lane
+
+    def _pick_lane(self, base: int, group: List[int]) -> int:
+        """The lane of ``group`` that :meth:`_select_lane` selects."""
         outputs = self.outputs
         if self.network.vc_policy == "round_robin":
             n = len(group)
             start = self._lane_rr[base]
             self._lane_rr[base] = (start + 1) % n
-            choice = group[start]
             for off in range(n):
                 cand = group[(start + off) % n]
                 out = outputs[cand]
-                if out.holder is None and not out.waiting:
+                if out is None or (out.holder is None and not out.waiting):
                     return cand
-            return choice
+            return group[start]
         best = group[0]
         best_load = None
         for cand in group:
             out = outputs[cand]
+            if out is None:
+                return cand
             load = (0 if out.holder is None else 1) + len(out.waiting)
             if load == 0:
                 return cand
@@ -375,14 +392,14 @@ class CrossbarSwitch:
     def tick_input(self, now: int) -> bool:
         moved = False
         for port in self.inputs:
-            if port.absorb(now):
+            if port is not None and port.absorb(now):
                 moved = True
         return moved
 
     def tick_output(self, now: int) -> bool:
         moved = False
         for port in self.inputs:
-            if self._advance(port, now):
+            if port is not None and self._advance(port, now):
                 moved = True
         return moved
 
@@ -734,10 +751,14 @@ class CrossbarSwitch:
     # -- flush support ------------------------------------------------------------
     def drop_worm(self, wid: int) -> None:
         for port in self.inputs:
+            if port is None:
+                continue
             if port.wid == wid:
                 port.disconnect()
             port.slack.drop_worm(wid)
         for output in self.outputs:
+            if output is None:
+                continue
             holder = output.holder
             if holder is not None and self.inputs[holder].wid == wid:
                 output.release(holder)

@@ -109,11 +109,14 @@ class Topology:
         #: lanes -> crossbar port numbering (see crossbar_ports), held
         #: until a node or link is added.
         self._crossbar_ports: Dict[int, Tuple[List[int], int]] = {}
+        #: The node_order index, held until a node is added.
+        self._node_order: Optional[Tuple[Dict[int, int], Dict[int, int]]] = None
 
     def _mutated(self, kind: str, target: int) -> None:
         self.version += 1
         if kind == "node_add" or kind == "link_add":
             self._crossbar_ports.clear()
+            self._node_order = None
         if self._listeners:
             change = TopologyChange(kind, target)
             for listener in list(self._listeners):
@@ -270,14 +273,37 @@ class Topology:
     def links(self) -> List[Link]:
         return list(self._links)
 
+    def link(self, link_id: int) -> Link:
+        """The link with id ``link_id``."""
+        if not 0 <= link_id < len(self._links):
+            raise KeyError(f"no link with id {link_id}")
+        return self._links[link_id]
+
     @property
     def switches(self) -> List[int]:
-        return [n.id for n in self._nodes.values() if n.is_switch]
+        return list(self.node_order()[0])
 
     @property
     def hosts(self) -> List[int]:
         """Host ids in increasing order (the paper's deadlock-prevention order)."""
-        return sorted(n.id for n in self._nodes.values() if n.is_host)
+        return list(self.node_order()[1])
+
+    def node_order(self) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """``(switches, hosts)``: each switch id mapped to its place in
+        :attr:`switches` and each host id to its place in :attr:`hosts`,
+        both dicts in that order.  Computed once and held until a node is
+        added, so networks on one topology share them; callers must not
+        mutate them."""
+        order = self._node_order
+        if order is None:
+            nodes = self._nodes.values()
+            switches = [n.id for n in nodes if n.is_switch]
+            hosts = sorted(n.id for n in nodes if n.is_host)
+            order = self._node_order = (
+                {sid: i for i, sid in enumerate(switches)},
+                {hid: i for i, hid in enumerate(hosts)},
+            )
+        return order
 
     def crossbar_ports(self, lanes: int) -> Tuple[List[int], int]:
         """Port numbers of every switch's crossbar when each

@@ -180,6 +180,11 @@ def _resolve_plan(plan, hosts) -> List[Tuple[int, Tuple[int, ...], float]]:
         dests = tuple(sorted(hosts[d] for d in dest_idxs))
         if not dests or src in dests:
             raise ValueError(f"plan entry {k}: bad destinations {dest_idxs}")
+        if len(set(dests)) != len(dests):
+            # The sender reads send_multicast's ValueError as "unroutable".
+            raise ValueError(
+                f"plan entry {k}: destinations {dest_idxs} repeat a host"
+            )
         if (src, dests) in seen:
             raise ValueError(
                 f"plan entry {k}: duplicate (source, destinations) pair; "

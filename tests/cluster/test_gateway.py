@@ -5,15 +5,23 @@ shard deaths included — returns records byte-identical to
 :func:`repro.sweep.runner.run_sweep` on the same spec.
 """
 
+import asyncio
 import http.client
 import json
 import logging
 import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterGateway, HashRing, ShardSpec
-from repro.cluster.gateway import GatewayThread
+from repro.cluster.gateway import (
+    GatewayThread,
+    _BadRequest,
+    _parse_target,
+    _read_request,
+)
 from repro.obs.report import validate_metrics
 from repro.serve.jobs import make_point
 from repro.sweep import SweepSpec, run_sweep
@@ -299,6 +307,94 @@ def test_oversized_body_rejected(gateway):
         )
         head = raw.recv(65536).split(b"\r\n", 1)[0]
     assert b"400" in head
+
+
+def _raw_request(gateway, data):
+    """Send raw request bytes on a fresh connection and read until the
+    gateway closes it: ``(status, JSON body)``."""
+    with socket.create_connection(
+        (gateway.host, gateway.port), timeout=30.0
+    ) as raw:
+        raw.sendall(data)
+        reply = b""
+        while chunk := raw.recv(65536):
+            reply += chunk
+    head, _sep, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 "), f"no reply to {data!r}"
+    return int(head.split()[1]), json.loads(body)
+
+
+@pytest.mark.parametrize("target", ["//[x", "http://["])
+def test_malformed_target_answers_400(gateway, target):
+    # urlsplit raises on an unclosed IPv6 bracket; the connection used to
+    # drop with no reply.
+    status, body = _raw_request(
+        gateway,
+        f"GET {target} HTTP/1.1\r\nHost: fleet\r\n"
+        "Connection: close\r\n\r\n".encode(),
+    )
+    assert status == 400 and body["error"] == "bad_request"
+    assert "malformed request target" in body["detail"]
+
+
+@pytest.mark.parametrize("length,body", [("1_0", b"0123456789"), ("+2", b"{}")])
+def test_content_length_must_be_digits(gateway, length, body):
+    # int() reads "1_0" as 10 and "+2" as 2; RFC 9110 allows digits only.
+    status, reply = _raw_request(
+        gateway,
+        b"GET /health HTTP/1.1\r\nHost: fleet\r\nConnection: close\r\n"
+        b"Content-Length: " + length.encode() + b"\r\n\r\n" + body,
+    )
+    assert status == 400 and reply["error"] == "bad_request"
+    assert "Content-Length" in reply["detail"]
+
+
+#: Request fragments, so the parser property reaches past the request line.
+_HTTP_PIECES = st.sampled_from([
+    b"GET ", b"POST ", b"/health", b"/submit", b"//[x", b"?wait=1&a=", b" ",
+    b"HTTP/1.1", b"\r\n", b"\n", b"Content-Length:", b"Connection: close",
+    b":", b"0", b"7", b"1_0", b"+2", b"-1", b"\xff", b"{}", b"99999999999",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.lists(_HTTP_PIECES, max_size=40).map(b"".join),
+))
+def test_read_request_parses_or_raises_bad_request(data):
+    async def read():
+        # A small line limit reaches the "too long" paths too.
+        reader = asyncio.StreamReader(limit=64)
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await _read_request(reader)
+
+    try:
+        request = asyncio.run(read())
+    except _BadRequest:
+        return
+    if request is not None:
+        method, target, headers, body = request
+        assert method == method.upper() and target
+        assert len(body) == int(headers.get("content-length", "0"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(
+        ["/", "//", "[", "]", "x", "?", "&", "=", "%", "%zz", "#", ":",
+         "http:", "::1", "\u2100", "1"]
+    ), max_size=12).map("".join),
+))
+def test_parse_target_parses_or_raises_bad_request(target):
+    try:
+        route, path, query = _parse_target(target)
+    except _BadRequest:
+        return
+    assert path == [part for part in route.split("/") if part]
+    assert all(isinstance(v, str) for v in query.values())
 
 
 # -- connection handling -------------------------------------------------------

@@ -1,10 +1,13 @@
 """Construction on first touch.
 
-The active engine builds a switch (ports, slack buffers, lane groups and
-its links' wires) only when traffic reaches it; the dense oracle builds
-every switch up front through the same routine.  The 4-lane 2-ary 8-fly
-is the ``paper_flitlevel`` grid's butterfly: built eagerly it has 1,024
-switches and 14,592 switch input ports.
+The active engine builds each part only when traffic reaches it: an
+input port (with its slack buffer) when a flit is first pushed toward
+it, an output port (with its wire) when a connection first selects it,
+and a host adapter (with its two wires) when it is handed a worm or a
+wire toward it is built.  The dense oracle builds everything up front
+through the same routines.  The 4-lane 2-ary 8-fly is the
+``paper_flitlevel`` grid's butterfly: built eagerly it has 1,024
+switches, 14,592 switch input ports and 256 adapters.
 """
 
 import gc
@@ -13,8 +16,12 @@ import pytest
 
 from repro.net import butterfly
 from repro.net.flitlevel import FlitNetwork
+from repro.net.flitlevel import network as flitnet
+from repro.net.flitlevel.crosscheck import _smoke_scenarios, crosscheck
+from repro.net.flitlevel.switch import CrossbarSwitch
 from repro.net.updown import UpDownRouting
 from repro.obs import Observability
+from repro.sweep.points import execute_point
 
 
 @pytest.fixture(scope="module")
@@ -24,25 +31,43 @@ def fly8():
 
 
 def _built_ports(net):
-    return sum(len(s.inputs) for s in net._built_switches.values())
+    """``(input ports, output ports)`` built."""
+    switches = net._built_switches.values()
+    return (
+        sum(p is not None for s in switches for p in s.inputs),
+        sum(o is not None for s in switches for o in s.outputs),
+    )
+
+
+def _built_wires(net):
+    return sum(w is not None for ws in net._built_links.values() for w in ws)
 
 
 def test_one_unicast_builds_only_its_route(fly8):
     topo, routing = fly8
     net = FlitNetwork(topo, routing=routing, lanes=4)
-    assert not net._built_switches
+    assert not net._built_switches and not net._built_adapters
     hosts = topo.hosts
     net.send_unicast(hosts[0], hosts[-1], payload_bytes=64)
     assert net.run() == "delivered"
+    # The worm crosses 8 switches: one input and one output port each,
+    # 9 links (7 between switches, 2 to hosts) and 2 adapters, each
+    # built with both wires of its host link.
     assert len(net._built_switches) == 8
-    assert _built_ports(net) == 114
+    assert _built_ports(net) == (8, 8)
+    assert len(net._built_links) == 9
+    assert _built_wires(net) == 7 + 2 * 2
+    assert sorted(net._built_adapters) == [hosts[0], hosts[-1]]
+    # The 8 switches have 114 port slots, all but those 8 left empty.
+    assert sum(len(s.inputs) for s in net._built_switches.values()) == 114
 
 
 def test_dense_builds_every_switch(fly8):
     topo, routing = fly8
     net = FlitNetwork(topo, routing=routing, lanes=4, engine="dense")
     assert len(net._built_switches) == 1024
-    assert _built_ports(net) == 14_592
+    assert _built_ports(net) == (14_592, 14_592)
+    assert len(net._built_adapters) == 256
 
 
 def test_construction_adds_few_gc_objects(fly8):
@@ -72,6 +97,53 @@ def test_switches_lists_every_switch_and_reading_builds():
     assert net.switches[sid] is switch
     with pytest.raises(KeyError):
         net.switches[topo.hosts[0]]
+
+
+def test_reading_a_switch_builds_it_whole():
+    topo = butterfly(k=2, n=5)
+    net = FlitNetwork(topo, lanes=2)
+    hosts = topo.hosts
+    net.send_unicast(hosts[0], hosts[-1], payload_bytes=48)
+    assert net.run() == "delivered"
+    partial = next(
+        s for s in net._built_switches.values() if None in s.inputs
+    )
+    sid = partial.node_id
+    assert net.switches[sid] is partial
+    assert None not in partial.inputs and None not in partial.outputs
+    for index, port in enumerate(partial.inputs):
+        assert port.index == index and port.wire.receiver is port
+        assert partial.outputs[index].index == index
+    # Every wire of every link at the switch is built, and the ports the
+    # worm used are the ones that carried it.
+    for link in topo.adjacent(sid):
+        assert None not in net._built_links[link.id]
+    assert sum(o.sent_flits for o in partial.outputs) > 0
+
+
+def test_vc_lanes_point_builds_only_its_endpoint_adapters(monkeypatch):
+    seen = []
+    close = flitnet.FlitNetwork.close
+
+    def keep(net):
+        seen.append((net, dict(net._built_adapters), {
+            host for record in net.records.values()
+            for host in [record.src, *record.dests]
+        }))
+        close(net)
+
+    monkeypatch.setattr(flitnet.FlitNetwork, "close", keep)
+    record = execute_point("vc_lanes", {
+        "topology": "butterfly", "stages": 6, "lanes": 4,
+        "mode": "idle_fill", "fanout": 4, "unicast_pairs": 6,
+        "payload_bytes": 120, "seed": 3,
+    })
+    assert record["status"] == "delivered" and record["fanout"] == 4
+    (net, built, endpoints), = seen
+    # One multicast source, its 4 destinations and 6 unicast pairs: at
+    # most 17 of the 2-ary 6-fly's 64 hosts.
+    assert set(built) == endpoints and len(endpoints) <= 17
+    assert len(net.adapters) == 64
 
 
 def _sparse_run(engine, obs=None):
@@ -116,3 +188,49 @@ def test_wire_counts_match_the_dense_build():
     )
     assert active.wire_counts(unbuilt) == [(0, 0)] * 4  # two lanes
     assert unbuilt not in active._built_links
+
+
+@pytest.mark.parametrize("vc_policy", ["first_free", "round_robin"])
+@pytest.mark.parametrize("lanes", [1, 2, 4])
+def test_lazy_lanes_scenario(monkeypatch, lanes, vc_policy):
+    """The crosscheck's ``lazy_lanes`` scenario does what it is for on the
+    active engine, and the engines agree on it."""
+    scenario = _smoke_scenarios(lanes=lanes, vc_policy=vc_policy)["lazy_lanes"]
+    assert crosscheck(scenario).ok
+    faults = []
+    beside_unbuilt = []
+    fail_link = flitnet.FlitNetwork.fail_link
+    repair_link = flitnet.FlitNetwork.repair_link
+    pick_lane = CrossbarSwitch._pick_lane
+
+    def fail(net, link_id):
+        faults.append((link_id, link_id in net._built_links))
+        return fail_link(net, link_id)
+
+    def repair(net, link_id):
+        faults.append((link_id, link_id in net._built_links))
+        repair_link(net, link_id)
+
+    def pick(switch, base, group):
+        outputs = [switch.outputs[lane] for lane in group]
+        if None in outputs and any(o is not None and o.busy for o in outputs):
+            beside_unbuilt.append(switch.node_id)
+        return pick_lane(switch, base, group)
+
+    monkeypatch.setattr(flitnet.FlitNetwork, "fail_link", fail)
+    monkeypatch.setattr(flitnet.FlitNetwork, "repair_link", repair)
+    monkeypatch.setattr(CrossbarSwitch, "_pick_lane", pick)
+    net, status = scenario("active")
+    assert status == "delivered"
+    # A switch-to-switch link was cut and repaired before any of its
+    # wires existed, and the worm routed after the repair crossed it.
+    (cut, built), (repaired, built_again) = faults
+    assert cut == repaired and not built and not built_again
+    link = net.topology.link(cut)
+    assert link.a in net.switches and link.b in net.switches
+    assert sum(carried for carried, _ in net.wire_counts(cut)) > 0
+    if lanes > 1:
+        # A header selected a lane while another lane of that link was
+        # held and the rest were not built yet.
+        assert beside_unbuilt
+        assert sum(net.lane_counts()[0][1:]) > 0

@@ -202,6 +202,35 @@ def test_unicast_endpoints_checked(engine, endpoints, bad):
     assert net.run(max_ticks=5_000) == "delivered" and net.now == 1
 
 
+# At the parent a switch id as a destination was queued and ended in a
+# false deadlock at tick 2,001, a switch id as the source raised a bare
+# KeyError, an unknown destination read "no legal route", and a repeated
+# destination was recorded twice.  Each is refused up front, by name.
+@pytest.mark.parametrize("engine", ["active", "dense"])
+@pytest.mark.parametrize("endpoints", [
+    "switch_dst", "switch_src", "unknown_dst", "repeated_dst", "self_dst",
+])
+def test_multicast_endpoints_checked(engine, endpoints):
+    topo = torus(3, 3)
+    net = FlitNetwork(topo, engine=engine)
+    host, other, switch = topo.hosts[4], topo.hosts[7], topo.switches[0]
+    src, dests, expected = {
+        "switch_dst": (host, [other, switch],
+                       f"destination {switch} is not a host"),
+        "switch_src": (switch, [host, other], f"source {switch} is not a host"),
+        "unknown_dst": (host, [other, 10_000],
+                        "destination 10000 is not a host"),
+        "repeated_dst": (host, [other, other],
+                         f"destination {other} is repeated"),
+        "self_dst": (host, [other, host],
+                     f"source {host} is also a destination"),
+    }[endpoints]
+    with pytest.raises(ValueError, match=rf"^multicast {expected}$"):
+        net.send_multicast(src, dests, payload_bytes=40)
+    assert not net.records and not net._actions
+    assert net.run(max_ticks=5_000) == "delivered" and net.now == 1
+
+
 def test_multicast_completion_set_by_slowest_branch():
     """Branches finish together at worm granularity: the last delivery
     defines the multicast completion (Section 3's slowest-path remark)."""

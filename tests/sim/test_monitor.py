@@ -166,6 +166,16 @@ def test_batch_means_ci_covers_true_mean():
     assert abs(result["mean"] - 10.0) < 3 * result["half_width"] + 0.5
 
 
+def test_batch_means_ci_half_width():
+    # Batch means 1..5: grand mean 3, sample variance 2.5, so the 95 %
+    # half-width is z * sqrt(2.5 / 5) with z = 1.96 (1.64 gives 1.1597).
+    result = batch_means_ci([1, 1, 2, 2, 3, 3, 4, 4, 5, 5], batches=5)
+    assert result["batches"] == 5
+    assert result["mean"] == pytest.approx(3.0)
+    assert result["half_width"] == pytest.approx(1.96 * math.sqrt(2.5 / 5))
+    assert result["half_width"] == pytest.approx(1.3859, abs=1e-4)
+
+
 def test_batch_means_ci_folds_remainder_into_last_batch():
     # 11 samples, 2 batches: size 5, remainder 1.  The tail sample (the
     # only non-zero one) must contribute -- dropping it would report 0.

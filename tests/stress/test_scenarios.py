@@ -44,6 +44,18 @@ def test_unsupported_kind_rejected():
         build_scenario("flit_multicast", {"kinds": ["node_fail"]})
 
 
+def test_plan_repeating_a_destination_rejected():
+    # On the 4-host ring index -2 names host index 2 again.  A repeated
+    # destination must not reach the sender, which would record the
+    # multicast's refusal as an unroutable message.
+    for dests in ([2, 2], [2, -2]):
+        scenario = build_scenario(
+            "flit_multicast", {"plan": [[0, dests, 10]], "kinds": ["link_fail"]}
+        )
+        with pytest.raises(ValueError, match=r"plan entry 0: .* repeat a host"):
+            scenario.execute(FaultSchedule([]))
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError):
         build_scenario("no_such_scenario")
